@@ -2,11 +2,11 @@
 partition diagrams, and a q-series engine that verifies the identities those
 chains prove.
 
-The hot series kernels have a compiled core with a pure-Python fallback; see
-qchains._backend (QCHAINS_PURE=1 forces the fallback).
+Series are stored as integer numerators over one common denominator, and
+their products use one Kronecker-substitution big-integer multiply; see the
+series kernels in qchains.qalgebra.
 """
 
-from qchains._backend import BACKEND
 from qchains.qalgebra import (
     Interval,
     PochValue,

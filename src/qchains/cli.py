@@ -96,6 +96,12 @@ class RunConfig:
         )
         if cfg.eps <= 0:
             raise ValueError("eps must be positive")
+        # -1 stands for "flag absent"; a negative value given on the command
+        # line is an error, never a request for the default
+        if order is not None and cfg.order < 0:
+            raise ValueError("order must be >= 0")
+        if l_max is not None and cfg.l_max < 0:
+            raise ValueError("lmax must be >= 0")
         return cfg
 
     def measure_params(self) -> MeasureParams:
@@ -125,9 +131,7 @@ def _case_ag(k, i, order, inject=False):
         coeffs = list(lhs.coeffs)
         coeffs[min(3, order)] += 1
         lhs = QSeries(coeffs, order=order)
-    mismatch = next(
-        (e for e in range(order + 1) if lhs.coeffs[e] != rhs.coeffs[e]), None
-    )
+    mismatch = lhs.first_mismatch(rhs)
     report = {
         "suite": "ag",
         "k": k,

@@ -61,10 +61,14 @@ def ag_sum(spec: AGSpec) -> QSeries:
     while stack:
         pos, bound, expo, tail = stack.pop()
         if pos == k:
-            term = QSeries.one(order - expo)
-            for nj in _diffs(tail):
-                if nj:
-                    term = term * inv[nj]
+            # truncating the first factor costs no product; for k = 2 that is all
+            factors = [inv[nj] for nj in _diffs(tail) if nj]
+            if factors:
+                term = factors[0].truncate(order - expo)
+            else:
+                term = QSeries.one(order - expo)
+            for factor in factors[1:]:
+                term = term * factor
             acc = acc + term.shift(expo)
             continue
         for v in range(bound + 1):
@@ -101,12 +105,8 @@ def verify_ag(spec: AGSpec):
     Returns (True, None) on agreement up to the order, else (False, e) with
     e the smallest mismatching exponent.
     """
-    lhs = ag_sum(spec)
-    rhs = ag_product(spec)
-    for e in range(spec.order + 1):
-        if lhs.coeffs[e] != rhs.coeffs[e]:
-            return False, e
-    return True, None
+    mismatch = ag_sum(spec).first_mismatch(ag_product(spec))
+    return mismatch is None, mismatch
 
 
 def absorption_limit_series(r: int, delta: int, order: int) -> QSeries:

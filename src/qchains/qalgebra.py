@@ -15,9 +15,8 @@ equality only compares up to the common order.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
-
-from qchains._backend import conv_trunc, geom_inv_mul, inv_scaled
+from math import gcd
+from operator import add
 
 Rational = Fraction
 
@@ -199,6 +198,85 @@ def poch_inf(x, q, eps) -> Interval:
 
 
 # ---------------------------------------------------------------------------
+# Series kernels
+#
+# Integer-coefficient primitives under QSeries.  A series keeps its
+# coefficients as integer numerators over one common denominator, so these
+# loops never build a Fraction.
+
+
+def conv_trunc(a, b, order):
+    """Truncated convolution: c[n] = sum_i a[i]*b[n-i] for n = 0..order.
+
+    Kronecker substitution: each sequence is packed into one integer with a
+    byte-aligned slot per coefficient, the two integers are multiplied once,
+    and the product's slots are the convolution.  A slot holds more than
+    twice the largest possible |c[n]|, and every slot carries a bias of half
+    its range, so signed digits never borrow from their neighbours.
+    """
+    a = a[: order + 1]
+    b = b[: order + 1]
+    if not (any(a) and any(b)):
+        return [0] * (order + 1)
+    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1  # bytes per slot: 8*width - 1 > bits
+    half = 1 << (8 * width - 1)
+    slot_bias = b"\x00" * (width - 1) + b"\x80"
+
+    def pack(seq):
+        raw = b"".join([(c + half).to_bytes(width, "little") for c in seq])
+        return int.from_bytes(raw, "little") - int.from_bytes(
+            slot_bias * len(seq), "little"
+        )
+
+    slots = min(order + 1, len(a) + len(b) - 1)
+    size = width * slots
+    low = pack(a) * pack(b) + int.from_bytes(slot_bias * slots, "little")
+    raw = (low & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    out = [
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, size, width)
+    ]
+    out.extend([0] * (order + 1 - slots))
+    return out
+
+
+def inv_scaled(p, order):
+    """Scaled reciprocal of an integer series with p[0] != 0.
+
+    Returns ints c[0..order] such that the true reciprocal of sum p[n] x^n
+    has coefficients c[n] / p[0]**(n+1).  Derived from the recurrence
+    sum_{k=0..n} p[k] * b[n-k] = 0 with b[n] = c[n] / p[0]**(n+1).
+    """
+    p0 = p[0]
+    if p0 == 0:
+        raise ZeroDivisionError("series has zero constant term")
+    lp = len(p)
+    c = [1]
+    pows = [1]  # p0**(k-1) for k = 1.. as needed
+    for n in range(1, order + 1):
+        acc = 0
+        top = n if n < lp - 1 else lp - 1
+        while len(pows) < top:
+            pows.append(pows[-1] * p0)
+        for k in range(1, top + 1):
+            acc += p[k] * c[n - k] * pows[k - 1]
+        c.append(-acc)
+    return c
+
+
+def geom_inv_mul(a, r, order):
+    """Multiply coefficients a by 1/(1 - x^r): out[n] = a[n] + out[n-r]."""
+    if r <= 0:
+        raise ValueError("stride must be positive")
+    out = list(a[: order + 1])
+    out.extend([0] * (order + 1 - len(out)))
+    for n in range(r, order + 1):
+        out[n] += out[n - r]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Truncated power series
 
 
@@ -208,9 +286,14 @@ class QSeries:
     Coefficients of exponents > order are unknown, not zero.  The variable
     tag is "x" or "y" with y^2 = x; the y carrier exists so theta sums with
     half-integer x-exponents stay integral.
+
+    The coefficients are stored as integer numerators ``nums`` (one per
+    exponent 0..order) over one common denominator ``den``, kept canonical:
+    den > 0 and gcd(den, *nums) == 1.  Arithmetic runs on these ints;
+    ``coeffs`` gives the coefficients as Fractions.
     """
 
-    __slots__ = ("coeffs", "order", "var", "_scaled")
+    __slots__ = ("nums", "den", "order", "var", "_coeffs")
 
     def __init__(self, coeffs, order=None, var="x"):
         coeffs = [as_fraction(c) for c in coeffs]
@@ -224,11 +307,36 @@ class QSeries:
             raise ValueError("more coefficients than order+1; truncate explicitly")
         if var not in ("x", "y"):
             raise ValueError("variable tag must be 'x' or 'y'")
-        coeffs.extend([_ZERO] * (order + 1 - len(coeffs)))
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        den = 1
+        for c in coeffs:
+            d = c.denominator
+            den = den // gcd(den, d) * d
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        nums.extend([0] * (order + 1 - len(nums)))
+        # den is the lcm of reduced denominators, so the form is canonical
+        self._set(nums, den, order, var)
+
+    def _set(self, nums, den, order, var):
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "_scaled", None)
+        object.__setattr__(self, "_coeffs", None)
+
+    @classmethod
+    def _make(cls, nums, den, order, var):
+        """The series sum_n nums[n]/den var^n; len(nums) must be order+1."""
+        if den != 1:
+            if den < 0:
+                den = -den
+                nums = [-c for c in nums]
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [c // g for c in nums]
+        self = object.__new__(cls)
+        self._set(nums, den, order, var)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
@@ -264,36 +372,20 @@ class QSeries:
                 raise ValueError("negative exponent")
         return cls(coeffs, order=order, var=var)
 
-    @classmethod
-    def _from_ints(cls, nums, den, order, var):
-        if den == 1:
-            coeffs = [Fraction(n) for n in nums[: order + 1]]
-        else:
-            coeffs = [Fraction(n, den) for n in nums[: order + 1]]
-        return cls(coeffs, order=order, var=var)
-
     # -- internals
-
-    def _as_ints(self):
-        """Coefficients scaled onto a common denominator: (nums, den)."""
-        if self._scaled is None:
-            den = 1
-            for c in self.coeffs:
-                d = c.denominator
-                den = den // gcd(den, d) * d
-            nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
-            object.__setattr__(self, "_scaled", (nums, den))
-        return self._scaled
 
     def _check_var(self, other):
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
 
     def is_gen(self) -> bool:
+        nums = self.nums
         return (
             self.order >= 1
-            and self.coeffs[1] == 1
-            and all(c == 0 for i, c in enumerate(self.coeffs) if i != 1)
+            and self.den == 1
+            and nums[1] == 1
+            and nums[0] == 0
+            and not any(nums[2:])
         )
 
     # -- ring operations
@@ -303,16 +395,20 @@ class QSeries:
             other = QSeries.constant(other, self.order, self.var)
         self._check_var(other)
         n = min(self.order, other.order)
-        return QSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)],
-            order=n,
-            var=self.var,
-        )
+        da, db = self.den, other.den
+        if da == db:
+            nums = list(map(add, self.nums, other.nums))
+        else:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            nums = [x * sa + y * sb for x, y in zip(self.nums, other.nums)]
+            da *= sa
+        return QSeries._make(nums, da, n, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs], order=self.order, var=self.var)
+        return QSeries._make([-c for c in self.nums], self.den, self.order, self.var)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -325,12 +421,16 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
-            return QSeries([c * a for a in self.coeffs], order=self.order, var=self.var)
+            return QSeries._make(
+                [c.numerator * a for a in self.nums],
+                self.den * c.denominator,
+                self.order,
+                self.var,
+            )
         self._check_var(other)
         n = min(self.order, other.order)
-        na, da = self._as_ints()
-        nb, db = other._as_ints()
-        return QSeries._from_ints(conv_trunc(na, nb, n), da * db, n, self.var)
+        nums = conv_trunc(self.nums, other.nums, n)
+        return QSeries._make(nums, self.den * other.den, n, self.var)
 
     __rmul__ = __mul__
 
@@ -346,75 +446,93 @@ class QSeries:
             e >>= 1
         return out
 
+    def first_mismatch(self, other):
+        """Smallest exponent up to the common order where the coefficients
+        differ, or None when the two series agree that far."""
+        self._check_var(other)
+        n = min(self.order, other.order) + 1
+        a, b = self.nums[:n], other.nums[:n]
+        if self.den != other.den:
+            a = [c * other.den for c in a]
+            b = [c * self.den for c in b]
+        if a == b:
+            return None
+        return next(e for e in range(n) if a[e] != b[e])
+
     def __eq__(self, other):
         """Equality up to the common truncation order."""
         if not isinstance(other, QSeries):
             return NotImplemented
         if self.var != other.var:
             return False
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+        return self.first_mismatch(other) is None
 
     __hash__ = None  # equality is only up to common order
 
     # -- structure
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions; built on first use, then kept."""
+        if self._coeffs is None:
+            den = self.den
+            if den == 1:
+                coeffs = tuple(map(Fraction, self.nums))
+            else:
+                coeffs = tuple(Fraction(c, den) for c in self.nums)
+            object.__setattr__(self, "_coeffs", coeffs)
+        return self._coeffs
+
     def coefficient(self, e: int) -> Fraction:
         if not 0 <= e <= self.order:
             raise IndexError(f"exponent {e} outside known range 0..{self.order}")
-        return self.coeffs[e]
+        return Fraction(self.nums[e], self.den)
 
     def truncate(self, order: int) -> "QSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return QSeries(list(self.coeffs[: order + 1]), order=order, var=self.var)
+        return QSeries._make(self.nums[: order + 1], self.den, order, self.var)
 
     def shift(self, e: int) -> "QSeries":
         """Multiply by var^e; the result is known to order+e."""
         if e < 0:
             raise ValueError("negative shift")
-        return QSeries(
-            [_ZERO] * e + list(self.coeffs), order=self.order + e, var=self.var
+        return QSeries._make(
+            (0,) * e + self.nums, self.den, self.order + e, self.var
         )
 
     def mul_one_minus_pow(self, e: int) -> "QSeries":
         """Multiply by (1 - var^e) in O(order) coefficient operations."""
         if e <= 0:
             raise ValueError("exponent must be positive")
-        coeffs = list(self.coeffs)
+        nums = list(self.nums)
         for i in range(self.order, e - 1, -1):
-            coeffs[i] = coeffs[i] - coeffs[i - e]
-        return QSeries(coeffs, order=self.order, var=self.var)
+            nums[i] -= nums[i - e]
+        return QSeries._make(nums, self.den, self.order, self.var)
 
     def mul_geom_inv(self, r: int) -> "QSeries":
         """Multiply by 1/(1 - var^r) in O(order) coefficient operations."""
-        nums, den = self._as_ints()
-        return QSeries._from_ints(
-            geom_inv_mul(nums, r, self.order), den, self.order, self.var
-        )
+        nums = geom_inv_mul(self.nums, r, self.order)
+        return QSeries._make(nums, self.den, self.order, self.var)
 
     def to_y(self) -> "QSeries":
         """Reinterpret an x-series in y with y^2 = x (exponents double)."""
         if self.var != "x":
             raise ValueError("to_y applies to x-series")
-        coeffs = [_ZERO] * (2 * self.order + 2)
-        for i, c in enumerate(self.coeffs):
-            coeffs[2 * i] = c
+        nums = [0] * (2 * self.order + 2)
+        nums[::2] = self.nums
         # odd y-exponents of an x-series are identically zero, hence known
-        return QSeries(coeffs, order=2 * self.order + 1, var="y")
+        return QSeries._make(nums, self.den, 2 * self.order + 1, "y")
 
     def to_x(self) -> "QSeries":
         """Convert a y-series back to x; every odd coefficient must vanish."""
         if self.var != "y":
             raise ValueError("to_x applies to y-series")
-        for i in range(1, self.order + 1, 2):
-            if self.coeffs[i] != 0:
-                raise ValueError(f"odd y-coefficient at exponent {i} is nonzero")
-        return QSeries(
-            [self.coeffs[2 * i] for i in range(self.order // 2 + 1)],
-            order=self.order // 2,
-            var="x",
-        )
+        odd = self.nums[1::2]
+        if any(odd):
+            i = 2 * next(j for j, c in enumerate(odd) if c) + 1
+            raise ValueError(f"odd y-coefficient at exponent {i} is nonzero")
+        return QSeries._make(self.nums[::2], self.den, self.order // 2, "x")
 
     # -- io
 
@@ -434,7 +552,7 @@ class QSeries:
         )
 
     def __repr__(self):
-        shown = ", ".join(str(c) for c in self.coeffs[:8])
+        shown = ", ".join(str(Fraction(c, self.den)) for c in self.nums[:8])
         if self.order >= 8:
             shown += ", ..."
         return f"QSeries([{shown}], order={self.order}, var={self.var!r})"
@@ -442,17 +560,17 @@ class QSeries:
 
 def series_inv(s: QSeries) -> QSeries:
     """Multiplicative inverse up to the truncation order."""
-    if s.coeffs[0] == 0:
+    p0 = s.nums[0]
+    if p0 == 0:
         raise ValueError("series with zero constant term is not invertible")
-    nums, den = s._as_ints()
-    c = inv_scaled(nums, s.order)
-    p0 = nums[0]
-    coeffs = []
-    pw = p0
-    for n in range(s.order + 1):
-        coeffs.append(Fraction(den * c[n], pw))
+    c = inv_scaled(s.nums, s.order)
+    # coefficient n is den*c[n] / p0**(n+1); put all over p0**(order+1)
+    nums = [0] * (s.order + 1)
+    pw = 1
+    for n in range(s.order, -1, -1):
+        nums[n] = s.den * c[n] * pw
         pw *= p0
-    return QSeries(coeffs, order=s.order, var=s.var)
+    return QSeries._make(nums, pw, s.order, s.var)
 
 
 def euler_poch(n: int, order: int, var: str = "x") -> QSeries:
@@ -463,7 +581,7 @@ def euler_poch(n: int, order: int, var: str = "x") -> QSeries:
     for r in range(1, min(n, order) + 1):
         for i in range(order, r - 1, -1):
             nums[i] -= nums[i - r]
-    return QSeries._from_ints(nums, 1, order, var)
+    return QSeries._make(nums, 1, order, var)
 
 
 def geometric_inv(r: int, order: int, var: str = "x") -> QSeries:
@@ -479,8 +597,7 @@ def one_minus_product(exponents, order: int, var: str = "x") -> QSeries:
             raise ValueError("exponents must be positive")
         for i in range(order, e - 1, -1):
             nums[i] -= nums[i - e]
-    return QSeries._from_ints(nums, 1, order, var)
-
+    return QSeries._make(nums, 1, order, var)
 
 # ---------------------------------------------------------------------------
 # Theta sums and the Jacobi triple product
@@ -506,7 +623,7 @@ def theta_sum(a: int, b: int, order: int) -> QSeries:
         if not hit and a * n * n - b * n > order:
             break
         n += 1
-    return QSeries._from_ints(coeffs, 1, order, "y")
+    return QSeries._make(coeffs, 1, order, "y")
 
 
 def jacobi_product(v_exp: int, w_exp: int, order: int) -> QSeries:
@@ -532,7 +649,7 @@ def jacobi_product(v_exp: int, w_exp: int, order: int) -> QSeries:
             for i in range(order, e - 1, -1):
                 nums[i] -= nums[i - e]
         n += 1
-    return QSeries._from_ints(nums, 1, order, "y")
+    return QSeries._make(nums, 1, order, "y")
 
 
 def q_binomial_check(n: int, q, order: int | None = None) -> bool:

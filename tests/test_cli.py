@@ -54,6 +54,32 @@ def test_verify_bad_config_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "rr", "--order", "-5"],
+        ["verify", "--suite", "diag", "--lmax", "-3"],
+        ["series", "--which", "ag-sum", "--order", "-1"],
+        ["series", "--which", "theta", "--A", "5", "--B", "1", "--lmax", "-1"],
+        ["power", "--L", "3", "--j", "0", "--r", "1", "--order", "-2"],
+        ["power", "--L", "3", "--j", "0", "--r", "1", "--lmax", "-2"],
+    ],
+    ids=["verify-order", "verify-lmax", "series-order", "series-lmax",
+         "power-order", "power-lmax"],
+)
+def test_negative_order_or_lmax_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_order_zero_is_not_the_default(capsys):
+    code, out, _ = run(capsys, ["verify", "--suite", "rr", "--order", "0"])
+    assert code == 0
+    assert {r["N"] for r in json_lines(out)} == {0}
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])

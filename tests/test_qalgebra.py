@@ -249,6 +249,99 @@ def test_series_coefficients_reduced(a):
         assert c.denominator > 0
 
 
+# rationals over unrelated denominators, with integers mixed in
+mixed_rationals = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(F),
+    st.fractions(max_denominator=10**6),
+)
+mixed_lists = st.lists(mixed_rationals, min_size=1, max_size=9)
+
+
+def conv(fa, fb, order):
+    out = [F(0)] * (order + 1)
+    for i, x in enumerate(fa[: order + 1]):
+        for j, y in enumerate(fb[: order + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def reciprocal(fa):
+    out = [1 / fa[0]]
+    for n in range(1, len(fa)):
+        out.append(-sum(fa[i] * out[n - i] for i in range(1, n + 1)) / fa[0])
+    return out
+
+
+def assert_series(s, coeffs, order, var="x"):
+    """s has the given Fraction coefficients, order and variable, and is
+    stored in canonical form."""
+    assert (s.order, s.var) == (order, var)
+    assert len(s.nums) == order + 1
+    assert s.den > 0
+    assert gcd(s.den, *s.nums) == 1
+    assert list(s.coeffs) == coeffs
+    assert [s.coefficient(e) for e in range(order + 1)] == coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fa=mixed_lists,
+    fb=mixed_lists,
+    c=mixed_rationals,
+    e=st.integers(min_value=1, max_value=9),
+)
+def test_series_ops_match_fraction_oracle(fa, fb, c, e):
+    oa, ob = len(fa) - 1, len(fb) - 1
+    n = min(oa, ob)
+    sa, sb = QSeries(fa), QSeries(fb)
+    assert_series(sa, fa, oa)
+    assert_series(sa + sb, [fa[i] + fb[i] for i in range(n + 1)], n)
+    assert_series(sa - sb, [fa[i] - fb[i] for i in range(n + 1)], n)
+    assert_series(-sa, [-x for x in fa], oa)
+    assert_series(sa * sb, conv(fa, fb, n), n)
+    assert_series(sa + c, [fa[0] + c] + fa[1:], oa)
+    assert_series(c - sa, [c - fa[0]] + [-x for x in fa[1:]], oa)
+    assert_series(sa * c, [x * c for x in fa], oa)
+    assert_series(c * sa, [x * c for x in fa], oa)
+    assert_series(sa**0, [F(1)] + [F(0)] * oa, oa)
+    assert_series(sa**3, conv(fa, conv(fa, fa, oa), oa), oa)
+    assert_series(sa.shift(e), [F(0)] * e + fa, oa + e)
+    assert_series(sa.truncate(oa // 2), fa[: oa // 2 + 1], oa // 2)
+    one_minus = [F(1)] + [F(0)] * (e - 1) + [F(-1)]
+    assert_series(sa.mul_one_minus_pow(e), conv(fa, one_minus, oa), oa)
+    geom = [F(int(i % e == 0)) for i in range(oa + 1)]
+    assert_series(sa.mul_geom_inv(e), conv(fa, geom, oa), oa)
+    in_y = [F(0)] * (2 * oa + 2)
+    in_y[::2] = fa
+    assert_series(sa.to_y(), in_y, 2 * oa + 1, "y")
+    assert_series(sa.to_y().to_x(), fa, oa)
+    if fa[0]:
+        assert_series(series_inv(sa), reciprocal(fa), oa)
+    assert_series(QSeries.from_json(sa.to_json()), fa, oa)
+    first = next((i for i in range(n + 1) if fa[i] != fb[i]), None)
+    assert sa.first_mismatch(sb) == first
+    assert (sa == sb) == (first is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fa=mixed_lists,
+    extra=st.lists(mixed_rationals, min_size=1, max_size=4),
+    d=st.integers(min_value=2, max_value=10**6),
+)
+def test_series_equality_across_orders_and_denominators(fa, extra, d):
+    s = QSeries(fa)
+    longer = QSeries(fa + extra)
+    assert s == longer and longer == s
+    assert s.truncate(0) == longer
+    assert (s * F(1, d)) * d == s
+    bumped = QSeries(fa[:-1] + [fa[-1] + F(1, d)])
+    assert bumped != s and bumped != longer
+    assert bumped.first_mismatch(longer) == len(fa) - 1
+    assert s.to_y() != longer
+    assert longer.truncate(len(fa) - 1).den == s.den
+
+
 def test_euler_poch_and_geometric_inv():
     assert euler_poch(2, 3) == QSeries([1, -1, -1, 1], order=3)
     assert geometric_inv(2, 6) == QSeries([1, 0, 1, 0, 1, 0, 1], order=6)
