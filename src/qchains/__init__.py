@@ -9,12 +9,10 @@ series kernels in qchains.qalgebra.
 
 from qchains.qalgebra import (
     Interval,
-    PochValue,
     QSeries,
     Rational,
     jacobi_product,
     poch_desc,
-    poch_desc_extended,
     poch_inf,
     poch_std,
     q_binomial_check,

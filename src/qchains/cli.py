@@ -3,7 +3,8 @@ matrix-power cross-checks, matrix dumps, Bailey iteration, and series dumps.
 
 All rationals cross this boundary as "p/q" strings.  Reports are JSON lines
 on stdout; diagnostics go to stderr.  Exit codes: 0 all checks pass, 1 a
-mathematical check failed, 2 usage or configuration error.
+mathematical check failed, 2 usage or configuration error (and any other
+error: one "error:" line, never a traceback).
 """
 
 import argparse
@@ -64,6 +65,19 @@ from qchains.quiver import (
 )
 
 
+# smallest value each integer flag accepts when it is given
+_INT_FLAG_MIN = {
+    "order": 0,
+    "lmax": 0,
+    "count": 0,
+    "jobs": 1,
+    "n": 0,
+    "k": 2,
+    "size_cap": 0,
+    "steps": 0,
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated common options; parsing failures surface before any math."""
@@ -78,30 +92,29 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        u = Fraction(getattr(args, "u", None) or "1/2")
-        q = Fraction(getattr(args, "q", None) or "2")
-        eps = Fraction(getattr(args, "eps", None) or Fraction(1, 2**20))
+        for name, low in _INT_FLAG_MIN.items():
+            value = getattr(args, name, None)
+            if value is not None and value < low:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= {low}")
+        u = getattr(args, "u", None)
+        q = getattr(args, "q", None)
+        eps = getattr(args, "eps", None)
         order = getattr(args, "order", None)
         l_max = getattr(args, "lmax", None)
         seed = getattr(args, "seed", None)
         mode = getattr(args, "format", "json")
         cfg = cls(
-            u=u,
-            q=q,
+            u=Fraction("1/2" if u is None else u),
+            q=Fraction("2" if q is None else q),
+            # -1 stands for "flag absent"; a given negative value is rejected above
             order=-1 if order is None else int(order),
             l_max=-1 if l_max is None else int(l_max),
-            eps=eps,
+            eps=Fraction(1, 2**20) if eps is None else Fraction(eps),
             seed=0 if seed is None else int(seed),
             mode=mode,
         )
         if cfg.eps <= 0:
             raise ValueError("eps must be positive")
-        # -1 stands for "flag absent"; a negative value given on the command
-        # line is an error, never a request for the default
-        if order is not None and cfg.order < 0:
-            raise ValueError("order must be >= 0")
-        if l_max is not None and cfg.l_max < 0:
-            raise ValueError("lmax must be >= 0")
         return cfg
 
     def measure_params(self) -> MeasureParams:
@@ -362,11 +375,11 @@ def _case_quiver(name, size_cap, a_budget, tol):
     if name == "a2":
         g = Quiver.from_edges(2, [(1, 2, 1)])
         p = QuiverParams(q=Fraction(2), u=(Fraction(1, 4), Fraction(1, 4)))
-        size_cap = size_cap or 16
+        size_cap = 16 if size_cap is None else size_cap
     elif name == "jordan":
         g = Quiver.from_edges(1, [(1, 1, 1)])
         p = QuiverParams(q=Fraction(2), u=(Fraction(1, 4),))
-        size_cap = size_cap or 24  # the loop weight decays slower than A2
+        size_cap = 24 if size_cap is None else size_cap  # loop decays slower than A2
     else:
         raise ValueError(f"unknown built-in quiver {name!r}")
     failures = []
@@ -439,7 +452,11 @@ _SUITE_FLAGS["all"] = set().union(*_SUITE_FLAGS.values()) - {"i", "n", "k"}
 _MEASURE_SUITES = {"diag", "power", "stochastic", "chain-measure", "bailey", "all"}
 
 
-def _check_verify_flags(args):
+def _custom_uq(args) -> bool:
+    return args.u is not None or args.q is not None
+
+
+def _check_verify_flags(args, cfg):
     allowed = _SUITE_FLAGS[args.suite]
     supplied = {
         name
@@ -451,12 +468,10 @@ def _check_verify_flags(args):
         raise ValueError(
             f"options not used by suite {args.suite!r}: {sorted(extra)}"
         )
-    if args.suite in _MEASURE_SUITES and (args.u or args.q):
-        MeasureParams(u=Fraction(args.u or "1/2"), q=Fraction(args.q or "2"))
-    if args.suite == "fristedt" and args.q:
-        FristedtParams(q=Fraction(args.q))
-    if args.suite == "qbinomial" and args.q:
-        Fraction(args.q)
+    if args.suite in _MEASURE_SUITES and _custom_uq(args):
+        cfg.measure_params()
+    if args.suite == "fristedt" and args.q is not None:
+        cfg.fristedt_params()
 
 
 def _suite_cases(args, cfg):
@@ -466,7 +481,7 @@ def _suite_cases(args, cfg):
 
     def ag_cases(order, ks):
         for k in ks:
-            for i in [args.i] if args.i else range(1, k + 1):
+            for i in range(1, k + 1) if args.i is None else [args.i]:
                 cases.append(
                     ("ag", {"k": k, "i": i, "order": order, "inject": inject})
                 )
@@ -477,16 +492,16 @@ def _suite_cases(args, cfg):
         cases.append(("ag", {"k": 2, "i": 1, "order": order, "inject": inject}))
     if suite in ("ag", "all"):
         order = cfg.order if cfg.order >= 0 else 40
-        ks = [args.k] if args.k else [2, 3, 4, 5]
+        ks = [2, 3, 4, 5] if args.k is None else [args.k]
         ag_cases(order, ks)
     if suite in ("pipeline", "all"):
         order = cfg.order if cfg.order >= 0 else 60
-        for k in [args.k] if args.k else [2, 3, 4]:
+        for k in [2, 3, 4] if args.k is None else [args.k]:
             cases.append(("pipeline", {"k": k, "order": order}))
     if suite in ("qbinomial", "all"):
-        top = args.n if args.n else 12
+        top = 12 if args.n is None else args.n
         custom_q = args.q if suite == "qbinomial" else None
-        for q in (custom_q,) if custom_q else ("1/2", "1/3", "2/5"):
+        for q in ("1/2", "1/3", "2/5") if custom_q is None else (custom_q,):
             for n in range(top + 1):
                 cases.append(("qbinomial", {"n": n, "q": q}))
     if suite in ("jacobi", "all"):
@@ -495,7 +510,7 @@ def _suite_cases(args, cfg):
         cases.append(("jacobi", {"a": 5, "b": 3, "order": order}))
     if suite in ("diag", "all"):
         l_max = cfg.l_max if cfg.l_max >= 0 else 30
-        for u, q in ((str(cfg.u), str(cfg.q)),) if args.u else (
+        for u, q in ((str(cfg.u), str(cfg.q)),) if _custom_uq(args) else (
             ("1/2", "2"),
             ("1/3", "3"),
             ("2/5", "5/2"),
@@ -528,15 +543,13 @@ def _suite_cases(args, cfg):
                     "q": str(cfg.q),
                     "l_max": l_max,
                     "seed": cfg.seed,
-                    "count": args.count if args.count else 50,
+                    "count": 50 if args.count is None else args.count,
                 },
             )
         )
     if suite in ("fristedt", "all"):
-        fq = args.q if suite == "fristedt" else None
-        cases.append(
-            ("fristedt", {"q": fq or "1/2", "l_max": 10, "r_max": 4, "size": 8})
-        )
+        fq = args.q if suite == "fristedt" and args.q is not None else "1/2"
+        cases.append(("fristedt", {"q": fq, "l_max": 10, "r_max": 4, "size": 8}))
     if suite in ("quiver", "all"):
         for name in ("a2", "jordan"):
             cases.append(
@@ -557,10 +570,11 @@ def _suite_cases(args, cfg):
 
 def cmd_verify(args) -> int:
     cfg = RunConfig.from_args(args)
-    _check_verify_flags(args)
+    _check_verify_flags(args, cfg)
     cases = _suite_cases(args, cfg)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, len(cases))  # a pool starts all its workers at once
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(run_case, cases))
     else:
         reports = [run_case(c) for c in cases]
@@ -585,15 +599,14 @@ def cmd_sample(args) -> int:
         for s in stream:
             _emit(s.to_json(model="fristedt"), cfg.mode)
     elif args.model == "quiver":
-        if not args.quiver:
+        if args.quiver is None:
             raise ValueError("quiver model requires --quiver FILE")
         try:
             g, qp = load_quiver(args.quiver)
         except (OSError, KeyError, json.JSONDecodeError) as exc:
             raise ValueError(f"bad quiver file: {exc}") from exc
-        cap = args.size_cap or 20
         for i in range(count):
-            t = quiver_sample(g, qp, cfg.seed + i, cap, cfg.eps)
+            t = quiver_sample(g, qp, cfg.seed + i, args.size_cap, cfg.eps)
             _emit(
                 {
                     "model": "quiver",
@@ -662,7 +675,7 @@ def cmd_bailey(args) -> int:
     cfg = RunConfig.from_args(args)
     l_max = cfg.l_max if cfg.l_max >= 0 else 15
     p = cfg.measure_params()
-    if args.alpha:
+    if args.alpha is not None:
         pair = bailey_pair_from_alpha(
             [Fraction(v) for v in args.alpha.split(",")], p
         )
@@ -686,9 +699,9 @@ def cmd_series(args) -> int:
     order = cfg.order if cfg.order >= 0 else 20
     which = args.which
     if which == "ag-sum":
-        s = ag_sum(AGSpec(args.k or 2, args.i or 2, order))
+        s = ag_sum(AGSpec(args.k, args.i, order))
     elif which == "ag-product":
-        s = ag_product(AGSpec(args.k or 2, args.i or 2, order))
+        s = ag_product(AGSpec(args.k, args.i, order))
     elif which == "absorption":
         s = absorption_limit_series(args.r, args.delta, order)
     elif which == "theta":
@@ -755,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", choices=("gl", "fristedt", "quiver"), default="gl")
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("--quiver", help="quiver JSON file (quiver model)")
-    sp.add_argument("--size-cap", dest="size_cap", type=int)
+    sp.add_argument("--size-cap", dest="size_cap", type=int, default=20)
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("power", help="closed-form vs matrix r-step probability")
@@ -787,8 +800,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("ag-sum", "ag-product", "absorption", "theta", "jacobi"),
     )
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--i", type=int)
+    sp.add_argument("--k", type=int, default=2)
+    sp.add_argument("--i", type=int, default=2)
     sp.add_argument("--r", type=int, default=2)
     sp.add_argument("--delta", type=int, default=0)
     sp.add_argument("--A", type=int, default=5)
@@ -807,6 +820,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ZeroDivisionError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 means a failed check, never a crash
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,9 +11,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from qchains.glchain import ChainSample, Diagonalization, TruncatedMatrix, _Cdf
+from qchains.glchain import (
+    TAIL_BITS,
+    ChainSample,
+    Diagonalization,
+    TruncatedMatrix,
+    _Cdf,
+)
 from qchains.partitions import Partition
-from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_std
+from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -36,6 +42,11 @@ def uniform_mass(lam: Partition, p: FristedtParams) -> Fraction:
     return p.q**lam.size
 
 
+def _tables(q: Fraction):
+    """The tables of (q)_n and of (1/q)_n = prod_{s<=n} (1 - q^(-s))."""
+    return poch_table(q, 1 / q), poch_table(1 / q, q)
+
+
 def weight_normalizer(p: FristedtParams, eps) -> Interval:
     """Certified interval for prod_{i>=1} (1 - q^i)."""
     return poch_inf(1, 1 / p.q, eps)
@@ -48,12 +59,8 @@ def f_kernel(a: int, b: int, p: FristedtParams) -> Fraction:
     if b < 0 or b > a:
         return _ZERO
     q = p.q
-    return q**b * poch_std(q, a) / poch_std(q, b)
-
-
-def _inv_poch(q: Fraction, m: int) -> Fraction:
-    """(1/q)_m = prod_{s<=m} (1 - q^(-s)), ascending symbol at 1/q."""
-    return poch_std(1 / q, m)
+    qs, _ = _tables(q)
+    return q**b * qs[a] / qs[b]
 
 
 def f_diagonalization(l_max: int, p: FristedtParams) -> Diagonalization:
@@ -70,9 +77,10 @@ def f_diagonalization(l_max: int, p: FristedtParams) -> Diagonalization:
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     q = p.q
+    qs, iqs = _tables(q)
     size = l_max + 1
 
-    c = TruncatedMatrix.diagonal(poch_std(q, i) / q**i for i in range(size))
+    c = TruncatedMatrix.diagonal(qs[i] / q**i for i in range(size))
     d = TruncatedMatrix.diagonal(q**i for i in range(size))
 
     def m_entry(i, j):
@@ -83,12 +91,12 @@ def f_diagonalization(l_max: int, p: FristedtParams) -> Diagonalization:
             return _ZERO
         k = i - j
         sign = -1 if k % 2 else 1
-        return sign / (q ** (k * (k - 1) // 2) * _inv_poch(q, k))
+        return sign / (q ** (k * (k - 1) // 2) * iqs[k])
 
     def ainv_entry(i, j):
         if i < j:
             return _ZERO
-        return 1 / _inv_poch(q, i - j)
+        return 1 / iqs[i - j]
 
     return Diagonalization(
         c=c,
@@ -114,8 +122,9 @@ def f_kr_closed(l: int, j: int, r: int, p: FristedtParams) -> Fraction:
     if r < 1:
         raise ValueError("need r >= 1")
     q = p.q
-    num = q**j * q ** (l * (r - 1)) * poch_std(q, l) * _inv_poch(q, l - j + r - 1)
-    den = poch_std(q, j) * _inv_poch(q, l - j) * _inv_poch(q, r - 1)
+    qs, iqs = _tables(q)
+    num = q**j * q ** (l * (r - 1)) * qs[l] * iqs[l - j + r - 1]
+    den = qs[j] * iqs[l - j] * iqs[r - 1]
     return num / den
 
 
@@ -124,7 +133,8 @@ def row_law_limit(r: int, j: int, p: FristedtParams, eps) -> Interval:
     if r < 1 or j < 0:
         raise ValueError("need r >= 1 and j >= 0")
     q = p.q
-    ratio = q ** (r * j) / (poch_std(q, j) * poch_std(q, r - 1))
+    qs, _ = _tables(q)
+    ratio = q ** (r * j) / (qs[j] * qs[r - 1])
     return weight_normalizer(p, eps).scale(ratio)
 
 
@@ -132,7 +142,8 @@ def first_row_unnormalized(a: int, p: FristedtParams) -> Fraction:
     """Large-start limit of the kernel into a, without (q)_inf:  q^a / (q)_a."""
     if a < 0:
         raise ValueError("state must be >= 0")
-    return p.q**a / poch_std(p.q, a)
+    qs, _ = _tables(p.q)
+    return p.q**a / qs[a]
 
 
 def f_chain_mass(lam: Partition, p: FristedtParams) -> Fraction:
@@ -151,8 +162,6 @@ def f_chain_mass(lam: Partition, p: FristedtParams) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Sampling
-
-TAIL_BITS = 64
 
 
 @lru_cache(maxsize=None)
@@ -187,14 +196,13 @@ def _draw_rows(p, rng, eps):
 
 
 def f_sample(p: FristedtParams, seed: int, eps=Fraction(1, 2**20)) -> ChainSample:
-    """Draw one partition; the chain states are row lengths, and the sampled
-    partition is the state sequence itself."""
-    rng = random.Random(seed)
-    rows = _draw_rows(p, rng, eps)
-    return ChainSample(seed=seed, columns=rows, partition=Partition(rows))
+    """Draw one partition: the first item of the seed's stream."""
+    return next(f_sample_stream(p, seed, 1, eps))
 
 
 def f_sample_stream(p: FristedtParams, seed: int, count: int, eps=Fraction(1, 2**20)):
+    """Yield count samples from a single seeded stream; the chain states are
+    row lengths, and each sampled partition is the state sequence itself."""
     rng = random.Random(seed)
     for _ in range(count):
         rows = _draw_rows(p, rng, eps)

@@ -1,8 +1,9 @@
 """Absorbing Markov chain on column lengths generating the GL measure.
 
-All Pochhammer symbols here are the descending convention poch_desc; an
-index that goes negative makes the enclosing term vanish, except for the
-single analytic-extension entry noted in build_diagonalization.
+All Pochhammer symbols here are the descending convention, read from the
+(1/q)_n and (u/q)_n tables; a term whose index would go negative vanishes,
+and the formulas test that range explicitly, except for the single
+analytic-extension entry noted in build_diagonalization.
 
 State 0 is absorbing; a trajectory started from the first-column law and
 run until absorption spells out the column heights of a random partition.
@@ -14,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from qchains.partitions import MeasureParams, Partition
-from qchains.qalgebra import Interval, poch_desc, poch_desc_extended, poch_inf
+from qchains.qalgebra import Interval, poch_inf, poch_table
 
 TAIL_BITS = 64  # first-step support cap: certified tail below 2**-TAIL_BITS
 
@@ -22,14 +23,9 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _pd(x, n, q) -> Fraction:
-    """Descending Pochhammer value for an index known to be >= 0."""
-    v = poch_desc(x, n, q)
-    if v.is_zero_by_convention:
-        raise ValueError("negative Pochhammer index where a value is required")
-    if v.value == 0:
-        raise ValueError("degenerate parameters: Pochhammer factor vanishes")
-    return v.value
+def _tables(p: MeasureParams):
+    """The (1/q)_n and (u/q)_n tables of the descending convention."""
+    return poch_table(1 / p.q, p.q), poch_table(p.u / p.q, p.q)
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +189,16 @@ class Diagonalization:
 def kernel(a: int, b: int, p: MeasureParams) -> Fraction:
     """One-step transition probability from column height a to b.
 
-    Vanishes outside 0 <= b <= a through the negative-index convention in
-    (1/q)_{a-b} and (1/q)_b.
+    Vanishes outside 0 <= b <= a, where (1/q)_{a-b} or (1/q)_b would have a
+    negative index.
     """
     if a < 0:
         raise ValueError("state must be >= 0")
-    u, q = p.u, p.q
-    iq = 1 / q
-    uq = u / q
-    den_parts = [poch_desc(iq, a - b, q), poch_desc(iq, b, q), poch_desc(uq, b, q)]
-    if any(d.is_zero_by_convention for d in den_parts):
+    if not 0 <= b <= a:
         return _ZERO
-    num = u**b * _pd(iq, a, q) * _pd(uq, a, q)
-    den = q ** (b * b)
-    for d in den_parts:
-        den *= d.value
-    return num / den
+    u, q = p.u, p.q
+    iq, uq = _tables(p)
+    return u**b * iq[a] * uq[a] / (q ** (b * b) * iq[a - b] * iq[b] * uq[b])
 
 
 def first_col_unnormalized(a: int, p: MeasureParams) -> Fraction:
@@ -218,8 +208,8 @@ def first_col_unnormalized(a: int, p: MeasureParams) -> Fraction:
     """
     if a < 0:
         raise ValueError("state must be >= 0")
-    u, q = p.u, p.q
-    return u**a / (q ** (a * a) * _pd(1 / q, a, q) * _pd(u / q, a, q))
+    iq, uq = _tables(p)
+    return p.u**a / (p.q ** (a * a) * iq[a] * uq[a])
 
 
 def first_col_law(a: int, p: MeasureParams, eps) -> Interval:
@@ -239,29 +229,29 @@ def build_diagonalization(l_max: int, p: MeasureParams) -> Diagonalization:
                 / (q^binom(i-j,2) (1/q)_{i-j})
     E(j,j) = u^j / q^(j^2)
 
-    Entries above the diagonal vanish by the negative-index convention.  The
-    (0,0) entry of A^-1 takes (u/q)_{-1} = 1/(1-u) by the analytic extension,
-    so (1-u)(u/q)_{-1} = 1; at u = 1 the same entry is its limit, 1.
+    Entries above the diagonal vanish: there (1/q)_{i-j} has a negative
+    index.  The (0,0) entry of A^-1 takes (u/q)_{-1} = 1/(1-u) by the
+    analytic extension, so (1-u)(u/q)_{-1} = 1; at u = 1 the same entry is
+    its limit, 1.
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     u, q = p.u, p.q
-    iq = 1 / q
-    uq = u / q
+    iq, uq = _tables(p)
     size = l_max + 1
 
-    c = TruncatedMatrix.diagonal(_pd(iq, i, q) * _pd(uq, i, q) for i in range(size))
+    c = TruncatedMatrix.diagonal(iq[i] * uq[i] for i in range(size))
     e = TruncatedMatrix.diagonal(u**j / q ** (j * j) for j in range(size))
 
     def m_entry(i, j):
         if i < j:
             return _ZERO
-        return u**j / (q ** (j * j) * _pd(iq, i - j, q))
+        return u**j / (q ** (j * j) * iq[i - j])
 
     def a_entry(i, j):
         if i < j:
             return _ZERO
-        return 1 / (_pd(iq, i - j, q) * _pd(uq, i + j, q))
+        return 1 / (iq[i - j] * uq[i + j])
 
     def ainv_entry(i, j):
         if i < j:
@@ -269,9 +259,9 @@ def build_diagonalization(l_max: int, p: MeasureParams) -> Diagonalization:
         if i == 0 and j == 0:
             return _ONE  # (1 - u) * (u/q)_{-1}, extended; limit 1 at u = 1
         d = i - j
-        core = (1 - u / q ** (2 * i)) * _pd(uq, i + j - 1, q)
+        core = (1 - u / q ** (2 * i)) * uq[i + j - 1]
         sign = -1 if d % 2 else 1
-        return sign * core / (q ** (d * (d - 1) // 2) * _pd(iq, d, q))
+        return sign * core / (q ** (d * (d - 1) // 2) * iq[d])
 
     return Diagonalization(
         c=c,
@@ -291,32 +281,31 @@ def kr_closed(l: int, j: int, r: int, p: MeasureParams) -> Fraction:
     """Closed form for the r-step transition probability K^r(l, j).
 
     Sums the spectral expansion over eigenvalue indices n = j..l; terms
-    outside that range vanish by the negative-index convention, and the
-    n = j = 0 term uses the same extension as A^-1(0,0).
+    outside that range vanish (a Pochhammer index there is negative), and
+    the n = j = 0 term uses the same extension as A^-1(0,0).
     """
     if not 0 <= j <= l:
         raise ValueError("need 0 <= j <= l")
     if r < 1:
         raise ValueError("need r >= 1")
     u, q = p.u, p.q
-    iq = 1 / q
-    uq = u / q
-    pref = _pd(iq, l, q) * _pd(uq, l, q) / (_pd(iq, j, q) * _pd(uq, j, q))
+    iq, uq = _tables(p)
+    pref = iq[l] * uq[l] / (iq[j] * uq[j])
     total = _ZERO
     for n in range(j, l + 1):
         if n + j == 0:
             core = _ONE  # (1 - u/q^0) (u/q)_{-1} via the extension; 1 at u = 1
         else:
-            core = (1 - u / q ** (2 * n)) * _pd(uq, n + j - 1, q)
+            core = (1 - u / q ** (2 * n)) * uq[n + j - 1]
         d = n - j
         sign = -1 if d % 2 else 1
         num = u ** (r * n) * core * sign
         den = (
             q ** (r * n * n)
-            * _pd(iq, l - n, q)
-            * _pd(uq, l + n, q)
+            * iq[l - n]
+            * uq[l + n]
             * q ** (d * (d - 1) // 2)
-            * _pd(iq, d, q)
+            * iq[d]
         )
         total += num / den
     return pref * total
@@ -420,12 +409,8 @@ def _draw_columns(p, rng, eps):
 
 
 def sample(p: MeasureParams, seed: int, eps=Fraction(1, 2**20)) -> ChainSample:
-    """Draw one partition from the chain; deterministic for a given seed."""
-    if p.u >= 1:
-        raise ValueError("sampling needs u < 1")
-    rng = random.Random(seed)
-    cols = _draw_columns(p, rng, eps)
-    return ChainSample(seed=seed, columns=cols, partition=Partition(cols).conjugate())
+    """Draw one partition from the chain: the first item of the seed's stream."""
+    return next(sample_stream(p, seed, 1, eps))
 
 
 def sample_stream(p: MeasureParams, seed: int, count: int, eps=Fraction(1, 2**20)):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from qchains.partitions import MeasureParams
-from qchains.qalgebra import QSeries, poch_desc
+from qchains.qalgebra import QSeries, poch_table
 
 _ZERO = Fraction(0)
 
@@ -34,8 +34,8 @@ class AGSpec:
             raise ValueError("order must be >= 0")
 
 
-@lru_cache(maxsize=None)
-def _inv_poch_table(order: int) -> tuple:
+@lru_cache(maxsize=8)
+def _euler_inverses(order: int) -> tuple:
     """1/((1-x)...(1-x^m)) for m = 0..isqrt(order)+1, each to the full order."""
     top = 1
     while top * top <= order:
@@ -55,7 +55,7 @@ def ag_sum(spec: AGSpec) -> QSeries:
     prunes on the exponent, so N_1 never exceeds isqrt(order).
     """
     k, i, order = spec.k, spec.i, spec.order
-    inv = _inv_poch_table(order)
+    inv = _euler_inverses(order)
     acc = QSeries.zero(order)
     stack = [(1, order, 0, ())]  # (position, value bound, exponent so far, tail)
     while stack:
@@ -188,14 +188,12 @@ class BaileyPair:
 
 def _beta_from_alpha(alpha, p: MeasureParams):
     u, q = p.u, p.q
-    iq, uq = 1 / q, u / q
+    iq, uq = poch_table(1 / q, q), poch_table(u / q, q)
     beta = []
     for ll in range(len(alpha)):
         acc = _ZERO
         for r in range(ll + 1):
-            acc += alpha[r] / (
-                poch_desc(iq, ll - r, q).value * poch_desc(uq, ll + r, q).value
-            )
+            acc += alpha[r] / (iq[ll - r] * uq[ll + r])
         beta.append(acc)
     return tuple(beta)
 
@@ -234,7 +232,7 @@ def bailey_step(pair: BaileyPair) -> BaileyPair:
     if not bailey_check(pair):
         raise ValueError("input does not satisfy the Bailey pair relation")
     u, q = pair.params.u, pair.params.q
-    iq = 1 / q
+    iq = poch_table(1 / q, q)
     alpha = tuple(
         u**ll / q ** (ll * ll) * a for ll, a in enumerate(pair.alpha)
     )
@@ -242,7 +240,7 @@ def bailey_step(pair: BaileyPair) -> BaileyPair:
     for ll in range(len(pair.beta)):
         acc = _ZERO
         for r in range(ll + 1):
-            acc += u**r / (q ** (r * r) * poch_desc(iq, ll - r, q).value) * pair.beta[r]
+            acc += u**r / (q ** (r * r) * iq[ll - r]) * pair.beta[r]
         beta.append(acc)
     return BaileyPair(alpha=alpha, beta=tuple(beta), params=pair.params)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from qchains.qalgebra import Interval, as_fraction, poch_desc, poch_inf
+from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
 
 ENUMERATION_CAP = 40
 
@@ -168,8 +168,9 @@ def mass_v1(lam: Partition, p: MeasureParams) -> Fraction:
     conj = lam.conjugate()
     sq = sum(c * c for c in conj.parts)
     denom = p.q**sq
+    iq = poch_table(1 / p.q, p.q)
     for m in lam.multiplicities().values():
-        denom *= poch_desc(1 / p.q, m, p.q).value
+        denom *= iq[m]
     return p.u**lam.size / denom
 
 

@@ -3,8 +3,11 @@
 Two Pochhammer conventions coexist and are kept apart by name:
 
 * ``poch_std(x, n)``  = (1-x)(1-x^2)...(1-x^n)           (ascending powers)
-* ``poch_desc(x, n, q)`` = (1-x)(1-x/q)...(1-x/q^(n-1))  (descending powers),
-  with the convention that the symbol is zero for n < 0.
+* ``poch_desc(x, n, q)`` = (1-x)(1-x/q)...(1-x/q^(n-1))  (descending powers).
+
+Both are reads of one append-only table per parameter pair (PochTable); a
+negative index is an error, and callers whose formulas let an index go
+negative test the range themselves.
 
 Scalars are fractions.Fraction throughout; nothing in this module rounds.
 Series are truncated at a known order: coefficients beyond the order are
@@ -12,6 +15,7 @@ unknown (not zero), so binary operations shrink to the smaller order and
 equality only compares up to the common order.
 """
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -98,23 +102,51 @@ class Interval:
 # Pochhammer symbols
 
 
-@dataclass(frozen=True)
-class PochValue:
-    """Value of a descending Pochhammer symbol.
+_POCH_TABLES = 64  # parameter pairs whose tables are kept
 
-    is_zero_by_convention marks the n < 0 case; a flagged value appearing in
-    a denominator annihilates the enclosing term (the term evaluates to 0).
+
+class PochTable:
+    """Descending q-Pochhammer values t[n] = prod_{r<n} (1 - x/q^r), n >= 0,
+    for one pair (x, q).
+
+    The table is append-only: a read past its end extends it iteratively up
+    to that index, under a lock since tables are shared.  Both conventions
+    read it, since the ascending (1-x)...(1-x^n) is the descending symbol
+    at (x, 1/x).
     """
 
-    value: Fraction
-    is_zero_by_convention: bool = False
+    __slots__ = ("_vals", "_term", "_inv_q", "_lock")
+
+    def __init__(self, x, q):
+        q = as_fraction(q)
+        if q == 0:
+            raise ValueError("q must be nonzero")
+        self._vals = [_ONE]
+        self._term = as_fraction(x)  # x/q^r of the next factor, r = len(_vals) - 1
+        self._inv_q = 1 / q
+        self._lock = threading.Lock()
+
+    def __getitem__(self, n: int) -> Fraction:
+        vals = self._vals
+        if n >= len(vals):
+            with self._lock:
+                value, term, inv_q = vals[-1], self._term, self._inv_q
+                new = []
+                for _ in range(len(vals), n + 1):
+                    value *= 1 - term
+                    term *= inv_q
+                    new.append(value)
+                vals.extend(new)
+                self._term = term
+        elif n < 0:
+            raise ValueError("Pochhammer index must be >= 0")
+        return vals[n]
 
 
-@lru_cache(maxsize=None)
-def _poch_std_frac(x: Fraction, n: int) -> Fraction:
-    if n == 0:
-        return _ONE
-    return _poch_std_frac(x, n - 1) * (1 - x**n)
+@lru_cache(maxsize=_POCH_TABLES)
+def poch_table(x, q) -> PochTable:
+    """The shared table of (1-x)(1-x/q)...(1-x/q^(n-1)) over n for (x, q)."""
+    return PochTable(x, q)
 
 
 def poch_std(x, n: int):
@@ -132,39 +164,15 @@ def poch_std(x, n: int):
         for r in range(1, n + 1):
             out = out * (QSeries.one(x.order, x.var) - x**r)
         return out
-    return _poch_std_frac(as_fraction(x), n)
-
-
-@lru_cache(maxsize=None)
-def _poch_desc_frac(x: Fraction, q: Fraction, n: int) -> Fraction:
-    if n == 0:
-        return _ONE
-    return _poch_desc_frac(x, q, n - 1) * (1 - x / q ** (n - 1))
-
-
-def poch_desc(x, n: int, q) -> PochValue:
-    """(1-x)(1-x/q)...(1-x/q^(n-1)), zero-by-convention for n < 0."""
-    q = as_fraction(q)
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    if n < 0:
-        return PochValue(_ZERO, is_zero_by_convention=True)
-    return PochValue(_poch_desc_frac(as_fraction(x), q, n))
-
-
-def poch_desc_extended(x, n: int, q) -> Fraction:
-    """Analytic extension of poch_desc to n = -1.
-
-    Forced by the recurrence (x)_n = (x)_{n-1} * (1 - x/q^(n-1)) at n = 0:
-    (x)_{-1} = 1/(1 - x*q).
-    """
-    if n != -1:
-        raise ValueError("extension is defined only for n = -1")
     x = as_fraction(x)
-    q = as_fraction(q)
-    if x * q == 1:
-        raise ValueError("singular extension: x*q = 1")
-    return 1 / (1 - x * q)
+    if x == 0:
+        return _ONE
+    return poch_table(x, 1 / x)[n]
+
+
+def poch_desc(x, n: int, q) -> Fraction:
+    """(1-x)(1-x/q)...(1-x/q^(n-1)); the empty product 1 for n = 0."""
+    return poch_table(x, q)[n]
 
 
 def poch_inf(x, q, eps) -> Interval:
@@ -685,7 +693,7 @@ def q_binomial_check(n: int, q, order: int | None = None) -> bool:
 __all__ = [
     "Rational",
     "Interval",
-    "PochValue",
+    "PochTable",
     "QSeries",
     "as_fraction",
     "euler_poch",
@@ -693,9 +701,9 @@ __all__ = [
     "jacobi_product",
     "one_minus_product",
     "poch_desc",
-    "poch_desc_extended",
     "poch_inf",
     "poch_std",
+    "poch_table",
     "q_binomial_check",
     "series_inv",
     "theta_sum",

@@ -21,8 +21,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
+from qchains.glchain import _Cdf
 from qchains.partitions import Partition, enumerate_partitions
-from qchains.qalgebra import as_fraction, poch_std
+from qchains.qalgebra import as_fraction, poch_table
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -164,24 +165,14 @@ def pairing(lam: Partition, mu: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _b_lambda(parts: tuple, q: Fraction) -> Fraction:
-    out = _ONE
-    mults = Partition(parts).multiplicities()
-    for m in mults.values():
-        out *= poch_std(1 / q, m)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _component_factor(parts: tuple, vertex: int, loops: int, p: QuiverParams):
     """U_i^|lam| q^((f_ii - 1) <lam,lam>) / b_lam for one component."""
     lam = Partition(parts)
-    self_pair = pairing(lam, lam)
-    return (
-        p.u[vertex] ** lam.size
-        * p.q ** ((loops - 1) * self_pair)
-        / _b_lambda(parts, p.q)
-    )
+    iq = poch_table(1 / p.q, p.q)
+    b_lam = _ONE
+    for m in lam.multiplicities().values():
+        b_lam *= iq[m]
+    return p.u[vertex] ** lam.size * p.q ** ((loops - 1) * pairing(lam, lam)) / b_lam
 
 
 def tuple_weight(t: PartitionTuple, g: Quiver, p: QuiverParams) -> Fraction:
@@ -282,13 +273,14 @@ def quiver_m_entry(a, b, g: Quiver, p: QuiverParams) -> Fraction:
     if any(bv > av or bv < 0 for av, bv in zip(a, b)):
         return _ZERO
     q = p.q
+    iq = poch_table(1 / q, q)
     expo = 0
     for i in range(g.n):
         for j in range(i, g.n):
             expo += g.f[i][j] * a[i] * a[j]
     w = q**expo
     for i in range(g.n):
-        w *= p.u[i] ** a[i] / (q ** (a[i] * a[i]) * poch_std(1 / q, a[i] - b[i]))
+        w *= p.u[i] ** a[i] / (q ** (a[i] * a[i]) * iq[a[i] - b[i]])
     return w
 
 
@@ -334,37 +326,23 @@ def quiver_chain_mass(
 
 @lru_cache(maxsize=None)
 def _first_cols_cdf(g: Quiver, p: QuiverParams, size_cap: int):
+    """(support keys, CDF) of the truncated first-column masses."""
     _, buckets = _weight_scan(g, p, size_cap)
-    keys = sorted(buckets)
-    weights = [buckets[k] for k in keys]
-    total = sum(weights, _ZERO)
-    acc = _ZERO
-    table = []
-    for k, w in zip(keys, weights):
-        acc += w
-        table.append((k, acc / total))
-    return table
+    keys = tuple(sorted(buckets))
+    return keys, _Cdf([buckets[k] for k in keys])
 
 
 @lru_cache(maxsize=None)
 def _kernel_row_cdf(a: tuple, g: Quiver, p: QuiverParams, size_cap: int):
-    support = list(iter_product(*(range(v + 1) for v in a)))
-    weights = [quiver_kernel(a, b, g, p, size_cap) for b in support]
-    total = sum(weights, _ZERO)  # within truncation error of 1; renormalized
-    acc = _ZERO
-    table = []
-    for b, w in zip(support, weights):
-        acc += w
-        table.append((b, acc / total))
-    return table
+    """(support keys, CDF) of the kernel row at a; the row sums to 1 within
+    the truncation error and is renormalized."""
+    support = tuple(iter_product(*(range(v + 1) for v in a)))
+    return support, _Cdf([quiver_kernel(a, b, g, p, size_cap) for b in support])
 
 
-def _pick(table, v):
-    scale = 1 << 128
-    for key, threshold in table:
-        if v * threshold.denominator < threshold.numerator * scale:
-            return key
-    return table[-1][0]
+def _draw(keys_cdf, rng):
+    keys, cdf = keys_cdf
+    return keys[cdf.pick(rng.getrandbits(128))]
 
 
 def quiver_sample(
@@ -378,12 +356,12 @@ def quiver_sample(
     kernel steps until the all-zero vector.  Deterministic per seed."""
     normalizer(g, p, size_cap, eps)  # surfaces non-convergence early
     rng = random.Random(seed)
-    state = _pick(_first_cols_cdf(g, p, size_cap), rng.getrandbits(128))
+    state = _draw(_first_cols_cdf(g, p, size_cap), rng)
     columns = [[] for _ in range(g.n)]
     while any(state):
         for i, v in enumerate(state):
             columns[i].append(v)
-        state = _pick(_kernel_row_cdf(state, g, p, size_cap), rng.getrandbits(128))
+        state = _draw(_kernel_row_cdf(state, g, p, size_cap), rng)
     comps = []
     for col in columns:
         positive = [v for v in col if v > 0]

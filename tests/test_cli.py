@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qchains import cli
 from qchains.cli import main
 
 
@@ -63,9 +64,21 @@ def test_verify_bad_config_exits_2(capsys):
         ["series", "--which", "theta", "--A", "5", "--B", "1", "--lmax", "-1"],
         ["power", "--L", "3", "--j", "0", "--r", "1", "--order", "-2"],
         ["power", "--L", "3", "--j", "0", "--r", "1", "--lmax", "-2"],
+        ["sample", "--count", "-3"],
+        ["verify", "--suite", "bailey", "--count", "-5"],
+        ["verify", "--suite", "rr", "--jobs", "0"],
+        ["verify", "--suite", "rr", "--jobs", "-2"],
+        ["verify", "--suite", "qbinomial", "--n", "-2"],
+        ["verify", "--suite", "ag", "--k", "0"],
+        ["series", "--which", "ag-sum", "--k", "0"],
+        ["verify", "--suite", "quiver", "--size-cap", "-1"],
+        ["verify", "--suite", "quiver", "--size-cap", "0"],
+        ["bailey", "--steps", "-1"],
     ],
     ids=["verify-order", "verify-lmax", "series-order", "series-lmax",
-         "power-order", "power-lmax"],
+         "power-order", "power-lmax", "sample-count", "bailey-count",
+         "jobs-zero", "jobs-negative", "qbinomial-n", "verify-k-zero",
+         "series-k-zero", "size-cap-negative", "size-cap-zero", "bailey-steps"],
 )
 def test_negative_order_or_lmax_exits_2(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -78,6 +91,20 @@ def test_verify_order_zero_is_not_the_default(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "rr", "--order", "0"])
     assert code == 0
     assert {r["N"] for r in json_lines(out)} == {0}
+    code, out, _ = run(capsys, ["verify", "--suite", "qbinomial", "--n", "0"])
+    assert code == 0
+    assert {r["n"] for r in json_lines(out)} == {0}
+
+
+def test_unexpected_exception_exits_2_without_traceback(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_series", broken)
+    code, out, err = run(capsys, ["series", "--which", "theta"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: RuntimeError: boom\n"
 
 
 def test_verify_unknown_suite_exits_2(capsys):

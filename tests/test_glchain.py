@@ -24,7 +24,7 @@ from qchains.partitions import (
     mass_v1,
     measure_normalizer,
 )
-from qchains.qalgebra import poch_desc, poch_inf
+from qchains.qalgebra import poch_desc, poch_inf, poch_table
 
 P12 = MeasureParams(u=F(1, 2), q=F(2))
 P13 = MeasureParams(u=F(1, 3), q=F(3))
@@ -35,7 +35,7 @@ def test_kernel_values():
     assert kernel(1, 1, P12) == F(1, 4)  # u/q
     assert kernel(1, 0, P12) == F(3, 4)
     for a in range(7):
-        assert kernel(a, 0, P12) == poch_desc(F(1, 4), a, F(2)).value  # (u/q)_a
+        assert kernel(a, 0, P12) == poch_desc(F(1, 4), a, F(2))  # (u/q)_a
 
 
 def test_kernel_vanishes_off_support():
@@ -79,7 +79,7 @@ def test_second_proof_recursion():
             total = sum(
                 first_col_unnormalized(b, p)
                 * u**a
-                / (pa * q ** (a * a) * poch_desc(1 / q, a - b, q).value)
+                / (pa * q ** (a * a) * poch_desc(1 / q, a - b, q))
                 for b in range(a + 1)
             )
             assert total == 1, a
@@ -135,6 +135,14 @@ def test_kr_closed_r1_is_kernel():
     for ll in range(11):
         for j in range(ll + 1):
             assert kr_closed(ll, j, 1, P12) == kernel(ll, j, P12)
+
+
+def test_kr_closed_past_the_recursion_limit():
+    # reads (u/q)_1039 and (u/q)_1040
+    try:
+        assert kr_closed(520, 520, 1, P12) == kernel(520, 520, P12)
+    finally:
+        poch_table.cache_clear()  # drop the ~50 MB (u/q) table
 
 
 def test_kr_closed_matches_matrix_powers():

@@ -1,6 +1,8 @@
 """Pochhammer conventions, certified infinite products, series arithmetic,
 theta sums, the triple product, and the q-binomial identity."""
 
+import sys
+import threading
 from fractions import Fraction as F
 from math import gcd
 
@@ -10,15 +12,16 @@ from hypothesis import strategies as st
 
 from qchains.qalgebra import (
     Interval,
+    PochTable,
     QSeries,
     euler_poch,
     geometric_inv,
     jacobi_product,
     one_minus_product,
     poch_desc,
-    poch_desc_extended,
     poch_inf,
     poch_std,
+    poch_table,
     q_binomial_check,
     series_inv,
     theta_sum,
@@ -59,23 +62,67 @@ def test_poch_std_recurrence(x, n):
     assert poch_std(x, n + 1) == poch_std(x, n) * (1 - x ** (n + 1))
 
 
+def test_poch_tables_past_the_recursion_limit():
+    # (1/2; 1/2)_n = prod_{s<=n} (2^s - 1) / 2^(n(n+1)/2), already in lowest
+    # terms; the index lies past the default recursion limit of 1000
+    n = 1200
+    num = 1
+    for s in range(1, n + 1):
+        num *= (1 << s) - 1
+    expected = (num, 1 << (n * (n + 1) // 2))
+    try:
+        std = poch_std(F(1, 2), n)
+        desc = poch_desc(F(1, 2), n, F(2))
+    finally:
+        poch_table.cache_clear()  # drop the ~70 MB table
+    assert (std.numerator, std.denominator) == expected
+    assert (desc.numerator, desc.denominator) == expected
+
+
+def test_poch_table_extended_from_many_threads():
+    x, q = F(1, 3), F(2)
+    table = PochTable(x, q)
+    expected = [F(1)]
+    for r in range(400):
+        expected.append(expected[-1] * (1 - x / q**r))
+
+    wrong = []
+
+    def reader(k):
+        wrong.extend(n for n in range(k, 401, 8) if table[n] != expected[n])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert wrong == []
+    assert [table[n] for n in range(401)] == expected
+
+
 # ---------------------------------------------------------------------------
-# poch_desc and the analytic extension
+# poch_desc
 
 
 def test_poch_desc_empty():
-    v = poch_desc(F(1, 2), 0, F(2))
-    assert v.value == 1 and not v.is_zero_by_convention
+    assert poch_desc(F(1, 2), 0, F(2)) == 1
 
 
 def test_poch_desc_direct_value():
     # (1 - 1/2)(1 - 1/4)
-    assert poch_desc(F(1, 2), 2, F(2)).value == F(3, 8)
+    assert poch_desc(F(1, 2), 2, F(2)) == F(3, 8)
 
 
 def test_poch_desc_negative_index_flag():
-    assert poch_desc(F(1, 3), -1, F(2)).is_zero_by_convention
-    assert poch_desc(F(1, 3), -7, F(2)).is_zero_by_convention
+    for n in (-1, -7):
+        with pytest.raises(ValueError):
+            poch_desc(F(1, 3), n, F(2))
 
 
 @settings(max_examples=25, deadline=None)
@@ -85,30 +132,9 @@ def test_poch_desc_negative_index_flag():
     n=st.integers(min_value=1, max_value=30),
 )
 def test_poch_desc_recurrence(x, q, n):
-    lhs = poch_desc(x, n, q).value
-    rhs = poch_desc(x, n - 1, q).value * (1 - x / q ** (n - 1))
+    lhs = poch_desc(x, n, q)
+    rhs = poch_desc(x, n - 1, q) * (1 - x / q ** (n - 1))
     assert lhs == rhs
-
-
-def test_poch_desc_extended_solves_recurrence_at_zero():
-    # (x)_0 = (x)_{-1} (1 - x q) forces (x)_{-1} = 1/(1 - x q)
-    x, q = F(1, 3), F(2)
-    assert poch_desc_extended(x, -1, q) * (1 - x * q) == poch_desc(x, 0, q).value
-
-
-def test_poch_desc_extended_values():
-    assert poch_desc_extended(F(1, 4), -1, F(2)) == 2
-    assert poch_desc_extended(F(0), -1, F(7)) == 1
-    # x = u/q gives 1/(1-u)
-    u, q = F(1, 2), F(2)
-    assert poch_desc_extended(u / q, -1, q) == 1 / (1 - u)
-
-
-def test_poch_desc_extended_errors():
-    with pytest.raises(ValueError, match="singular"):
-        poch_desc_extended(F(1, 2), -1, F(2))
-    with pytest.raises(ValueError):
-        poch_desc_extended(F(1, 3), 0, F(2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Graph-indexed partition tuples: weights, truncated normalizer, the
 componentwise chain, and its factorization."""
 
+import hashlib
 import itertools
 import json
 import warnings
@@ -217,6 +218,24 @@ def test_sample_determinism_and_columns():
 def test_sample_surfaces_nonconvergence():
     with pytest.raises(ConvergenceError):
         quiver_sample(A2, A2_PARAMS, seed=5, size_cap=8, eps=F(1, 10**30))
+
+
+def test_a2_stream_pinned():
+    """Seeds 0..199 of the README's A2 quiver at the CLI's size cap, as the
+    JSON lines `qchains sample --model quiver --count 200` prints."""
+    g, p = load_quiver({"n": 2, "edges": [[1, 2, 1]], "U": ["1/4", "1/4"], "q": "2"})
+    lines = "".join(
+        json.dumps(
+            {"model": "quiver", "seed": seed,
+             "partitions": quiver_sample(g, p, seed, 20).to_json()},
+            sort_keys=True,
+        )
+        + "\n"
+        for seed in range(200)
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "11f5634ed16df46e60f98874730f6bf90edfaa71560407b8c0832a723c2a6e2b"
+    )
 
 
 def test_sample_single_point_matches_gl_statistics():
