@@ -75,6 +75,7 @@ _INT_FLAG_MIN = {
     "k": 2,
     "size_cap": 0,
     "steps": 0,
+    "seed": 0,
 }
 
 
@@ -135,8 +136,31 @@ def _emit(obj, mode="json"):
 # Verification cases (top-level functions so a worker pool can pickle them)
 
 
+def _power_mismatches(matrix, closed, p, l_max, r_max):
+    """Yield each (l, j, r), r = 1..r_max, where the r-th power of
+    matrix(l_max, p) differs from closed(l, j, r, p)."""
+    mat = matrix(l_max, p)
+    power = TruncatedMatrix.identity(l_max + 1)
+    for r in range(1, r_max + 1):
+        power = power @ mat
+        for ll in range(l_max + 1):
+            for j in range(ll + 1):
+                if closed(ll, j, r, p) != power.entry(ll, j):
+                    yield ll, j, r
+
+
+def _eigen_failures(d, e_name):
+    """Labels of the failed A*Ainv and M*A=A*E checks of a diagonalization,
+    with E written as e_name."""
+    failures = []
+    if d.a @ d.a_inv != TruncatedMatrix.identity(d.size):
+        failures.append("A*Ainv")
+    if d.m @ d.a != d.a @ d.e:
+        failures.append(f"M*A=A*{e_name}")
+    return failures
+
+
 def _case_ag(k, i, order, inject=False):
-    t0 = perf_counter()
     spec = AGSpec(k, i, order)
     lhs = ag_sum(spec)
     rhs = ag_product(spec)
@@ -152,7 +176,6 @@ def _case_ag(k, i, order, inject=False):
         "N": order,
         "coverage": "probabilistic" if i in (1, k) else "series-engine",
         "status": "pass" if mismatch is None else "fail",
-        "elapsed": round(perf_counter() - t0, 6),
     }
     if mismatch is not None:
         report["first_mismatch_order"] = mismatch
@@ -160,7 +183,6 @@ def _case_ag(k, i, order, inject=False):
 
 
 def _case_pipeline(k, order):
-    t0 = perf_counter()
     failures = []
     flat = absorption_limit_series(k, 0, order)
     if flat != euler_poch(order, order) * ag_sum(AGSpec(k, k, order)):
@@ -182,24 +204,20 @@ def _case_pipeline(k, order):
         "N": order,
         "status": "pass" if not failures else "fail",
         "failures": failures,
-        "elapsed": round(perf_counter() - t0, 6),
     }
 
 
 def _case_qbinomial(n, q):
-    t0 = perf_counter()
     ok = q_binomial_check(n, Fraction(q))
     return {
         "suite": "qbinomial",
         "n": n,
         "q": q,
         "status": "pass" if ok else "fail",
-        "elapsed": round(perf_counter() - t0, 6),
     }
 
 
 def _case_jacobi(a, b, order):
-    t0 = perf_counter()
     ok = theta_sum(a, b, order) == jacobi_product(b, a, order)
     return {
         "suite": "jacobi",
@@ -207,19 +225,13 @@ def _case_jacobi(a, b, order):
         "B": b,
         "N": order,
         "status": "pass" if ok else "fail",
-        "elapsed": round(perf_counter() - t0, 6),
     }
 
 
 def _case_diag(u, q, l_max):
-    t0 = perf_counter()
     p = MeasureParams(u=Fraction(u), q=Fraction(q))
     d = build_diagonalization(l_max, p)
-    failures = []
-    if d.a @ d.a_inv != TruncatedMatrix.identity(l_max + 1):
-        failures.append("A*Ainv")
-    if d.m @ d.a != d.a @ d.e:
-        failures.append("M*A=A*E")
+    failures = _eigen_failures(d, "E")
     if d.kernel_matrix() != kernel_matrix(l_max, p):
         failures.append("K=CMC^-1")
     return {
@@ -229,22 +241,12 @@ def _case_diag(u, q, l_max):
         "l_max": l_max,
         "status": "pass" if not failures else "fail",
         "failures": failures,
-        "elapsed": round(perf_counter() - t0, 6),
     }
 
 
 def _case_power_battery(u, q, l_max, r_max):
-    t0 = perf_counter()
     p = MeasureParams(u=Fraction(u), q=Fraction(q))
-    mat = kernel_matrix(l_max, p)
-    power = TruncatedMatrix.identity(l_max + 1)
-    bad = None
-    for r in range(1, r_max + 1):
-        power = power @ mat
-        for ll in range(l_max + 1):
-            for j in range(ll + 1):
-                if kr_closed(ll, j, r, p) != power.entry(ll, j):
-                    bad = (ll, j, r)
+    bad = next(_power_mismatches(kernel_matrix, kr_closed, p, l_max, r_max), None)
     return {
         "suite": "power",
         "u": u,
@@ -253,12 +255,10 @@ def _case_power_battery(u, q, l_max, r_max):
         "r_max": r_max,
         "status": "pass" if bad is None else "fail",
         "first_mismatch": bad,
-        "elapsed": round(perf_counter() - t0, 6),
     }
 
 
 def _case_stochastic(model, u, q, a_max):
-    t0 = perf_counter()
     if model == "gl":
         p = MeasureParams(u=Fraction(u), q=Fraction(q))
         ok = all(
@@ -276,12 +276,10 @@ def _case_stochastic(model, u, q, a_max):
         "q": q,
         "a_max": a_max,
         "status": "pass" if ok else "fail",
-        "elapsed": round(perf_counter() - t0, 6),
     }
 
 
 def _case_chain_measure(u, q, size):
-    t0 = perf_counter()
     p = MeasureParams(u=Fraction(u), q=Fraction(q))
     lams = [lam for n in range(size + 1) for lam in enumerate_partitions(n)]
     base = lams[0]
@@ -297,12 +295,10 @@ def _case_chain_measure(u, q, size):
         "q": q,
         "size": size,
         "status": "pass" if ok else "fail",
-        "elapsed": round(perf_counter() - t0, 6),
     }
 
 
 def _case_bailey(u, q, l_max, seed, count):
-    t0 = perf_counter()
     import random
 
     p = MeasureParams(u=Fraction(u), q=Fraction(q))
@@ -334,27 +330,14 @@ def _case_bailey(u, q, l_max, seed, count):
         "pairs": count + 1,
         "status": "pass" if not failures else "fail",
         "failures": failures[:5],
-        "elapsed": round(perf_counter() - t0, 6),
     }
 
 
 def _case_fristedt(q, l_max, r_max, size):
-    t0 = perf_counter()
     fp = FristedtParams(q=Fraction(q))
-    failures = []
-    mat = f_kernel_matrix(l_max, fp)
-    power = TruncatedMatrix.identity(l_max + 1)
-    for r in range(1, r_max + 1):
-        power = power @ mat
-        for ll in range(l_max + 1):
-            for j in range(ll + 1):
-                if f_kr_closed(ll, j, r, fp) != power.entry(ll, j):
-                    failures.append(f"power({ll},{j},{r})")
-    d = f_diagonalization(l_max, fp)
-    if d.a @ d.a_inv != TruncatedMatrix.identity(l_max + 1):
-        failures.append("A*Ainv")
-    if d.m @ d.a != d.a @ d.e:
-        failures.append("M*A=A*D")
+    mismatches = _power_mismatches(f_kernel_matrix, f_kr_closed, fp, l_max, r_max)
+    failures = [f"power({ll},{j},{r})" for ll, j, r in mismatches]
+    failures += _eigen_failures(f_diagonalization(l_max, fp), "D")
     for n in range(size + 1):
         for lam in enumerate_partitions(n):
             if f_chain_mass(lam, fp) != fp.q**n:
@@ -366,12 +349,10 @@ def _case_fristedt(q, l_max, r_max, size):
         "r_max": r_max,
         "status": "pass" if not failures else "fail",
         "failures": failures[:5],
-        "elapsed": round(perf_counter() - t0, 6),
     }
 
 
 def _case_quiver(name, size_cap, a_budget, tol):
-    t0 = perf_counter()
     if name == "a2":
         g = Quiver.from_edges(2, [(1, 2, 1)])
         p = QuiverParams(q=Fraction(2), u=(Fraction(1, 4), Fraction(1, 4)))
@@ -409,7 +390,6 @@ def _case_quiver(name, size_cap, a_budget, tol):
         "size_cap": size_cap,
         "status": "pass" if not failures else "fail",
         "failures": failures[:5],
-        "elapsed": round(perf_counter() - t0, 6),
     }
 
 
@@ -430,7 +410,10 @@ _CASE_FNS = {
 
 def run_case(case):
     kind, kwargs = case
-    return _CASE_FNS[kind](**kwargs)
+    t0 = perf_counter()
+    report = _CASE_FNS[kind](**kwargs)
+    report["elapsed"] = round(perf_counter() - t0, 6)
+    return report
 
 
 # options each suite actually reads; anything else supplied is a config error

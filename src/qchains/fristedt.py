@@ -12,11 +12,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from qchains.glchain import (
+    _SAMPLERS,
     TAIL_BITS,
     ChainSample,
+    ChainSampler,
     Diagonalization,
     TruncatedMatrix,
-    _Cdf,
 )
 from qchains.partitions import Partition
 from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
@@ -164,8 +165,10 @@ def f_chain_mass(lam: Partition, p: FristedtParams) -> Fraction:
 # Sampling
 
 
-@lru_cache(maxsize=None)
-def _first_row_cdf(p: FristedtParams, eps: Fraction):
+@lru_cache(maxsize=_SAMPLERS)
+def _sampler(p: FristedtParams, eps: Fraction) -> ChainSampler:
+    """The row chain, its first step on 0..A, A minimal with certified tail
+    below 2**-TAIL_BITS."""
     q = p.q
     z = weight_normalizer(p, eps)
     if z.lo <= 0:
@@ -178,21 +181,12 @@ def _first_row_cdf(p: FristedtParams, eps: Fraction):
         if tail < bound:
             break
         a += 1
-    return _Cdf([first_row_unnormalized(b, p) for b in range(a + 1)])
 
+    def row(s):
+        return range(s + 1), [f_kernel(s, b, p) for b in range(s + 1)]
 
-@lru_cache(maxsize=None)
-def _row_kernel_cdf(a: int, p: FristedtParams):
-    return _Cdf([f_kernel(a, b, p) for b in range(a + 1)])
-
-
-def _draw_rows(p, rng, eps):
-    state = _first_row_cdf(p, eps).pick(rng.getrandbits(128))
-    rows = []
-    while state > 0:
-        rows.append(state)
-        state = _row_kernel_cdf(state, p).pick(rng.getrandbits(128))
-    return tuple(rows)
+    weights = [first_row_unnormalized(b, p) for b in range(a + 1)]
+    return ChainSampler(range(a + 1), weights, row, 0)
 
 
 def f_sample(p: FristedtParams, seed: int, eps=Fraction(1, 2**20)) -> ChainSample:
@@ -203,9 +197,12 @@ def f_sample(p: FristedtParams, seed: int, eps=Fraction(1, 2**20)) -> ChainSampl
 def f_sample_stream(p: FristedtParams, seed: int, count: int, eps=Fraction(1, 2**20)):
     """Yield count samples from a single seeded stream; the chain states are
     row lengths, and each sampled partition is the state sequence itself."""
+    if count <= 0:
+        return  # no draw, so no support cap to certify
+    chain = _sampler(p, eps)
     rng = random.Random(seed)
     for _ in range(count):
-        rows = _draw_rows(p, rng, eps)
+        rows = chain.path(rng)
         yield ChainSample(seed=seed, columns=rows, partition=Partition(rows))
 
 

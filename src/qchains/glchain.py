@@ -373,9 +373,45 @@ class _Cdf:
         return len(self.nums) - 1
 
 
-@lru_cache(maxsize=None)
-def _first_col_cdf(p: MeasureParams, eps: Fraction):
-    """CDF of the first-column law over 0..A, A minimal with certified
+class ChainSampler:
+    """Inverse-CDF driver of one absorbing chain.
+
+    A path draws its first state from the first-step law (keys, weights),
+    then steps with row(state) -> (keys, weights) until the absorbing state.
+    Every row CDF built is kept: states only decrease, so the table is
+    bounded by the first-step support.
+    """
+
+    __slots__ = ("first", "row", "absorbing", "rows")
+
+    def __init__(self, keys, weights, row, absorbing):
+        self.first = (tuple(keys), _Cdf(weights))
+        self.row = row
+        self.absorbing = absorbing
+        self.rows = {}
+
+    def path(self, rng) -> tuple:
+        """The states visited before absorption; one 128-bit draw per step."""
+        keys, cdf = self.first
+        states = []
+        while True:
+            state = keys[cdf.pick(rng.getrandbits(128))]
+            if state == self.absorbing:
+                return tuple(states)
+            states.append(state)
+            table = self.rows.get(state)
+            if table is None:
+                row_keys, weights = self.row(state)
+                table = self.rows[state] = (tuple(row_keys), _Cdf(weights))
+            keys, cdf = table
+
+
+_SAMPLERS = 16  # per-parameter samplers kept by each model
+
+
+@lru_cache(maxsize=_SAMPLERS)
+def _sampler(p: MeasureParams, eps: Fraction) -> ChainSampler:
+    """The column chain, its first step on 0..A, A minimal with certified
     tail below 2**-TAIL_BITS."""
     u, q = p.u, p.q
     lo = poch_inf(1, q, eps).lo * poch_inf(u, q, eps).lo
@@ -389,23 +425,12 @@ def _first_col_cdf(p: MeasureParams, eps: Fraction):
         if tail < bound:
             break
         a += 1
+
+    def row(s):
+        return range(s + 1), [kernel(s, b, p) for b in range(s + 1)]
+
     weights = [first_col_unnormalized(b, p) for b in range(a + 1)]
-    return _Cdf(weights)
-
-
-@lru_cache(maxsize=None)
-def _kernel_row_cdf(a: int, p: MeasureParams):
-    return _Cdf([kernel(a, b, p) for b in range(a + 1)])
-
-
-def _draw_columns(p, rng, eps):
-    cdf = _first_col_cdf(p, eps)
-    state = cdf.pick(rng.getrandbits(128))
-    cols = []
-    while state > 0:
-        cols.append(state)
-        state = _kernel_row_cdf(state, p).pick(rng.getrandbits(128))
-    return tuple(cols)
+    return ChainSampler(range(a + 1), weights, row, 0)
 
 
 def sample(p: MeasureParams, seed: int, eps=Fraction(1, 2**20)) -> ChainSample:
@@ -417,9 +442,12 @@ def sample_stream(p: MeasureParams, seed: int, count: int, eps=Fraction(1, 2**20
     """Yield count samples from a single seeded stream."""
     if p.u >= 1:
         raise ValueError("sampling needs u < 1")
+    if count <= 0:
+        return  # no draw, so no support cap to certify
+    chain = _sampler(p, eps)
     rng = random.Random(seed)
     for _ in range(count):
-        cols = _draw_columns(p, rng, eps)
+        cols = chain.path(rng)
         yield ChainSample(
             seed=seed, columns=cols, partition=Partition(cols).conjugate()
         )

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
-from qchains.glchain import _Cdf
+from qchains.glchain import _SAMPLERS, ChainSampler
 from qchains.partitions import Partition, enumerate_partitions
 from qchains.qalgebra import as_fraction, poch_table
 
@@ -194,7 +194,7 @@ def tuple_weight(t: PartitionTuple, g: Quiver, p: QuiverParams) -> Fraction:
 # Truncated sums: normalizer and first-column masses
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SAMPLERS)  # one scan per sampler
 def _weight_scan(g: Quiver, p: QuiverParams, size_cap: int):
     """One pass over all tuples of total size <= size_cap.
 
@@ -324,25 +324,19 @@ def quiver_chain_mass(
 # Sampling
 
 
-@lru_cache(maxsize=None)
-def _first_cols_cdf(g: Quiver, p: QuiverParams, size_cap: int):
-    """(support keys, CDF) of the truncated first-column masses."""
+@lru_cache(maxsize=_SAMPLERS)
+def _sampler(g: Quiver, p: QuiverParams, size_cap: int) -> ChainSampler:
+    """The componentwise chain, its first step on the truncated first-column
+    masses; each kernel row sums to 1 within the truncation error and is
+    renormalized."""
     _, buckets = _weight_scan(g, p, size_cap)
-    keys = tuple(sorted(buckets))
-    return keys, _Cdf([buckets[k] for k in keys])
+    keys = sorted(buckets)
 
+    def row(a):
+        support = tuple(iter_product(*(range(v + 1) for v in a)))
+        return support, [quiver_kernel(a, b, g, p, size_cap) for b in support]
 
-@lru_cache(maxsize=None)
-def _kernel_row_cdf(a: tuple, g: Quiver, p: QuiverParams, size_cap: int):
-    """(support keys, CDF) of the kernel row at a; the row sums to 1 within
-    the truncation error and is renormalized."""
-    support = tuple(iter_product(*(range(v + 1) for v in a)))
-    return support, _Cdf([quiver_kernel(a, b, g, p, size_cap) for b in support])
-
-
-def _draw(keys_cdf, rng):
-    keys, cdf = keys_cdf
-    return keys[cdf.pick(rng.getrandbits(128))]
+    return ChainSampler(keys, [buckets[k] for k in keys], row, (0,) * g.n)
 
 
 def quiver_sample(
@@ -355,18 +349,13 @@ def quiver_sample(
     """Draw one n-tuple: first-column vector from the truncated masses, then
     kernel steps until the all-zero vector.  Deterministic per seed."""
     normalizer(g, p, size_cap, eps)  # surfaces non-convergence early
-    rng = random.Random(seed)
-    state = _draw(_first_cols_cdf(g, p, size_cap), rng)
-    columns = [[] for _ in range(g.n)]
-    while any(state):
-        for i, v in enumerate(state):
-            columns[i].append(v)
-        state = _draw(_kernel_row_cdf(state, g, p, size_cap), rng)
-    comps = []
-    for col in columns:
-        positive = [v for v in col if v > 0]
-        comps.append(Partition(positive).conjugate())
-    return PartitionTuple(tuple(comps))
+    path = _sampler(g, p, size_cap).path(random.Random(seed))
+    return PartitionTuple(
+        tuple(
+            Partition([state[i] for state in path if state[i] > 0]).conjugate()
+            for i in range(g.n)
+        )
+    )
 
 
 __all__ = [

@@ -1,8 +1,14 @@
 """Exit codes, report shapes, and byte-determinism of the command line."""
 
+import contextlib
+import hashlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qchains import cli
 from qchains.cli import main
@@ -74,17 +80,37 @@ def test_verify_bad_config_exits_2(capsys):
         ["verify", "--suite", "quiver", "--size-cap", "-1"],
         ["verify", "--suite", "quiver", "--size-cap", "0"],
         ["bailey", "--steps", "-1"],
+        ["sample", "--seed", "-1"],
+        ["verify", "--suite", "bailey", "--seed", "-1"],
     ],
     ids=["verify-order", "verify-lmax", "series-order", "series-lmax",
          "power-order", "power-lmax", "sample-count", "bailey-count",
          "jobs-zero", "jobs-negative", "qbinomial-n", "verify-k-zero",
-         "series-k-zero", "size-cap-negative", "size-cap-zero", "bailey-steps"],
+         "series-k-zero", "size-cap-negative", "size-cap-zero", "bailey-steps",
+         "sample-seed", "verify-seed"],
 )
 def test_negative_order_or_lmax_exits_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_power_checks_report_the_first_mismatch(monkeypatch):
+    def off_at(closed):
+        def wrong(ll, j, r, p):
+            return closed(ll, j, r, p) + ((ll, j, r) in {(2, 1, 1), (5, 3, 4)})
+
+        return wrong
+
+    monkeypatch.setattr(cli, "kr_closed", off_at(cli.kr_closed))
+    report = cli._case_power_battery("1/2", "2", 6, 4)
+    assert report["status"] == "fail"
+    assert report["first_mismatch"] == (2, 1, 1)
+
+    monkeypatch.setattr(cli, "f_kr_closed", off_at(cli.f_kr_closed))
+    report = cli._case_fristedt("1/2", 6, 4, 0)
+    assert report["failures"] == ["power(2,1,1)", "power(5,3,4)"]
 
 
 def test_verify_order_zero_is_not_the_default(capsys):
@@ -297,3 +323,131 @@ def test_text_mode(capsys):
     )
     assert code == 0
     assert "equal=True" in out
+
+
+# sha256 of stdout at --seed 0; a verify report is hashed without "elapsed"
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["sample", "--model", "gl", "--u", "1/2", "--q", "2", "--count", "2000"],
+         "b7651e9c110a1610a0f72c07c65e821124e9800209cf3de2c419439feb4c93f5"),
+        (["sample", "--model", "fristedt", "--q", "1/2", "--count", "2000"],
+         "81c00817fc1f9410859bad9e84338edbb5034b003df27f4e1e8c82c4b620d6e0"),
+        (["sample", "--model", "fristedt", "--q", "4/5", "--count", "200"],
+         "dd770e6979297edb67e5f9d9578ded54c4eac6f4500ad39405d021a9bd5c54ea"),
+        (["verify", "--suite", "all", "--jobs", "2"],
+         "7743ae7bd3fb1b4af9f7096e18357a91121350d3d4497792aac8226079dea61d"),
+    ],
+    ids=["gl", "fristedt", "fristedt-large", "verify-all"],
+)
+def test_seed_zero_outputs_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, argv + ["--seed", "0"])
+    assert code == 0
+    if argv[0] == "verify":
+        reports = json_lines(out)
+        for report in reports:
+            del report["elapsed"]
+        out = "".join(json.dumps(r, sort_keys=True) + "\n" for r in reports)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The CLI contract over a small argparse space.  Integers stay at most 12:
+# `power --L` costs about L^4 memory.  Defaults that take a second or more
+# (--lmax of the diag, power and bailey suites, every quiver --size-cap) are
+# replaced by small values when not drawn, and `--suite all` is left to the
+# pinned-output test.
+_RATIONALS = st.sampled_from(
+    ["1/2", "1/3", "2/5", "2", "3", "5/2", "1", "0", "-1", "1/0", "", "junk"]
+)
+_INTS = st.sampled_from([str(i) for i in range(-2, 13)] + ["", "x"])
+_COMMON = {
+    "--u": _RATIONALS,
+    "--q": _RATIONALS,
+    "--eps": _RATIONALS,
+    "--order": _INTS,
+    "--lmax": _INTS,
+    "--seed": _INTS,
+    "--format": st.sampled_from(["json", "text", "junk"]),
+}
+_SUITES = ["rr", "ag", "pipeline", "qbinomial", "jacobi", "diag", "power",
+           "stochastic", "chain-measure", "bailey", "fristedt", "quiver"]
+_COMMANDS = {
+    "verify": {
+        **{f: _INTS for f in ("--k", "--i", "--n", "--count", "--size-cap")},
+        "--jobs": st.sampled_from(["-1", "0", "1"]),
+        "--inject-fault": st.none(),
+    },
+    "sample": {
+        "--model": st.sampled_from(["gl", "fristedt", "quiver", "junk"]),
+        "--count": _INTS,
+        "--size-cap": _INTS,
+        "--quiver": st.sampled_from(["A2", "/nonexistent.json", ""]),
+    },
+    "power": {"--model": st.sampled_from(["gl", "fristedt"])},
+    "kernel": {
+        "--model": st.sampled_from(["gl", "fristedt"]),
+        "--matrix": st.sampled_from(["K", "C", "M", "A", "Ainv", "E"]),
+    },
+    "bailey": {
+        "--steps": _INTS,
+        "--alpha": st.sampled_from(["1,1/2,-3", "1", "", "1,junk"]),
+    },
+    "series": {
+        f: _INTS for f in ("--k", "--i", "--r", "--delta", "--A", "--B", "--v", "--w")
+    },
+}
+_REQUIRED = {
+    "verify": {"--suite": st.sampled_from(_SUITES + ["junk"])},
+    "power": {f: _INTS for f in ("--L", "--j", "--r")},
+    "series": {
+        "--which": st.sampled_from(
+            ["ag-sum", "ag-product", "absorption", "theta", "jacobi", "junk"]
+        )
+    },
+}
+_FAILED = re.compile(
+    r'"status": "fail"|"(equal|valid)": false|status=fail|(equal|valid)=False'
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    strategies = {**_COMMON, **_COMMANDS[command]}
+    names = draw(st.lists(st.sampled_from(sorted(strategies)), max_size=3, unique=True))
+    flags = {name: draw(strategies[name]) for name in names}
+    flags.update(draw(st.fixed_dictionaries(_REQUIRED.get(command, {}))))
+    if flags.get("--suite") in ("diag", "power", "bailey"):
+        flags.setdefault("--lmax", "6")
+    if flags.get("--suite") == "quiver" or command == "sample":
+        flags.setdefault("--size-cap", "8")
+    return command, flags
+
+
+@pytest.fixture(scope="module")
+def a2_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("quiver") / "a2.json"
+    path.write_text(
+        json.dumps({"n": 2, "edges": [[1, 2, 1]], "U": ["1/4", "1/4"], "q": "2"})
+    )
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_argvs())
+def test_cli_exit_contract(a2_file, case):
+    command, flags = case
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, a2_file if value == "A2" else value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code != 2:  # exit 1 if and only if a printed check failed
+        assert (code == 1) == bool(_FAILED.search(out.getvalue())), argv

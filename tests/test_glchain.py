@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qchains import fristedt, glchain
 from qchains.glchain import (
     TruncatedMatrix,
     build_diagonalization,
@@ -231,6 +232,22 @@ def test_sampler_stream_distinct_from_single():
     assert singles[0] == singles[1] == singles[2]
     chain = [s.columns for s in sample_stream(P12, 5, 3)]
     assert chain[0] == singles[0]
+
+
+@pytest.mark.parametrize(
+    "module, draw",
+    [
+        (glchain, lambda k: sample(MeasureParams(u=F(1, k), q=F(2)), 0)),
+        (fristedt, lambda k: fristedt.f_sample(fristedt.FristedtParams(q=F(1, k)), 0)),
+    ],
+    ids=["gl", "fristedt"],
+)
+def test_sampler_cache_is_bounded(module, draw):
+    maxsize = module._sampler.cache_info().maxsize
+    assert maxsize == glchain._SAMPLERS
+    for k in range(2, maxsize + 6):
+        draw(k)
+    assert module._sampler.cache_info().currsize <= maxsize
 
 
 def test_sample_json():
