@@ -10,9 +10,11 @@ run until absorption spells out the column heights of a random partition.
 """
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from qchains.partitions import MeasureParams, Partition
 from qchains.qalgebra import Interval, poch_inf, poch_table
@@ -351,26 +353,26 @@ class ChainSample:
 
 
 class _Cdf:
-    """Exact inverse-CDF table: thresholds t_b compared against V/2^128."""
+    """Exact inverse-CDF table over integer prefix sums.
 
-    __slots__ = ("nums", "dens")
+    With the weights over one common denominator, P_i are the prefix sums of
+    their numerators and T the total; pick(V) is the first i with
+    V/2^128 < P_i/T, compared as V T < P_i 2^128 without any reduction.
+    """
+
+    __slots__ = ("bounds", "total")
 
     def __init__(self, weights):
-        total = sum(weights, _ZERO)
-        acc = _ZERO
-        self.nums = []
-        self.dens = []
+        den = lcm(*(w.denominator for w in weights))
+        acc = 0
+        self.bounds = []
         for w in weights:
-            acc += w
-            t = acc / total
-            self.nums.append(t.numerator << 128)
-            self.dens.append(t.denominator)
+            acc += w.numerator * (den // w.denominator)
+            self.bounds.append(acc << 128)
+        self.total = acc
 
     def pick(self, v: int) -> int:
-        for i, (n, d) in enumerate(zip(self.nums, self.dens)):
-            if v * d < n:
-                return i
-        return len(self.nums) - 1
+        return min(bisect_right(self.bounds, v * self.total), len(self.bounds) - 1)
 
 
 class ChainSampler:

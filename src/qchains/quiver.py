@@ -7,22 +7,24 @@ The weight of an n-tuple of partitions is
         / (prod_i q^(<lam(i),lam(i)>) b_{lam(i)})
 
 with <lam,mu> the inner product of conjugate parts and b_lam the product of
-(1/q)_{m_i}.  The normalizer has no closed form here; it is computed by
-truncated summation with a Cauchy stopping rule and is explicitly *not*
-certified.  Every exact statement downstream is phrased with weight or
-first-column ratios in which the truncated sums cancel.
+(1/q)_{m_i}.  The first-column masses are exact: kernel rows sum to 1, which
+is a triangular recursion for them.  Only the normalizer, a sum over all
+first columns, has no closed form here; it is truncated by total part count
+with a Cauchy stopping rule and is explicitly *not* certified.
 """
 
 import json
 import random
+import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from math import prod
 
 from qchains.glchain import _SAMPLERS, ChainSampler
-from qchains.partitions import Partition, enumerate_partitions
+from qchains.partitions import Partition
 from qchains.qalgebra import as_fraction, poch_table
 
 _ZERO = Fraction(0)
@@ -30,7 +32,7 @@ _ONE = Fraction(1)
 
 
 class ConvergenceError(RuntimeError):
-    """Truncated summation failed its Cauchy criterion."""
+    """A mass diverges, or a truncated sum failed its Cauchy criterion."""
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,6 @@ class PartitionTuple:
         )
         object.__setattr__(self, "components", comps)
 
-    @property
-    def total_size(self) -> int:
-        return sum(c.size for c in self.components)
-
-    def part_counts(self) -> tuple:
-        return tuple(len(c) for c in self.components)
-
     def __iter__(self):
         return iter(self.components)
 
@@ -152,22 +147,13 @@ def load_quiver(source):
 # Weights
 
 
-@lru_cache(maxsize=None)
-def _conj_parts(parts: tuple) -> tuple:
-    return Partition(parts).conjugate().parts
-
-
 def pairing(lam: Partition, mu: Partition) -> int:
     """sum_i lam'_i mu'_i over the conjugate part sequences."""
-    a = _conj_parts(lam.parts)
-    b = _conj_parts(mu.parts)
-    return sum(x * y for x, y in zip(a, b))
+    return sum(x * y for x, y in zip(lam.conjugate(), mu.conjugate()))
 
 
-@lru_cache(maxsize=None)
-def _component_factor(parts: tuple, vertex: int, loops: int, p: QuiverParams):
+def _component_factor(lam: Partition, vertex: int, loops: int, p: QuiverParams):
     """U_i^|lam| q^((f_ii - 1) <lam,lam>) / b_lam for one component."""
-    lam = Partition(parts)
     iq = poch_table(1 / p.q, p.q)
     b_lam = _ONE
     for m in lam.multiplicities().values():
@@ -182,7 +168,7 @@ def tuple_weight(t: PartitionTuple, g: Quiver, p: QuiverParams) -> Fraction:
     w = _ONE
     comps = t.components
     for i, lam in enumerate(comps):
-        w *= _component_factor(lam.parts, i, g.f[i][i], p)
+        w *= _component_factor(lam, i, g.f[i][i], p)
         for j in range(i + 1, g.n):
             fij = g.f[i][j]
             if fij:
@@ -191,38 +177,49 @@ def tuple_weight(t: PartitionTuple, g: Quiver, p: QuiverParams) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Truncated sums: normalizer and first-column masses
+# First-column masses and the truncated normalizer
 
 
-@lru_cache(maxsize=_SAMPLERS)  # one scan per sampler
-def _weight_scan(g: Quiver, p: QuiverParams, size_cap: int):
-    """One pass over all tuples of total size <= size_cap.
+class _MassTable:
+    """Exact unnormalized first-column masses P(a) of one (g, p), grown one
+    level k = |a| at a time up to the largest level read.
 
-    Returns (per_size, buckets): per-size weight increments, and total
-    weight per part-count vector.
+    Kernel rows sum to 1 and M(a, b) = m(a) / prod_i (1/q)_{a_i-b_i} for b <= a,
+    m(a) = M(a, a).  So P(0) = 1 and P(a) = m(a) S(a) / (1 - m(a)), where
+    S(a) = sum_{b <= a, b != a} P(b) / prod_i (1/q)_{a_i-b_i}.
     """
-    per_size = [_ZERO] * (size_cap + 1)
-    buckets = {}
-    n = g.n
 
-    def rec(idx, budget, chosen, w):
-        if idx == n:
-            t = sum(lam.size for lam in chosen)
-            per_size[t] += w
-            key = tuple(len(lam) for lam in chosen)
-            buckets[key] = buckets.get(key, _ZERO) + w
-            return
-        for size in range(budget + 1):
-            for lam in enumerate_partitions(size, cap=size):
-                wn = w * _component_factor(lam.parts, idx, g.f[idx][idx], p)
-                for j in range(idx):
-                    fij = g.f[j][idx]
-                    if fij:
-                        wn *= p.q ** (fij * pairing(chosen[j], lam))
-                rec(idx + 1, budget - size, chosen + (lam,), wn)
+    def __init__(self, g: Quiver, p: QuiverParams):
+        self.g, self.p = g, p
+        self.mass = {(0,) * g.n: _ONE}
+        self.level_sums = [_ONE]
+        self.totals = [_ONE]  # totals[k] = sum(level_sums[: k + 1])
+        self._lock = threading.Lock()  # tables are shared
 
-    rec(0, size_cap, (), _ONE)
-    return tuple(per_size), buckets
+    def grow(self, k: int) -> "_MassTable":
+        """Complete the table through level k."""
+        with self._lock:
+            for level in range(len(self.level_sums), k + 1):
+                self._add_level(level)
+        return self
+
+    def _add_level(self, k: int):
+        g, p, mass = self.g, self.p, self.mass
+        iq = poch_table(1 / p.q, p.q)
+        level_sum = _ZERO
+        for a in (a for a in iter_product(range(k + 1), repeat=g.n) if sum(a) == k):
+            m = quiver_m_entry(a, a, g, p)
+            if m >= 1:
+                raise ConvergenceError(f"M(a, a) = {m} >= 1 at a = {a}: P(a) diverges")
+            below = (b for b in iter_product(*(range(v + 1) for v in a)) if b != a)
+            s = sum(mass[b] / prod(iq[x - y] for x, y in zip(a, b)) for b in below)
+            mass[a] = m * s / (1 - m)
+            level_sum += mass[a]
+        self.level_sums.append(level_sum)
+        self.totals.append(self.totals[-1] + level_sum)
+
+
+_masses = lru_cache(maxsize=_SAMPLERS)(_MassTable)  # one table per (g, p)
 
 
 @dataclass(frozen=True)
@@ -240,28 +237,31 @@ class TruncatedSum:
 
 
 def normalizer(g: Quiver, p: QuiverParams, size_cap: int = 20, eps=Fraction(1, 10**8)):
-    """Truncated total weight, with a Cauchy check on the last increments."""
-    per_size, _ = _weight_scan(g, p, size_cap)
-    last = max(per_size[-3:]) if size_cap >= 2 else per_size[-1]
+    """Total first-column mass over |a| <= size_cap, with a Cauchy check on
+    the last level sums."""
+    if size_cap < 0:
+        raise ValueError("size_cap must be >= 0")
+    table = _masses(g, p).grow(size_cap)
+    sums = table.level_sums
+    last = max(sums[size_cap - 2 : size_cap + 1]) if size_cap >= 2 else sums[size_cap]
     if last >= as_fraction(eps):
         raise ConvergenceError(
-            f"per-size increments not below {eps} by size {size_cap}"
+            f"level sums not below {eps} by total part count {size_cap}"
         )
     return TruncatedSum(
-        value=sum(per_size, _ZERO), size_cap=size_cap, last_increment=last
+        value=table.totals[size_cap], size_cap=size_cap, last_increment=last
     )
 
 
 def quiver_first_cols(a, g: Quiver, p: QuiverParams, size_cap: int = 20) -> Fraction:
-    """Truncated unnormalized mass of tuples whose components have exactly
-    a_1, ..., a_n parts."""
+    """Exact unnormalized mass of tuples whose components have exactly
+    a_1, ..., a_n parts; 0 outside the support |a| <= size_cap."""
     a = tuple(int(v) for v in a)
     if len(a) != g.n:
         raise ValueError("vector length must match the number of vertices")
     if any(v < 0 for v in a):
         raise ValueError("part counts must be >= 0")
-    _, buckets = _weight_scan(g, p, size_cap)
-    return buckets.get(a, _ZERO)
+    return _masses(g, p).grow(sum(a)).mass[a] if sum(a) <= size_cap else _ZERO
 
 
 def quiver_m_entry(a, b, g: Quiver, p: QuiverParams) -> Fraction:
@@ -285,8 +285,8 @@ def quiver_m_entry(a, b, g: Quiver, p: QuiverParams) -> Fraction:
 
 
 def quiver_kernel(a, b, g: Quiver, p: QuiverParams, size_cap: int = 20) -> Fraction:
-    """One-step transition probability between part-count vectors,
-    exact up to the truncation entering through the mass ratio P(b)/P(a)."""
+    """One-step transition probability M(a, b) P(b) / P(a) between
+    part-count vectors; exact, and defined on the support |a| <= size_cap."""
     a = tuple(int(v) for v in a)
     b = tuple(int(v) for v in b)
     m = quiver_m_entry(a, b, g, p)
@@ -304,16 +304,15 @@ def quiver_chain_mass(
 ) -> Fraction:
     """First-column mass times kernel steps down the columns of the tuple.
 
-    The mass ratios telescope, so the truncated sums cancel exactly.
+    The mass ratios telescope to P(0) = 1, leaving the product of the M
+    entries along the columns.
     """
-    cols = [_conj_parts(c.parts) for c in t.components]
+    cols = [c.conjugate().parts for c in t.components]
     depth = max((len(c) for c in cols), default=0)
 
     def level(k):
         return tuple(c[k] if k < len(c) else 0 for c in cols)
 
-    if depth == 0:
-        return quiver_first_cols((0,) * g.n, g, p, size_cap)
     mass = quiver_first_cols(level(0), g, p, size_cap)
     for k in range(depth):
         mass *= quiver_kernel(level(k), level(k + 1), g, p, size_cap)
@@ -326,17 +325,16 @@ def quiver_chain_mass(
 
 @lru_cache(maxsize=_SAMPLERS)
 def _sampler(g: Quiver, p: QuiverParams, size_cap: int) -> ChainSampler:
-    """The componentwise chain, its first step on the truncated first-column
-    masses; each kernel row sums to 1 within the truncation error and is
-    renormalized."""
-    _, buckets = _weight_scan(g, p, size_cap)
-    keys = sorted(buckets)
+    """The componentwise chain, its first step on the exact first-column
+    masses of the support |a| <= size_cap; each kernel row sums to 1."""
+    mass = _masses(g, p).grow(size_cap).mass
+    keys = sorted(a for a in mass if sum(a) <= size_cap)
 
     def row(a):
         support = tuple(iter_product(*(range(v + 1) for v in a)))
         return support, [quiver_kernel(a, b, g, p, size_cap) for b in support]
 
-    return ChainSampler(keys, [buckets[k] for k in keys], row, (0,) * g.n)
+    return ChainSampler(keys, [mass[k] for k in keys], row, (0,) * g.n)
 
 
 def quiver_sample(
@@ -346,8 +344,8 @@ def quiver_sample(
     size_cap: int = 20,
     eps=Fraction(1, 10**8),
 ) -> PartitionTuple:
-    """Draw one n-tuple: first-column vector from the truncated masses, then
-    kernel steps until the all-zero vector.  Deterministic per seed."""
+    """Draw one n-tuple: first-column vector from the masses on |a| <=
+    size_cap, then kernel steps until the all-zero vector; seeded."""
     normalizer(g, p, size_cap, eps)  # surfaces non-convergence early
     path = _sampler(g, p, size_cap).path(random.Random(seed))
     return PartitionTuple(

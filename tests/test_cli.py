@@ -189,6 +189,18 @@ def test_sample_quiver_roundtrip(tmp_path, capsys):
     assert out2 == out
 
 
+def test_sample_quiver_divergent_mass_exits_2(tmp_path, capsys):
+    path = tmp_path / "loop2.json"
+    path.write_text(json.dumps({"n": 1, "edges": [[1, 1, 2]], "U": ["1/2"], "q": "2"}))
+    code, out, err = run(
+        capsys, ["sample", "--model", "quiver", "--quiver", str(path), "--count", "3"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "a = (1,)" in err
+
+
 def test_sample_quiver_bad_file_exits_2(capsys):
     code, _, err = run(
         capsys, ["sample", "--model", "quiver", "--quiver", "/nonexistent.json"]
@@ -232,6 +244,23 @@ def test_power_fristedt(capsys):
 def test_power_invalid_indices(capsys):
     code, _, err = run(capsys, ["power", "--L", "2", "--j", "5", "--r", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("model", ["gl", "fristedt"])
+def test_power_l_above_the_bound_exits_2_at_once(capsys, monkeypatch, model):
+    def unreachable(*args):
+        raise AssertionError("built a matrix past the --L bound")
+
+    for name in ("kernel_matrix", "f_kernel_matrix", "kr_closed", "f_kr_closed"):
+        monkeypatch.setattr(cli, name, unreachable)
+    bound = cli._POWER_L_MAX
+    code, out, err = run(
+        capsys,
+        ["power", "--model", model, "--L", str(bound + 1), "--j", "0", "--r", "1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --L must be <= {bound}\n"
 
 
 def test_kernel_dump_shape(capsys):

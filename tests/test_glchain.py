@@ -4,6 +4,8 @@ and the exact sampler of the GL-measure chain."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qchains import fristedt, glchain
 from qchains.glchain import (
@@ -248,6 +250,53 @@ def test_sampler_cache_is_bounded(module, draw):
     for k in range(2, maxsize + 6):
         draw(k)
     assert module._sampler.cache_info().currsize <= maxsize
+
+
+def _cdf_by_fractions(weights, v):
+    """The inverse-CDF definition: the first i with v/2^128 < (w_0+...+w_i)/T."""
+    total = sum(weights, F(0))
+    acc = F(0)
+    for i, w in enumerate(weights):
+        acc += w
+        if F(v, 2**128) < acc / total:
+            return i
+    return len(weights) - 1
+
+
+_WEIGHTS = st.lists(
+    st.fractions(min_value=0, max_value=9, max_denominator=12), min_size=1, max_size=10
+).filter(any)
+
+
+@settings(max_examples=120, deadline=None)
+@given(weights=_WEIGHTS, data=st.data())
+@example(weights=[F(1), F(1), F(2)], data=None)  # thresholds 1/4, 1/2, 1
+@example(weights=[F(0), F(1), F(0), F(1), F(0)], data=None)  # zero weights
+def test_cdf_pick_matches_fraction_definition(weights, data):
+    """Integer prefix sums pick exactly as the Fraction thresholds, also for zero
+    weights and for v exactly on, just below and just above a threshold."""
+    cdf = glchain._Cdf(weights)
+    total = sum(weights, F(0))
+    candidates = {0, 2**128 - 1}
+    acc = F(0)
+    for w in weights:
+        acc += w
+        on = acc / total * 2**128
+        base = on.numerator // on.denominator
+        candidates |= {v for v in (base - 1, base, base + 1) if 0 <= v < 2**128}
+    if data is not None:
+        candidates.add(data.draw(st.integers(0, 2**128 - 1)))
+    for v in sorted(candidates):
+        assert cdf.pick(v) == _cdf_by_fractions(weights, v), v
+
+
+def test_cdf_exact_thresholds():
+    cdf = glchain._Cdf([F(1), F(1), F(2)])
+    assert [cdf.pick(v) for v in (0, 2**126 - 1, 2**126, 2**127, 2**128 - 1)] == [
+        0, 0, 1, 2, 2
+    ]
+    cdf = glchain._Cdf([F(0), F(1, 3), F(0), F(2, 3)])
+    assert [cdf.pick(v) for v in (0, 2**128 // 3, 2**128 // 3 + 1)] == [1, 1, 3]
 
 
 def test_sample_json():

@@ -4,12 +4,14 @@ componentwise chain, and its factorization."""
 import hashlib
 import itertools
 import json
+import sys
+import threading
 import warnings
 from fractions import Fraction as F
 
 import pytest
 
-from qchains.glchain import first_col_unnormalized, kernel
+from qchains.glchain import _SAMPLERS, first_col_unnormalized, kernel
 from qchains.glchain import sample_stream as gl_sample_stream
 from qchains.partitions import MeasureParams, Partition, enumerate_partitions, mass_v1
 from qchains.qalgebra import poch_inf
@@ -28,6 +30,7 @@ from qchains.quiver import (
     quiver_sample,
     tuple_weight,
 )
+from qchains.quiver import _masses, _MassTable
 
 POINT = Quiver(n=1, f=((0,),))
 POINT_PARAMS = QuiverParams(q=F(2), u=(F(1, 2),))
@@ -140,6 +143,95 @@ def test_first_cols_jordan_geometric():
     assert abs(got - expect) < F(1, 10**9)
 
 
+def test_first_cols_jordan_exact_ratio():
+    got = quiver_first_cols((1,), JORDAN, JORDAN_PARAMS) / quiver_first_cols(
+        (0,), JORDAN, JORDAN_PARAMS
+    )
+    assert got == F(2, 3)  # u / ((1 - u)(1 - 1/q)) at u = 1/4, q = 2
+
+
+def test_first_cols_single_point_equals_chain_law_exactly():
+    mp = MeasureParams(u=F(1, 2), q=F(2))
+    p0 = quiver_first_cols((0,), POINT, POINT_PARAMS)
+    for a in range(8):
+        got = quiver_first_cols((a,), POINT, POINT_PARAMS) / p0
+        assert got == first_col_unnormalized(a, mp) / first_col_unnormalized(0, mp)
+
+
+@pytest.mark.parametrize(
+    "g,p", [(A2, A2_PARAMS), (JORDAN, JORDAN_PARAMS)], ids=["a2", "jordan"]
+)
+def test_first_cols_bound_the_truncated_tuple_sums(g, p):
+    """Tuples of total size <= cap with first column a are part of P(a), and
+    for a != 0 never all of it: the exact mass exceeds every truncated sum."""
+    cap = 6
+    brute = {}
+    for size in range(cap + 1):
+        for t in all_tuples(g.n, size):
+            a = tuple(len(lam) for lam in t)
+            brute[a] = brute.get(a, F(0)) + tuple_weight(t, g, p)
+    assert set(brute) == {a for a in itertools.product(range(cap + 1), repeat=g.n)
+                          if sum(a) <= cap}
+    assert brute.pop((0,) * g.n) == quiver_first_cols((0,) * g.n, g, p, cap) == 1
+    for a, partial in brute.items():
+        assert 0 < partial < quiver_first_cols(a, g, p, cap), a
+
+
+def test_normalizer_sums_the_first_column_masses():
+    cap = 12
+    res = normalizer(A2, A2_PARAMS, size_cap=cap, eps=F(1, 10**6))
+    masses = [
+        quiver_first_cols(a, A2, A2_PARAMS, cap)
+        for a in itertools.product(range(cap + 1), repeat=2)
+        if sum(a) <= cap
+    ]
+    assert res.value == sum(masses)
+    assert quiver_first_cols((cap + 1, 0), A2, A2_PARAMS, cap) == 0
+
+
+# one loop of multiplicity 2: M(a, a) = q^(a^2) U^a reaches 1 at a = 1
+DIVERGENT = Quiver(n=1, f=((2,),))
+DIVERGENT_PARAMS = QuiverParams(q=F(2), u=(F(1, 2),))
+
+
+def test_divergent_mass_raises_convergence_error():
+    with pytest.raises(ConvergenceError, match=r"a = \(1,\)"):
+        quiver_first_cols((1,), DIVERGENT, DIVERGENT_PARAMS, 4)
+    with pytest.raises(ConvergenceError, match=r"a = \(1,\)"):
+        normalizer(DIVERGENT, DIVERGENT_PARAMS, size_cap=4, eps=F(1, 2))
+    with pytest.raises(ConvergenceError, match=r"a = \(1,\)"):
+        quiver_sample(DIVERGENT, DIVERGENT_PARAMS, seed=0, size_cap=4, eps=F(1, 2))
+    assert quiver_first_cols((0,), DIVERGENT, DIVERGENT_PARAMS, 4) == 1
+
+
+def test_mass_tables_are_bounded():
+    assert _masses.cache_info().maxsize == _SAMPLERS
+
+
+def test_mass_table_grown_from_many_threads():
+    expected = _MassTable(A2, A2_PARAMS).grow(12)
+    table = _MassTable(A2, A2_PARAMS)
+
+    def reader(k):
+        for level in range(k, 13, 4):
+            table.grow(level)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k % 4,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert table.level_sums == expected.level_sums
+    assert table.totals == expected.totals
+    assert table.mass == expected.mass
+
+
 def test_kernel_absorbing_and_support():
     assert quiver_kernel((0, 0), (0, 0), A2, A2_PARAMS, 10) == 1
     assert quiver_kernel((1, 1), (2, 0), A2, A2_PARAMS, 10) == 0
@@ -170,6 +262,18 @@ def test_kernel_rows_near_stochastic(g, p, cap):
         support = itertools.product(*(range(v + 1) for v in a))
         total = sum(quiver_kernel(a, b, g, p, cap) for b in support)
         assert abs(total - 1) < F(1, 10**6), a
+
+
+@pytest.mark.parametrize(
+    "g,p,cap",
+    [(A2, A2_PARAMS, 20), (JORDAN, JORDAN_PARAMS, 24)],
+    ids=["a2", "jordan"],
+)
+def test_kernel_rows_exactly_stochastic(g, p, cap):
+    for a in itertools.product(range(5), repeat=g.n):
+        if 0 < sum(a) <= 4:
+            support = itertools.product(*(range(v + 1) for v in a))
+            assert sum(quiver_kernel(a, b, g, p, cap) for b in support) == 1, a
 
 
 @pytest.mark.parametrize(
