@@ -10,25 +10,21 @@ series kernels in qchains.qalgebra.
 from qchains.qalgebra import (
     Interval,
     QSeries,
-    Rational,
     jacobi_product,
     poch_desc,
     poch_inf,
     poch_std,
     q_binomial_check,
-    series_inv,
     theta_sum,
 )
 from qchains.partitions import (
     MeasureParams,
     Partition,
-    conjugate,
     enumerate_partitions,
     gl_order,
     mass_v1,
     mass_v2,
     measure_normalizer,
-    n_stat,
 )
 from qchains.glchain import (
     ChainSample,

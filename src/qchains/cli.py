@@ -55,13 +55,14 @@ from qchains.qalgebra import (
 )
 from qchains.quiver import (
     ConvergenceError,
+    PartitionTuple,
     Quiver,
     QuiverParams,
     load_quiver,
-    quiver_first_cols,
+    quiver_chain_mass,
     quiver_kernel,
-    quiver_m_entry,
     quiver_sample,
+    tuple_weight,
 )
 
 
@@ -78,10 +79,11 @@ _INT_FLAG_MIN = {
     "seed": 0,
 }
 
-# largest `power --L`: the (L+1)^2/2 kernel entries carry about L^2 bits each,
-# so memory grows as L^4 (peak RSS 20 MB at L = 40, 42 MB at 120, 85 MB at
-# 160), which extrapolates to about 190 MB at 200
-_POWER_L_MAX = 200
+# largest value each matrix-size flag accepts: the (L+1)^2/2 kernel entries
+# carry about L^2 bits each, so memory grows as L^4.  `power --L` peaks at
+# 20 MB at L = 40, 42 MB at 120 and 85 MB at 160; `kernel --lmax`, which also
+# prints every entry, at 94 MB at 120 and 249 MB at 160
+_INT_FLAG_MAX = {"L": 200, "lmax": 200}
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,10 @@ class RunConfig:
             value = getattr(args, name, None)
             if value is not None and value < low:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= {low}")
+        for name, high in _INT_FLAG_MAX.items():
+            value = getattr(args, name, None)
+            if value is not None and value > high:
+                raise ValueError(f"--{name} must be <= {high}")
         u = getattr(args, "u", None)
         q = getattr(args, "q", None)
         eps = getattr(args, "eps", None)
@@ -357,7 +363,7 @@ def _case_fristedt(q, l_max, r_max, size):
     }
 
 
-def _case_quiver(name, size_cap, a_budget, tol):
+def _case_quiver(name, size_cap, a_budget):
     if name == "a2":
         g = Quiver.from_edges(2, [(1, 2, 1)])
         p = QuiverParams(q=Fraction(2), u=(Fraction(1, 4), Fraction(1, 4)))
@@ -369,7 +375,6 @@ def _case_quiver(name, size_cap, a_budget, tol):
     else:
         raise ValueError(f"unknown built-in quiver {name!r}")
     failures = []
-    tol = Fraction(tol)
     vectors = [
         a
         for a in itertools.product(range(a_budget + 1), repeat=g.n)
@@ -378,17 +383,16 @@ def _case_quiver(name, size_cap, a_budget, tol):
     for a in vectors:
         if sum(a) == 0:
             continue
-        support = list(itertools.product(*(range(v + 1) for v in a)))
-        total = sum(quiver_kernel(a, b, g, p, size_cap) for b in support)
-        if abs(total - 1) > tol:
+        support = itertools.product(*(range(v + 1) for v in a))
+        if sum(quiver_kernel(a, b, g, p, size_cap) for b in support) != 1:
             failures.append(f"rowsum{a}")
-        # K = C M C^-1 with C diagonal 1/P(a), verified entrywise
-        pa = quiver_first_cols(a, g, p, size_cap)
-        for b in support:
-            lhs = quiver_kernel(a, b, g, p, size_cap)
-            rhs = quiver_m_entry(a, b, g, p) * quiver_first_cols(b, g, p, size_cap) / pa
-            if lhs != rhs:
-                failures.append(f"factorization{a}->{b}")
+    # the chain generates the tuple measure: each tuple whose component sizes
+    # are one of the vectors has chain mass equal to its weight
+    for sizes in vectors:
+        for comps in itertools.product(*map(enumerate_partitions, sizes)):
+            t = PartitionTuple(comps)
+            if quiver_chain_mass(t, g, p, size_cap) != tuple_weight(t, g, p):
+                failures.append(f"chain-measure{t.to_json()}")
     return {
         "suite": "quiver",
         "quiver": name,
@@ -446,11 +450,8 @@ def _custom_uq(args) -> bool:
 
 def _check_verify_flags(args, cfg):
     allowed = _SUITE_FLAGS[args.suite]
-    supplied = {
-        name
-        for name in ("u", "q", "order", "lmax", "k", "i", "n", "count", "size_cap")
-        if getattr(args, name, None) is not None
-    }
+    names = ("u", "q", "eps", "order", "lmax", "k", "i", "n", "count", "size_cap")
+    supplied = {name for name in names if getattr(args, name, None) is not None}
     extra = supplied - allowed
     if extra:
         raise ValueError(
@@ -543,12 +544,7 @@ def _suite_cases(args, cfg):
             cases.append(
                 (
                     "quiver",
-                    {
-                        "name": name,
-                        "size_cap": args.size_cap,
-                        "a_budget": 3,
-                        "tol": "1/1000000",
-                    },
+                    {"name": name, "size_cap": args.size_cap, "a_budget": 3},
                 )
             )
     if not cases:
@@ -609,8 +605,6 @@ def cmd_sample(args) -> int:
 def cmd_power(args) -> int:
     cfg = RunConfig.from_args(args)
     ll, j, r = args.L, args.j, args.r
-    if ll > _POWER_L_MAX:
-        raise ValueError(f"--L must be <= {_POWER_L_MAX}")
     if not 0 <= j <= ll:
         raise ValueError("need 0 <= j <= L")
     if args.model == "gl":
@@ -804,6 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact entries may have any length
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -91,9 +91,6 @@ class TruncatedMatrix:
             if i != j
         )
 
-    def row(self, i):
-        return self.entries[i]
-
     def __matmul__(self, other):
         if not isinstance(other, TruncatedMatrix):
             return NotImplemented

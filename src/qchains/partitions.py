@@ -6,7 +6,6 @@ prefactor, which is irrational in general and only available as a certified
 interval (measure_normalizer).
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -73,10 +72,6 @@ class Partition:
             cols.append(sum(1 for p in self.parts if p >= j))
         return Partition(cols)
 
-    def multiplicity(self, i: int) -> int:
-        """Number of parts equal to i."""
-        return sum(1 for p in self.parts if p == i)
-
     def multiplicities(self) -> dict:
         out = {}
         for p in self.parts:
@@ -86,21 +81,6 @@ class Partition:
     def n_stat(self) -> int:
         """sum_i (i-1) * lambda_i."""
         return sum(i * p for i, p in enumerate(self.parts))
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.parts))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Partition":
-        return cls(json.loads(text))
-
-
-def conjugate(lam: Partition) -> Partition:
-    return lam.conjugate()
-
-
-def n_stat(lam: Partition) -> int:
-    return lam.n_stat()
 
 
 @lru_cache(maxsize=None)
@@ -121,12 +101,6 @@ def enumerate_partitions(n: int, cap: int = ENUMERATION_CAP) -> list:
     if n > cap:
         raise ValueError(f"n = {n} exceeds the enumeration cap {cap}")
     return [Partition(parts) for parts in _partitions_of(n, n if n else 1)]
-
-
-def partition_count(n: int, cap: int = ENUMERATION_CAP) -> int:
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the enumeration cap {cap}")
-    return len(_partitions_of(n, n if n else 1))
 
 
 @dataclass(frozen=True)
@@ -202,12 +176,9 @@ __all__ = [
     "ENUMERATION_CAP",
     "MeasureParams",
     "Partition",
-    "conjugate",
     "enumerate_partitions",
     "gl_order",
     "mass_v1",
     "mass_v2",
     "measure_normalizer",
-    "n_stat",
-    "partition_count",
 ]

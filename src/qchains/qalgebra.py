@@ -22,8 +22,6 @@ from functools import lru_cache
 from math import gcd
 from operator import add
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -47,7 +45,7 @@ class Interval:
 
     Used wherever an infinite product enters: the true value is certified to
     lie inside, and downstream exact statements are phrased so the interval
-    either cancels or carries through arithmetic done here.
+    either cancels or is only scaled by an exact factor.
     """
 
     lo: Fraction
@@ -57,11 +55,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError("empty interval")
 
-    @classmethod
-    def point(cls, value) -> "Interval":
-        value = as_fraction(value)
-        return cls(value, value)
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -70,32 +63,11 @@ class Interval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
-
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def scale(self, c: Fraction) -> "Interval":
         c = as_fraction(c)
         if c >= 0:
             return Interval(self.lo * c, self.hi * c)
         return Interval(self.hi * c, self.lo * c)
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        corners = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-        return Interval(min(corners), max(corners))
-
-    def inverse(self) -> "Interval":
-        if self.lo <= 0 <= self.hi:
-            raise ValueError("interval straddles zero")
-        return Interval(1 / self.hi, 1 / self.lo)
 
 
 # ---------------------------------------------------------------------------
@@ -247,30 +219,6 @@ def conv_trunc(a, b, order):
     ]
     out.extend([0] * (order + 1 - slots))
     return out
-
-
-def inv_scaled(p, order):
-    """Scaled reciprocal of an integer series with p[0] != 0.
-
-    Returns ints c[0..order] such that the true reciprocal of sum p[n] x^n
-    has coefficients c[n] / p[0]**(n+1).  Derived from the recurrence
-    sum_{k=0..n} p[k] * b[n-k] = 0 with b[n] = c[n] / p[0]**(n+1).
-    """
-    p0 = p[0]
-    if p0 == 0:
-        raise ZeroDivisionError("series has zero constant term")
-    lp = len(p)
-    c = [1]
-    pows = [1]  # p0**(k-1) for k = 1.. as needed
-    for n in range(1, order + 1):
-        acc = 0
-        top = n if n < lp - 1 else lp - 1
-        while len(pows) < top:
-            pows.append(pows[-1] * p0)
-        for k in range(1, top + 1):
-            acc += p[k] * c[n - k] * pows[k - 1]
-        c.append(-acc)
-    return c
 
 
 def geom_inv_mul(a, r, order):
@@ -444,7 +392,7 @@ class QSeries:
 
     def __pow__(self, e: int):
         if e < 0:
-            raise ValueError("negative power; use series_inv")
+            raise ValueError("negative power")
         out = QSeries.one(self.order, self.var)
         base = self
         while e:
@@ -551,34 +499,11 @@ class QSeries:
             "coeffs": [str(c) for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json(cls, data) -> "QSeries":
-        return cls(
-            [Fraction(c) for c in data["coeffs"]],
-            order=data["order"],
-            var=data["var"],
-        )
-
     def __repr__(self):
         shown = ", ".join(str(Fraction(c, self.den)) for c in self.nums[:8])
         if self.order >= 8:
             shown += ", ..."
         return f"QSeries([{shown}], order={self.order}, var={self.var!r})"
-
-
-def series_inv(s: QSeries) -> QSeries:
-    """Multiplicative inverse up to the truncation order."""
-    p0 = s.nums[0]
-    if p0 == 0:
-        raise ValueError("series with zero constant term is not invertible")
-    c = inv_scaled(s.nums, s.order)
-    # coefficient n is den*c[n] / p0**(n+1); put all over p0**(order+1)
-    nums = [0] * (s.order + 1)
-    pw = 1
-    for n in range(s.order, -1, -1):
-        nums[n] = s.den * c[n] * pw
-        pw *= p0
-    return QSeries._make(nums, pw, s.order, s.var)
 
 
 def euler_poch(n: int, order: int, var: str = "x") -> QSeries:
@@ -590,11 +515,6 @@ def euler_poch(n: int, order: int, var: str = "x") -> QSeries:
         for i in range(order, r - 1, -1):
             nums[i] -= nums[i - r]
     return QSeries._make(nums, 1, order, var)
-
-
-def geometric_inv(r: int, order: int, var: str = "x") -> QSeries:
-    """1/(1 - v^r) as a truncated series."""
-    return QSeries.one(order, var).mul_geom_inv(r)
 
 
 def one_minus_product(exponents, order: int, var: str = "x") -> QSeries:
@@ -691,13 +611,11 @@ def q_binomial_check(n: int, q, order: int | None = None) -> bool:
 
 
 __all__ = [
-    "Rational",
     "Interval",
     "PochTable",
     "QSeries",
     "as_fraction",
     "euler_poch",
-    "geometric_inv",
     "jacobi_product",
     "one_minus_product",
     "poch_desc",
@@ -705,6 +623,5 @@ __all__ = [
     "poch_std",
     "poch_table",
     "q_binomial_check",
-    "series_inv",
     "theta_sum",
 ]

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from qchains import cli
 from qchains.cli import main
+from qchains.glchain import kernel
+from qchains.partitions import MeasureParams
 
 
 def run(capsys, argv):
@@ -59,6 +62,9 @@ def test_verify_bad_config_exits_2(capsys):
     code, _, err = run(capsys, ["verify", "--suite", "rr", "--u", "3/2"])
     assert code == 2
     assert "error:" in err
+    code, _, err = run(capsys, ["verify", "--suite", "rr", "--eps", "1/3"])
+    assert code == 2
+    assert "options not used by suite" in err
 
 
 @pytest.mark.parametrize(
@@ -111,6 +117,31 @@ def test_power_checks_report_the_first_mismatch(monkeypatch):
     monkeypatch.setattr(cli, "f_kr_closed", off_at(cli.f_kr_closed))
     report = cli._case_fristedt("1/2", 6, 4, 0)
     assert report["failures"] == ["power(2,1,1)", "power(5,3,4)"]
+
+
+def test_quiver_case_checks_the_chain_measure(monkeypatch):
+    weight = cli.tuple_weight
+
+    def off_on_one(t, g, p):
+        return weight(t, g, p) + (t.to_json() == [[2], [1]])
+
+    monkeypatch.setattr(cli, "tuple_weight", off_on_one)
+    report = cli._case_quiver("a2", None, 3)
+    assert report["status"] == "fail"
+    assert report["failures"] == ["chain-measure[[2], [1]]"]
+
+
+def test_quiver_case_checks_row_sums_exactly(monkeypatch):
+    kernel_entry = cli.quiver_kernel
+
+    def shifted(a, b, g, p, size_cap):
+        off = Fraction(1, 10**9) if (a, b) == ((1, 1), (0, 1)) else 0
+        return kernel_entry(a, b, g, p, size_cap) + off
+
+    monkeypatch.setattr(cli, "quiver_kernel", shifted)
+    report = cli._case_quiver("a2", None, 3)
+    assert report["status"] == "fail"
+    assert report["failures"] == ["rowsum(1, 1)"]
 
 
 def test_verify_order_zero_is_not_the_default(capsys):
@@ -246,21 +277,38 @@ def test_power_invalid_indices(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("model", ["gl", "fristedt"])
-def test_power_l_above_the_bound_exits_2_at_once(capsys, monkeypatch, model):
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["power", "--model", "gl", "--j", "0", "--r", "1", "--L"], "L"),
+        (["power", "--model", "fristedt", "--j", "0", "--r", "1", "--L"], "L"),
+        (["kernel", "--lmax"], "lmax"),
+        (["bailey", "--lmax"], "lmax"),
+        (["verify", "--suite", "diag", "--lmax"], "lmax"),
+    ],
+    ids=["gl", "fristedt", "kernel", "bailey", "verify-diag"],
+)
+def test_power_l_above_the_bound_exits_2_at_once(capsys, monkeypatch, argv, flag):
     def unreachable(*args):
-        raise AssertionError("built a matrix past the --L bound")
+        raise AssertionError("built a matrix past the size bound")
 
-    for name in ("kernel_matrix", "f_kernel_matrix", "kr_closed", "f_kr_closed"):
+    for name in ("kernel_matrix", "f_kernel_matrix", "kr_closed", "f_kr_closed",
+                 "build_diagonalization", "f_diagonalization", "unit_bailey_pair"):
         monkeypatch.setattr(cli, name, unreachable)
-    bound = cli._POWER_L_MAX
-    code, out, err = run(
-        capsys,
-        ["power", "--model", model, "--L", str(bound + 1), "--j", "0", "--r", "1"],
-    )
+    bound = cli._INT_FLAG_MAX[flag]
+    code, out, err = run(capsys, argv + [str(bound + 1)])
     assert code == 2
     assert out == ""
-    assert err == f"error: --L must be <= {bound}\n"
+    assert err == f"error: --{flag} must be <= {bound}\n"
+
+
+def test_kernel_prints_entries_of_any_length(capsys):
+    q = "1" + "0" * 50
+    code, out, _ = run(capsys, ["kernel", "--q", q, "--u", "1/2", "--lmax", "10"])
+    assert code == 0
+    p = MeasureParams(u=Fraction(1, 2), q=Fraction(q))
+    entries = [Fraction(e) for e in json_lines(out)[0]["entries"]]
+    assert entries == [kernel(i, j, p) for i in range(11) for j in range(11)]
 
 
 def test_kernel_dump_shape(capsys):

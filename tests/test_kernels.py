@@ -1,8 +1,6 @@
 """The series kernels in qchains.qalgebra against direct oracles: schoolbook
 convolution and exact Fraction arithmetic."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -46,28 +44,6 @@ def naive_conv(a, b, order):
 @example(a=[255, -256, 127, -128], b=[255, -256, 127, -128], order=6)
 def test_conv_matches_naive(impl, a, b, order):
     assert impl.conv_trunc(a, b, order) == naive_conv(a, b, order)
-
-
-@KERNELS
-@settings(max_examples=60, deadline=None)
-@given(
-    p=st.lists(ints, min_size=1, max_size=10).filter(lambda v: v[0] != 0),
-    order=st.integers(min_value=0, max_value=16),
-)
-def test_inv_scaled_is_reciprocal(impl, p, order):
-    c = impl.inv_scaled(p, order)
-    # reconstruct b_n = c_n / p0^(n+1) and check p * b = 1 exactly
-    p0 = p[0]
-    b = [Fraction(c[n], p0 ** (n + 1)) for n in range(order + 1)]
-    prod = naive_conv(p, b, order)
-    assert prod[0] == 1
-    assert all(v == 0 for v in prod[1:])
-
-
-@KERNELS
-def test_inv_scaled_zero_constant(impl):
-    with pytest.raises(ZeroDivisionError):
-        impl.inv_scaled([0, 1], 3)
 
 
 @KERNELS

@@ -14,7 +14,6 @@ from qchains.partitions import (
     mass_v1,
     mass_v2,
     measure_normalizer,
-    partition_count,
 )
 
 
@@ -67,7 +66,6 @@ def test_enumeration_counts():
     assert [len(enumerate_partitions(n)) for n in range(11)] == [
         1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42,
     ]
-    assert partition_count(5) == 7
 
 
 def test_enumeration_order_is_lex_decreasing():
@@ -80,8 +78,6 @@ def test_enumeration_order_is_lex_decreasing():
 def test_enumeration_cap():
     with pytest.raises(ValueError, match="cap"):
         enumerate_partitions(41)
-    with pytest.raises(ValueError, match="cap"):
-        partition_count(100)
 
 
 def test_measure_params_validation():

