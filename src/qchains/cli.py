@@ -79,11 +79,22 @@ _INT_FLAG_MIN = {
     "seed": 0,
 }
 
-# largest value each matrix-size flag accepts: the (L+1)^2/2 kernel entries
-# carry about L^2 bits each, so memory grows as L^4.  `power --L` peaks at
-# 20 MB at L = 40, 42 MB at 120 and 85 MB at 160; `kernel --lmax`, which also
-# prints every entry, at 94 MB at 120 and 249 MB at 160
-_INT_FLAG_MAX = {"L": 200, "lmax": 200}
+# largest value each size flag accepts, from measured costs (2-vCPU machine,
+# Python 3.11):
+# - L, lmax: the (L+1)^2/2 kernel entries carry about L^2 bits each, so
+#   memory grows as L^4.  `power --L N --j 0 --r 1` peaks at 25 MB at
+#   N = 120 and 38 MB at 160, and at N = 200 takes 21 s; `kernel --lmax`,
+#   which also prints every entry, peaks at 89 MB at 120 and 232 MB at 160.
+# - r, for `power` only (`series --r` is another flag): row L of K^r takes
+#   r row-vector products whose entries grow to about r L^2 bits, so the
+#   time grows about as r^2.  `power --L 40 --j 0` took 0.6 s at r = 32 and
+#   1.5 s at r = 64; at L = 100, r = 32 took 44 s; at L = 200, r = 1, 4 and
+#   8 took 21, 42 and 112 s.
+# - size_cap: the quiver mass table grows about as cap^3.5 for the A2
+#   quiver, whose first draw took 0.1, 0.7, 2.8 and 16.4 s at caps 20, 30,
+#   40 and 60.
+_INT_FLAG_MAX = {"L": 200, "lmax": 200, "r": 32, "size_cap": 40}
+_INT_FLAG_COMMAND = {"r": "power"}  # flags bounded on one command only
 
 
 @dataclass(frozen=True)
@@ -104,10 +115,13 @@ class RunConfig:
             value = getattr(args, name, None)
             if value is not None and value < low:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= {low}")
+        command = getattr(args, "command", None)
         for name, high in _INT_FLAG_MAX.items():
+            if _INT_FLAG_COMMAND.get(name, command) != command:
+                continue
             value = getattr(args, name, None)
             if value is not None and value > high:
-                raise ValueError(f"--{name} must be <= {high}")
+                raise ValueError(f"--{name.replace('_', '-')} must be <= {high}")
         u = getattr(args, "u", None)
         q = getattr(args, "q", None)
         eps = getattr(args, "eps", None)
@@ -610,11 +624,11 @@ def cmd_power(args) -> int:
     if args.model == "gl":
         p = cfg.measure_params()
         closed = kr_closed(ll, j, r, p)
-        power = kernel_matrix(ll, p).matpow(r).entry(ll, j)
+        power = kernel_matrix(ll, p).power_entry(ll, j, r)
     else:
         fp = cfg.fristedt_params()
         closed = f_kr_closed(ll, j, r, fp)
-        power = f_kernel_matrix(ll, fp).matpow(r).entry(ll, j)
+        power = f_kernel_matrix(ll, fp).power_entry(ll, j, r)
     equal = closed == power
     _emit(
         {

@@ -74,43 +74,35 @@ def f_diagonalization(l_max: int, p: FristedtParams) -> Diagonalization:
     A^-1(i,j) = 1 / (1/q)_{i-j}
 
     D is stored in the slot the GL chain uses for its eigenvalue matrix.
+    M is q^i on the lower triangle and A, A^-1 are Toeplitz, so each is
+    built from per-index factors computed once.
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     q = p.q
     qs, iqs = _tables(q)
     size = l_max + 1
-
-    c = TruncatedMatrix.diagonal(qs[i] / q**i for i in range(size))
-    d = TruncatedMatrix.diagonal(q**i for i in range(size))
-
-    def m_entry(i, j):
-        return q**i if i >= j else _ZERO
-
-    def a_entry(i, j):
-        if i < j:
-            return _ZERO
-        k = i - j
-        sign = -1 if k % 2 else 1
-        return sign / (q ** (k * (k - 1) // 2) * iqs[k])
-
-    def ainv_entry(i, j):
-        if i < j:
-            return _ZERO
-        return 1 / iqs[i - j]
-
+    powers = [q**i for i in range(size)]
+    a = [(-1 if k % 2 else 1) / (q ** (k * (k - 1) // 2) * iqs[k]) for k in range(size)]
+    a_inv = [1 / iqs[k] for k in range(size)]
     return Diagonalization(
-        c=c,
-        m=TruncatedMatrix.build(size, m_entry),
-        a=TruncatedMatrix.build(size, a_entry),
-        a_inv=TruncatedMatrix.build(size, ainv_entry),
-        e=d,
+        c=TruncatedMatrix.diagonal(qs[i] / powers[i] for i in range(size)),
+        m=TruncatedMatrix.build(size, lambda i, j: powers[i]),
+        a=TruncatedMatrix.build(size, lambda i, j: a[i - j]),
+        a_inv=TruncatedMatrix.build(size, lambda i, j: a_inv[i - j]),
+        e=TruncatedMatrix.diagonal(powers),
         params=p,
     )
 
 
 def f_kernel_matrix(l_max: int, p: FristedtParams) -> TruncatedMatrix:
-    return TruncatedMatrix.build(l_max + 1, lambda i, j: f_kernel(i, j, p))
+    """The kernel on states 0..l_max, built as (q)_a times q^b / (q)_b (the
+    factors of f_kernel())."""
+    q = p.q
+    qs, _ = _tables(q)
+    size = l_max + 1
+    f = [q**b / qs[b] for b in range(size)]
+    return TruncatedMatrix.build(size, lambda a, b: qs[a] * f[b])
 
 
 def f_kr_closed(l: int, j: int, r: int, p: FristedtParams) -> Fraction:

@@ -2,8 +2,9 @@
 
 All Pochhammer symbols here are the descending convention, read from the
 (1/q)_n and (u/q)_n tables; a term whose index would go negative vanishes,
-and the formulas test that range explicitly, except for the single
-analytic-extension entry noted in build_diagonalization.
+and the formulas test that range explicitly (the matrices are built on their
+lower triangle only), except for the single analytic-extension entry noted
+in build_diagonalization.
 
 State 0 is absorbing; a trajectory started from the first-column law and
 run until absorption spells out the column heights of a random partition.
@@ -14,10 +15,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from qchains.partitions import MeasureParams, Partition
-from qchains.qalgebra import Interval, poch_inf, poch_table
+from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
 
 TAIL_BITS = 64  # first-step support cap: certified tail below 2**-TAIL_BITS
 
@@ -35,102 +37,163 @@ def _tables(p: MeasureParams):
 
 
 class TruncatedMatrix:
-    """A square matrix of exact rationals on the state truncation 0..size-1."""
+    """A lower-triangular matrix of exact rationals on the states 0..size-1.
 
-    __slots__ = ("entries", "size")
+    Row i is stored as integer numerators rows[i] = (n_i0, ..., n_ii) over
+    one positive denominator dens[i], kept canonical as QSeries keeps its
+    coefficients: gcd(dens[i], *rows[i]) == 1, so equal matrices have equal
+    rows and dens.  Entries above the diagonal are zero by construction.
+    Products, matrix-vector products and equality run on these ints; the
+    entries appear as Fractions only at the edges: entry(), power_entry(),
+    the mul_vector() result, to_json() and the entries view.
+    """
+
+    __slots__ = ("rows", "dens", "size", "_cols", "_entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in entries)
-        size = len(rows)
-        if any(len(r) != size for r in rows):
+        """From a square of exact rationals that vanish above the diagonal."""
+        square = [[Fraction(e) for e in row] for row in entries]
+        size = len(square)
+        if any(len(row) != size for row in square):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "size", size)
+        if any(row[j] for i, row in enumerate(square) for j in range(i + 1, size)):
+            raise ValueError("matrix must be lower triangular")
+        self._set(*_int_rows(row[: i + 1] for i, row in enumerate(square)))
+
+    def _set(self, rows, dens):
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "dens", tuple(dens))
+        object.__setattr__(self, "size", len(self.rows))
+        object.__setattr__(self, "_cols", None)
+        object.__setattr__(self, "_entries", None)
+
+    @classmethod
+    def _make(cls, rows, dens):
+        """The matrix with entries rows[i][j] / dens[i], dens > 0; each row
+        is reduced to the canonical form."""
+        out_rows, out_dens = [], []
+        for row, den in zip(rows, dens):
+            g = gcd(den, *row)
+            if g != 1:
+                den //= g
+                row = [c // g for c in row]
+            out_rows.append(tuple(row))
+            out_dens.append(den)
+        self = object.__new__(cls)
+        self._set(out_rows, out_dens)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedMatrix is immutable")
 
     @classmethod
     def identity(cls, size):
-        return cls(
-            [[_ONE if i == j else _ZERO for j in range(size)] for i in range(size)]
-        )
+        return cls.diagonal([1] * size)
 
     @classmethod
     def diagonal(cls, values):
-        values = list(values)
-        size = len(values)
-        return cls(
-            [
-                [values[i] if i == j else _ZERO for j in range(size)]
-                for i in range(size)
-            ]
+        values = [Fraction(v) for v in values]
+        self = object.__new__(cls)
+        self._set(
+            [(0,) * i + (v.numerator,) for i, v in enumerate(values)],
+            [v.denominator for v in values],
         )
+        return self
 
     @classmethod
     def build(cls, size, fn):
-        return cls([[fn(i, j) for j in range(size)] for i in range(size)])
+        """The matrix with entries fn(i, j) for 0 <= j <= i < size."""
+        self = object.__new__(cls)
+        self._set(*_int_rows([fn(i, j) for j in range(i + 1)] for i in range(size)))
+        return self
+
+    def _columns(self):
+        """cols[j] = (n_jj, n_j+1,j, ..., n_size-1,j): the numerators of
+        column j from the diagonal down."""
+        if self._cols is None:
+            rows = self.rows
+            cols = tuple(
+                tuple(rows[k][j] for k in range(j, self.size))
+                for j in range(self.size)
+            )
+            object.__setattr__(self, "_cols", cols)
+        return self._cols
 
     def entry(self, i, j) -> Fraction:
-        return self.entries[i][j]
+        if not (0 <= i < self.size and 0 <= j < self.size):
+            raise IndexError("entry outside the truncation")
+        if j > i:
+            return _ZERO
+        return Fraction(self.rows[i][j], self.dens[i])
 
     @property
-    def is_lower_triangular(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.size)
-            for j in range(i + 1, self.size)
-        )
-
-    @property
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.size)
-            for j in range(self.size)
-            if i != j
-        )
+    def entries(self):
+        """The full square of entries as Fractions, built on first use."""
+        if self._entries is None:
+            n = self.size
+            square = tuple(
+                tuple(Fraction(c, den) for c in row) + (_ZERO,) * (n - 1 - i)
+                for i, (row, den) in enumerate(zip(self.rows, self.dens))
+            )
+            object.__setattr__(self, "_entries", square)
+        return self._entries
 
     def __matmul__(self, other):
         if not isinstance(other, TruncatedMatrix):
             return NotImplemented
         if self.size != other.size:
             raise ValueError("size mismatch")
-        n = self.size
-        out = []
-        for i in range(n):
-            arow = self.entries[i]
-            orow = [_ZERO] * n
-            for k in range(n):
-                a = arow[k]
-                if a == 0:
-                    continue
-                brow = other.entries[k]
-                for j in range(n):
-                    b = brow[j]
-                    if b != 0:
-                        orow[j] += a * b
-            out.append(orow)
-        return TruncatedMatrix(out)
-
-    def matpow(self, r: int):
-        if r < 0:
-            raise ValueError("negative matrix power")
-        out = TruncatedMatrix.identity(self.size)
-        for _ in range(r):
-            out = out @ self
-        return out
+        # (AB)(i,j) = sum_{k=j..i} a_ik b_kj / (da_i db_k): over the lcm D_i
+        # of db_0..db_i each term is an integer product
+        cols = other._columns()
+        bdens = other.dens
+        rows, dens = [], []
+        d_i = 1
+        for i, (arow, aden) in enumerate(zip(self.rows, self.dens)):
+            d_i = lcm(d_i, bdens[i])
+            scaled = [a * (d_i // d) if a else 0 for a, d in zip(arow, bdens)]
+            rows.append([sum(map(mul, scaled[j:], cols[j])) for j in range(i + 1)])
+            dens.append(aden * d_i)
+        return TruncatedMatrix._make(rows, dens)
 
     def mul_vector(self, vec):
+        """self @ vec for a column vector of exact rationals."""
         if len(vec) != self.size:
             raise ValueError("size mismatch")
+        nums, den = _common_den(vec)
         return tuple(
-            sum((row[j] * vec[j] for j in range(self.size)), _ZERO)
-            for row in self.entries
+            Fraction(sum(map(mul, row, nums)), d * den)
+            for row, d in zip(self.rows, self.dens)
         )
 
+    def power_entry(self, i, j, r) -> Fraction:
+        """Entry (i, j) of self**r (r >= 0), from row i of the power built by
+        r row-vector products on the ints."""
+        if not (0 <= i < self.size and 0 <= j < self.size):
+            raise IndexError("entry outside the truncation")
+        if r < 0:
+            raise ValueError("negative matrix power")
+        if j > i:
+            return _ZERO
+        cols = self._columns()
+        dens = self.dens
+        # row i of the identity, columns 0..i; the vector is not reduced
+        # between steps, since its entries grow to the padding's size anyway
+        vec, vden = [0] * i + [1], 1
+        for _ in range(r):
+            # (v M)(m) = sum_{k=m..i} v_k n_km / d_k, over the lcm of the d_k
+            d = lcm(*(dk for v, dk in zip(vec, dens) if v))
+            scaled = [v * (d // dk) if v else 0 for v, dk in zip(vec, dens)]
+            vec = [sum(map(mul, scaled[m:], cols[m])) for m in range(i + 1)]
+            vden *= d
+        return Fraction(vec[j], vden)
+
     def __eq__(self, other):
-        return isinstance(other, TruncatedMatrix) and self.entries == other.entries
+        return (
+            isinstance(other, TruncatedMatrix)
+            and self.dens == other.dens
+            and self.rows == other.rows
+        )
 
     __hash__ = None
 
@@ -138,16 +201,35 @@ class TruncatedMatrix:
         return f"TruncatedMatrix(size={self.size})"
 
     def to_json(self, params=None, model="gl", name=None) -> dict:
+        n = self.size
         out = {
-            "size": self.size,
+            "size": n,
             "model": model,
-            "entries": [str(e) for row in self.entries for e in row],
+            "entries": [
+                s
+                for i, (row, den) in enumerate(zip(self.rows, self.dens))
+                for s in [str(Fraction(c, den)) for c in row] + ["0"] * (n - 1 - i)
+            ],
         }
         if name:
             out["name"] = name
         if params is not None:
             out["params"] = params
         return out
+
+
+def _common_den(values):
+    """(nums, den): the exact rationals values as nums[k] / den, den their lcm."""
+    values = [as_fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _int_rows(rows):
+    """Canonical (rows, dens) of rows of exact rationals: each row over the
+    lcm of its reduced denominators."""
+    pairs = [_common_den(row) for row in rows]
+    return [tuple(nums) for nums, _ in pairs], [den for _, den in pairs]
 
 
 @dataclass(frozen=True)
@@ -218,6 +300,12 @@ def first_col_law(a: int, p: MeasureParams, eps) -> Interval:
     return poch_inf(p.u, p.q, eps).scale(first_col_unnormalized(a, p))
 
 
+def _eigenvalues(p: MeasureParams, size: int) -> list:
+    """E(j,j) = u^j / q^(j^2) for j = 0..size-1."""
+    u, q = p.u, p.q
+    return [u**j / q ** (j * j) for j in range(size)]
+
+
 def build_diagonalization(l_max: int, p: MeasureParams) -> Diagonalization:
     """Exact diagonalization data on states 0..l_max.
 
@@ -228,6 +316,9 @@ def build_diagonalization(l_max: int, p: MeasureParams) -> Diagonalization:
                 / (q^binom(i-j,2) (1/q)_{i-j})
     E(j,j) = u^j / q^(j^2)
 
+    Each entry is a product of per-index factors computed once: M is a
+    Toeplitz factor in i-j times E, A a Toeplitz times a Hankel (i+j)
+    factor, and A^-1 a row factor times a Hankel and a Toeplitz factor.
     Entries above the diagonal vanish: there (1/q)_{i-j} has a negative
     index.  The (0,0) entry of A^-1 takes (u/q)_{-1} = 1/(1-u) by the
     analytic extension, so (1-u)(u/q)_{-1} = 1; at u = 1 the same entry is
@@ -238,76 +329,79 @@ def build_diagonalization(l_max: int, p: MeasureParams) -> Diagonalization:
     u, q = p.u, p.q
     iq, uq = _tables(p)
     size = l_max + 1
-
-    c = TruncatedMatrix.diagonal(iq[i] * uq[i] for i in range(size))
-    e = TruncatedMatrix.diagonal(u**j / q ** (j * j) for j in range(size))
-
-    def m_entry(i, j):
-        if i < j:
-            return _ZERO
-        return u**j / (q ** (j * j) * iq[i - j])
-
-    def a_entry(i, j):
-        if i < j:
-            return _ZERO
-        return 1 / (iq[i - j] * uq[i + j])
-
-    def ainv_entry(i, j):
-        if i < j:
-            return _ZERO
-        if i == 0 and j == 0:
-            return _ONE  # (1 - u) * (u/q)_{-1}, extended; limit 1 at u = 1
-        d = i - j
-        core = (1 - u / q ** (2 * i)) * uq[i + j - 1]
-        sign = -1 if d % 2 else 1
-        return sign * core / (q ** (d * (d - 1) // 2) * iq[d])
-
+    e = _eigenvalues(p, size)
+    t = [1 / iq[d] for d in range(size)]
+    h = [1 / uq[s] for s in range(2 * size - 1)]
+    g = [(-1 if d % 2 else 1) / (q ** (d * (d - 1) // 2) * iq[d]) for d in range(size)]
+    w = [1 - u / q ** (2 * i) for i in range(size)]  # row factor of A^-1
     return Diagonalization(
-        c=c,
-        m=TruncatedMatrix.build(size, m_entry),
-        a=TruncatedMatrix.build(size, a_entry),
-        a_inv=TruncatedMatrix.build(size, ainv_entry),
-        e=e,
+        c=TruncatedMatrix.diagonal(iq[i] * uq[i] for i in range(size)),
+        m=TruncatedMatrix.build(size, lambda i, j: t[i - j] * e[j]),
+        a=TruncatedMatrix.build(size, lambda i, j: t[i - j] * h[i + j]),
+        a_inv=TruncatedMatrix.build(  # row 0 is the extended entry 1
+            size, lambda i, j: w[i] * uq[i + j - 1] * g[i - j] if i else _ONE
+        ),
+        e=TruncatedMatrix.diagonal(e),
         params=p,
     )
 
 
 def kernel_matrix(l_max: int, p: MeasureParams) -> TruncatedMatrix:
-    return TruncatedMatrix.build(l_max + 1, lambda i, j: kernel(i, j, p))
+    """The kernel on states 0..l_max, built as C T E C^-1 with the Toeplitz
+    T(i,j) = 1/(1/q)_{i-j} (the factors of kernel())."""
+    iq, uq = _tables(p)
+    size = l_max + 1
+    c = [iq[i] * uq[i] for i in range(size)]
+    t = [1 / iq[d] for d in range(size)]
+    f = [ej / cj for ej, cj in zip(_eigenvalues(p, size), c)]
+    return TruncatedMatrix.build(size, lambda i, j: c[i] * t[i - j] * f[j])
+
+
+_CLOSED_FACTORS = 2048  # factors of each kind kept by kr_closed
+
+
+@lru_cache(maxsize=_CLOSED_FACTORS)
+def _closed_head(l: int, n: int, r: int, p: MeasureParams) -> Fraction:
+    """C(l) A(l,n) E(n)^r, the factor of the n-th term that does not involve j."""
+    u, q = p.u, p.q
+    iq, uq = _tables(p)
+    return iq[l] * uq[l] / (iq[l - n] * uq[l + n]) * (u**n / q ** (n * n)) ** r
+
+
+@lru_cache(maxsize=_CLOSED_FACTORS)
+def _closed_tail(n: int, j: int, p: MeasureParams) -> Fraction:
+    """A^-1(n,j) / C(j), the factor of the n-th term that involves j."""
+    if n == 0:
+        return _ONE  # (1 - u/q^0) (u/q)_{-1} via the extension; 1 at u = 1
+    u, q = p.u, p.q
+    iq, uq = _tables(p)
+    d = n - j
+    core = (1 - u / q ** (2 * n)) * uq[n + j - 1]
+    sign = -1 if d % 2 else 1
+    return sign * core / (q ** (d * (d - 1) // 2) * iq[d] * iq[j] * uq[j])
 
 
 def kr_closed(l: int, j: int, r: int, p: MeasureParams) -> Fraction:
     """Closed form for the r-step transition probability K^r(l, j).
 
-    Sums the spectral expansion over eigenvalue indices n = j..l; terms
-    outside that range vanish (a Pochhammer index there is negative), and
-    the n = j = 0 term uses the same extension as A^-1(0,0).
+    Sums the spectral expansion K^r = C A E^r A^-1 C^-1 over eigenvalue
+    indices n = j..l; terms outside that range vanish (a Pochhammer index
+    there is negative), and the n = j = 0 term uses the same extension as
+    A^-1(0,0).  Each term is a factor free of j times a factor free of l
+    and r; both are kept in bounded caches keyed by the parameters, and the
+    terms are summed as integers over the lcm of their denominators.
     """
     if not 0 <= j <= l:
         raise ValueError("need 0 <= j <= l")
     if r < 1:
         raise ValueError("need r >= 1")
-    u, q = p.u, p.q
-    iq, uq = _tables(p)
-    pref = iq[l] * uq[l] / (iq[j] * uq[j])
-    total = _ZERO
+    nums, dens = [], []
     for n in range(j, l + 1):
-        if n + j == 0:
-            core = _ONE  # (1 - u/q^0) (u/q)_{-1} via the extension; 1 at u = 1
-        else:
-            core = (1 - u / q ** (2 * n)) * uq[n + j - 1]
-        d = n - j
-        sign = -1 if d % 2 else 1
-        num = u ** (r * n) * core * sign
-        den = (
-            q ** (r * n * n)
-            * iq[l - n]
-            * uq[l + n]
-            * q ** (d * (d - 1) // 2)
-            * iq[d]
-        )
-        total += num / den
-    return pref * total
+        head, tail = _closed_head(l, n, r, p), _closed_tail(n, j, p)
+        nums.append(head.numerator * tail.numerator)
+        dens.append(head.denominator * tail.denominator)
+    den = lcm(*dens)
+    return Fraction(sum(x * (den // d) for x, d in zip(nums, dens)), den)
 
 
 def chain_mass(lam: Partition, p: MeasureParams) -> Fraction:

@@ -285,21 +285,62 @@ def test_power_invalid_indices(capsys):
         (["kernel", "--lmax"], "lmax"),
         (["bailey", "--lmax"], "lmax"),
         (["verify", "--suite", "diag", "--lmax"], "lmax"),
+        (["power", "--model", "gl", "--L", "3", "--j", "0", "--r"], "r"),
+        (["sample", "--model", "quiver", "--size-cap"], "size_cap"),
     ],
-    ids=["gl", "fristedt", "kernel", "bailey", "verify-diag"],
+    ids=["gl", "fristedt", "kernel", "bailey", "verify-diag", "power-r",
+         "sample-size-cap"],
 )
 def test_power_l_above_the_bound_exits_2_at_once(capsys, monkeypatch, argv, flag):
     def unreachable(*args):
         raise AssertionError("built a matrix past the size bound")
 
     for name in ("kernel_matrix", "f_kernel_matrix", "kr_closed", "f_kr_closed",
-                 "build_diagonalization", "f_diagonalization", "unit_bailey_pair"):
+                 "build_diagonalization", "f_diagonalization", "unit_bailey_pair",
+                 "load_quiver", "quiver_sample"):
         monkeypatch.setattr(cli, name, unreachable)
     bound = cli._INT_FLAG_MAX[flag]
     code, out, err = run(capsys, argv + [str(bound + 1)])
     assert code == 2
     assert out == ""
-    assert err == f"error: --{flag} must be <= {bound}\n"
+    assert err == f"error: --{flag.replace('_', '-')} must be <= {bound}\n"
+
+
+def test_series_r_is_not_bounded_as_power_r(capsys):
+    r = cli._INT_FLAG_MAX["r"] + 1
+    code, out, _ = run(
+        capsys, ["series", "--which", "absorption", "--r", str(r), "--order", "4"]
+    )
+    assert code == 0
+    assert json_lines(out)[0]["order"] == 4
+
+
+# stdout of `power`, pinned to the bytes the matrix-power route printed when
+# it raised the whole kernel matrix to the r-th power
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--model", "gl", "--L", "12", "--j", "3", "--r", "5", "--u", "1/2",
+          "--q", "2"],
+         "e998da93cca44f8a8830e949b0b5cb863c8e7405d75c228c78945f061ef3d5cf"),
+        (["--model", "gl", "--L", "20", "--j", "0", "--r", "8", "--u", "1/3",
+          "--q", "3"],
+         "e0ec047c2ec6ee23d462ceec989a465e18480b1740c62ecde95e6c8e2ff3391f"),
+        (["--model", "gl", "--L", "9", "--j", "9", "--r", "2", "--u", "1",
+          "--q", "2"],
+         "9e8cac569ce1233f0cd5e5dc2cbbd689489227856393cffb9d09adc4d23e2cd5"),
+        (["--model", "fristedt", "--L", "15", "--j", "4", "--r", "6", "--q", "1/2"],
+         "1491eb6649114bf5ce2a011c2a1afb00c64b9d7437c70cce8f7b3c82e86cee2f"),
+        (["--model", "fristedt", "--L", "25", "--j", "0", "--r", "3", "--q", "2/5"],
+         "806d712d3f7e2bac1841bd0ccf76141614ad213af3669c23cc40fb3609083b6f"),
+    ],
+    ids=["gl-12-3-5", "gl-20-0-8", "gl-u1-9-9-2", "fristedt-15-4-6",
+         "fristedt-25-0-3"],
+)
+def test_power_output_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, ["power"] + argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_kernel_prints_entries_of_any_length(capsys):

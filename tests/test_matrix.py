@@ -1,0 +1,230 @@
+"""The integer lower-triangular matrix layer against plain-Fraction oracles,
+and the factored matrix builds and closed forms against their entry formulas."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qchains.fristedt import (
+    FristedtParams,
+    f_diagonalization,
+    f_kernel,
+    f_kernel_matrix,
+)
+from qchains.glchain import (
+    TruncatedMatrix,
+    build_diagonalization,
+    kernel,
+    kernel_matrix,
+    kr_closed,
+)
+from qchains.partitions import MeasureParams
+from qchains.qalgebra import poch_desc
+
+# ---------------------------------------------------------------------------
+# The layer against a square of Fractions
+
+# mixed denominators, negative entries and many exact zeros
+_ENTRY = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+)
+
+
+@st.composite
+def _lower(draw, size):
+    """A size x size lower-triangular square of Fractions; some rows zero."""
+    square = []
+    for i in range(size):
+        if draw(st.booleans()) and draw(st.booleans()):
+            row = [F(0)] * (i + 1)
+        else:
+            row = draw(st.lists(_ENTRY, min_size=i + 1, max_size=i + 1))
+        square.append(row + [F(0)] * (size - 1 - i))
+    return square
+
+
+@st.composite
+def _pair(draw):
+    size = draw(st.integers(1, 6))
+    vec = draw(st.lists(_ENTRY, min_size=size, max_size=size))
+    return draw(_lower(size)), draw(_lower(size)), vec
+
+
+def _oracle_matmul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), F(0)) for j in range(n)]
+            for i in range(n)]
+
+
+_SIZE_ONE = ([[F(-3, 4)]], [[F(0)]], [F(5, 6)])
+_SIZE_TWO = (
+    [[F(1, 2), F(0)], [F(-2, 3), F(0)]],
+    [[F(0), F(0)], [F(7, 5), F(-1, 6)]],
+    [F(0), F(-9, 4)],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_pair())
+@example(case=_SIZE_ONE)
+@example(case=_SIZE_TWO)
+def test_layer_matches_the_fraction_oracle(case):
+    a, b, vec = case
+    n = len(a)
+    ma, mb = TruncatedMatrix(a), TruncatedMatrix(b)
+    assert ma.size == n
+    assert ma.entries == tuple(tuple(row) for row in a)
+    assert all(ma.entry(i, j) == a[i][j] for i in range(n) for j in range(n))
+    assert ma.to_json()["entries"] == [str(e) for row in a for e in row]
+    assert ma == TruncatedMatrix.build(n, lambda i, j: a[i][j])
+
+    product = ma @ mb
+    oracle = _oracle_matmul(a, b)
+    assert product.entries == tuple(tuple(row) for row in oracle)
+    assert product == TruncatedMatrix(oracle)
+
+    assert ma.mul_vector(vec) == tuple(
+        sum((a[i][k] * vec[k] for k in range(n)), F(0)) for i in range(n)
+    )
+    assert (ma == mb) == (a == b)
+    halves = TruncatedMatrix([[x / 2 for x in row] for row in a])
+    assert (halves == ma) == (not any(map(any, a)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_pair(), r=st.integers(0, 4))
+@example(case=_SIZE_TWO, r=3)
+def test_power_entry_matches_the_fraction_oracle(case, r):
+    a, _, _ = case
+    n = len(a)
+    power = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(r):
+        power = _oracle_matmul(power, a)
+    mat = TruncatedMatrix(a)
+    for i in range(n):
+        for j in range(n):
+            assert mat.power_entry(i, j, r) == power[i][j], (i, j)
+
+
+def test_rows_are_canonical():
+    # equal matrices built from different spellings have equal ints
+    mat = TruncatedMatrix([[F(2, 4), 0], [F(3, 9), F(-6, 3)]])
+    assert mat.rows == ((1,), (1, -6)) and mat.dens == (2, 3)
+    assert TruncatedMatrix([[0, 0], [0, 0]]).dens == (1, 1)
+
+
+def test_shape_errors():
+    with pytest.raises(ValueError, match="square"):
+        TruncatedMatrix([[1, 0], [1]])
+    with pytest.raises(ValueError, match="lower triangular"):
+        TruncatedMatrix([[1, F(1, 2)], [0, 1]])
+    with pytest.raises(ValueError, match="size mismatch"):
+        TruncatedMatrix.identity(2) @ TruncatedMatrix.identity(3)
+    with pytest.raises(ValueError, match="size mismatch"):
+        TruncatedMatrix.identity(2).mul_vector([1])
+    with pytest.raises(IndexError):
+        TruncatedMatrix.identity(2).entry(2, 0)
+
+
+# ---------------------------------------------------------------------------
+# Factored builds against the entry formulas
+
+_GL_PARAMS = [
+    MeasureParams(u=F(1, 2), q=F(2)),
+    MeasureParams(u=F(1, 3), q=F(3)),
+    MeasureParams(u=F(2, 5), q=F(5, 2)),
+    MeasureParams(u=F(1), q=F(2)),
+]
+_GL_IDS = ["u=1/2,q=2", "u=1/3,q=3", "u=2/5,q=5/2", "u=1,q=2"]
+
+
+@pytest.mark.parametrize("p", _GL_PARAMS, ids=_GL_IDS)
+def test_gl_builds_match_the_entry_formulas(p):
+    size = 13
+    u, q = p.u, p.q
+
+    def iq(n):
+        return poch_desc(1 / q, n, q)
+
+    def uq(n):
+        return poch_desc(u / q, n, q)
+
+    def a_inv(i, j):
+        if i == 0:
+            return F(1)
+        d = i - j
+        sign = -1 if d % 2 else 1
+        return (sign * (1 - u / q ** (2 * i)) * uq(i + j - 1)
+                / (q ** (d * (d - 1) // 2) * iq(d)))
+
+    assert kernel_matrix(size - 1, p) == TruncatedMatrix.build(
+        size, lambda i, j: kernel(i, j, p)
+    )
+    d = build_diagonalization(size - 1, p)
+    assert d.c == TruncatedMatrix.diagonal(iq(i) * uq(i) for i in range(size))
+    assert d.e == TruncatedMatrix.diagonal(u**j / q ** (j * j) for j in range(size))
+    assert d.m == TruncatedMatrix.build(
+        size, lambda i, j: u**j / (q ** (j * j) * iq(i - j))
+    )
+    assert d.a == TruncatedMatrix.build(size, lambda i, j: 1 / (iq(i - j) * uq(i + j)))
+    assert d.a_inv == TruncatedMatrix.build(size, a_inv)
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(1, 3), F(2, 5)], ids=str)
+def test_fristedt_builds_match_the_entry_formulas(q):
+    size = 13
+    p = FristedtParams(q=q)
+
+    def iqs(n):
+        return poch_desc(1 / q, n, q)
+
+    def qs(n):
+        return poch_desc(q, n, 1 / q)
+
+    assert f_kernel_matrix(size - 1, p) == TruncatedMatrix.build(
+        size, lambda i, j: f_kernel(i, j, p)
+    )
+    d = f_diagonalization(size - 1, p)
+    assert d.c == TruncatedMatrix.diagonal(qs(i) / q**i for i in range(size))
+    assert d.e == TruncatedMatrix.diagonal(q**i for i in range(size))
+    assert d.m == TruncatedMatrix.build(size, lambda i, j: q**i)
+    assert d.a == TruncatedMatrix.build(
+        size,
+        lambda i, j: (-1) ** (i - j) / (q ** ((i - j) * (i - j - 1) // 2) * iqs(i - j)),
+    )
+    assert d.a_inv == TruncatedMatrix.build(size, lambda i, j: 1 / iqs(i - j))
+
+
+# ---------------------------------------------------------------------------
+# The hoisted closed form against its spectral sum, term by term
+
+
+def _kr_terms(l, j, r, p):
+    """K^r(l, j) summed over n = j..l with every factor recomputed."""
+    u, q = p.u, p.q
+
+    def iq(n):
+        return poch_desc(1 / q, n, q)
+
+    def uq(n):
+        return poch_desc(u / q, n, q)
+
+    total = F(0)
+    for n in range(j, l + 1):
+        core = F(1) if n + j == 0 else (1 - u / q ** (2 * n)) * uq(n + j - 1)
+        d = n - j
+        den = q ** (r * n * n) * iq(l - n) * uq(l + n) * q ** (d * (d - 1) // 2) * iq(d)
+        total += u ** (r * n) * core * (-1) ** d / den
+    return iq(l) * uq(l) / (iq(j) * uq(j)) * total
+
+
+@pytest.mark.parametrize("p", _GL_PARAMS, ids=_GL_IDS)
+def test_kr_closed_matches_the_term_by_term_sum(p):
+    for r in (1, 2, 5):
+        for l in range(9):
+            for j in range(l + 1):
+                assert kr_closed(l, j, r, p) == _kr_terms(l, j, r, p), (l, j, r)
+    assert kr_closed(0, 0, 1, p) == 1

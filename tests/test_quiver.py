@@ -281,27 +281,6 @@ def test_kernel_rows_exactly_stochastic(g, p, cap):
 
 @pytest.mark.parametrize(
     "g,p",
-    [(A2, A2_PARAMS), (JORDAN, JORDAN_PARAMS)],
-    ids=["a2", "jordan"],
-)
-def test_factorization_against_mass_ratios(g, p):
-    cap = 20
-    budget = 4
-    vectors = [
-        a
-        for a in itertools.product(range(budget + 1), repeat=g.n)
-        if sum(a) <= budget
-    ]
-    for a in vectors:
-        pa = quiver_first_cols(a, g, p, cap)
-        for b in itertools.product(*(range(v + 1) for v in a)):
-            lhs = quiver_kernel(a, b, g, p, cap)
-            rhs = quiver_m_entry(a, b, g, p) * quiver_first_cols(b, g, p, cap) / pa
-            assert lhs == rhs, (a, b)
-
-
-@pytest.mark.parametrize(
-    "g,p",
     [(A2, A2_PARAMS), (JORDAN, JORDAN_PARAMS), (THREE, THREE_PARAMS)],
     ids=["a2", "jordan", "three"],
 )
