@@ -12,9 +12,9 @@ import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
+from typing import Callable, NamedTuple
 
 from qchains.fristedt import (
     FristedtParams,
@@ -97,57 +97,45 @@ _INT_FLAG_MAX = {"L": 200, "lmax": 200, "r": 32, "size_cap": 40}
 _INT_FLAG_COMMAND = {"r": "power"}  # flags bounded on one command only
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common options; parsing failures surface before any math."""
+def _check_int_flags(args):
+    """Reject a given integer flag outside its bounds before any work starts."""
+    for name, low in _INT_FLAG_MIN.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {low}")
+    for name, high in _INT_FLAG_MAX.items():
+        if _INT_FLAG_COMMAND.get(name, args.command) != args.command:
+            continue
+        value = getattr(args, name, None)
+        if value is not None and value > high:
+            raise ValueError(f"--{name.replace('_', '-')} must be <= {high}")
 
-    u: Fraction
-    q: Fraction
-    order: int
-    l_max: int
-    eps: Fraction
-    seed: int
-    mode: str
 
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        for name, low in _INT_FLAG_MIN.items():
-            value = getattr(args, name, None)
-            if value is not None and value < low:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= {low}")
-        command = getattr(args, "command", None)
-        for name, high in _INT_FLAG_MAX.items():
-            if _INT_FLAG_COMMAND.get(name, command) != command:
-                continue
-            value = getattr(args, name, None)
-            if value is not None and value > high:
-                raise ValueError(f"--{name.replace('_', '-')} must be <= {high}")
-        u = getattr(args, "u", None)
-        q = getattr(args, "q", None)
-        eps = getattr(args, "eps", None)
-        order = getattr(args, "order", None)
-        l_max = getattr(args, "lmax", None)
-        seed = getattr(args, "seed", None)
-        mode = getattr(args, "format", "json")
-        cfg = cls(
-            u=Fraction("1/2" if u is None else u),
-            q=Fraction("2" if q is None else q),
-            # -1 stands for "flag absent"; a given negative value is rejected above
-            order=-1 if order is None else int(order),
-            l_max=-1 if l_max is None else int(l_max),
-            eps=Fraction(1, 2**20) if eps is None else Fraction(eps),
-            seed=0 if seed is None else int(seed),
-            mode=mode,
-        )
-        if cfg.eps <= 0:
-            raise ValueError("eps must be positive")
-        return cfg
+class _Model(NamedTuple):
+    """A row-length chain: its parameters, their "p/q" strings, its builders."""
 
-    def measure_params(self) -> MeasureParams:
-        return MeasureParams(u=self.u, q=self.q)
+    p: object
+    params: dict
+    kernel: Callable
+    matrix: Callable
+    diagonalization: Callable
+    closed: Callable
+    stream: Callable
 
-    def fristedt_params(self) -> FristedtParams:
-        return FristedtParams(q=self.q)
+
+def _model(name, u, q) -> _Model:
+    """The gl chain at (u, q), or the Fristedt chain at q, from "p/q" strings.
+
+    The builders are this module's names as bound at call time, so a name
+    rebound here (by a tracer or a test) reaches every command and case.
+    """
+    if name == "gl":
+        p = MeasureParams(u=Fraction(u), q=Fraction(q))
+        return _Model(p, {"u": str(p.u), "q": str(p.q)}, kernel, kernel_matrix,
+                      build_diagonalization, kr_closed, sample_stream)
+    p = FristedtParams(q=Fraction(q))
+    return _Model(p, {"q": str(p.q)}, f_kernel, f_kernel_matrix,
+                  f_diagonalization, f_kr_closed, f_sample_stream)
 
 
 def _emit(obj, mode="json"):
@@ -161,16 +149,16 @@ def _emit(obj, mode="json"):
 # Verification cases (top-level functions so a worker pool can pickle them)
 
 
-def _power_mismatches(matrix, closed, p, l_max, r_max):
-    """Yield each (l, j, r), r = 1..r_max, where the r-th power of
-    matrix(l_max, p) differs from closed(l, j, r, p)."""
-    mat = matrix(l_max, p)
+def _power_mismatches(m, l_max, r_max):
+    """Yield each (l, j, r), r = 1..r_max, where the r-th power of model m's
+    kernel matrix on 0..l_max differs from its closed form."""
+    mat = m.matrix(l_max, m.p)
     power = TruncatedMatrix.identity(l_max + 1)
     for r in range(1, r_max + 1):
         power = power @ mat
         for ll in range(l_max + 1):
             for j in range(ll + 1):
-                if closed(ll, j, r, p) != power.entry(ll, j):
+                if m.closed(ll, j, r, m.p) != power.entry(ll, j):
                     yield ll, j, r
 
 
@@ -270,8 +258,7 @@ def _case_diag(u, q, l_max):
 
 
 def _case_power_battery(u, q, l_max, r_max):
-    p = MeasureParams(u=Fraction(u), q=Fraction(q))
-    bad = next(_power_mismatches(kernel_matrix, kr_closed, p, l_max, r_max), None)
+    bad = next(_power_mismatches(_model("gl", u, q), l_max, r_max), None)
     return {
         "suite": "power",
         "u": u,
@@ -284,17 +271,10 @@ def _case_power_battery(u, q, l_max, r_max):
 
 
 def _case_stochastic(model, u, q, a_max):
-    if model == "gl":
-        p = MeasureParams(u=Fraction(u), q=Fraction(q))
-        ok = all(
-            sum(kernel(a, b, p) for b in range(a + 1)) == 1 for a in range(a_max + 1)
-        )
-    else:
-        fp = FristedtParams(q=Fraction(q))
-        ok = all(
-            sum(f_kernel(a, b, fp) for b in range(a + 1)) == 1
-            for a in range(a_max + 1)
-        )
+    m = _model(model, u, q)
+    ok = all(
+        sum(m.kernel(a, b, m.p) for b in range(a + 1)) == 1 for a in range(a_max + 1)
+    )
     return {
         "suite": "stochastic",
         "model": model,
@@ -359,13 +339,13 @@ def _case_bailey(u, q, l_max, seed, count):
 
 
 def _case_fristedt(q, l_max, r_max, size):
-    fp = FristedtParams(q=Fraction(q))
-    mismatches = _power_mismatches(f_kernel_matrix, f_kr_closed, fp, l_max, r_max)
+    m = _model("fristedt", None, q)
+    mismatches = _power_mismatches(m, l_max, r_max)
     failures = [f"power({ll},{j},{r})" for ll, j, r in mismatches]
-    failures += _eigen_failures(f_diagonalization(l_max, fp), "D")
+    failures += _eigen_failures(m.diagonalization(l_max, m.p), "D")
     for n in range(size + 1):
         for lam in enumerate_partitions(n):
-            if f_chain_mass(lam, fp) != fp.q**n:
+            if f_chain_mass(lam, m.p) != m.p.q**n:
                 failures.append(f"uniformity:{list(lam.parts)}")
     return {
         "suite": "fristedt",
@@ -439,137 +419,134 @@ def run_case(case):
     return report
 
 
-# options each suite actually reads; anything else supplied is a config error
-_SUITE_FLAGS = {
-    "rr": {"order"},
-    "ag": {"order", "k", "i"},
-    "pipeline": {"order", "k"},
-    "qbinomial": {"n", "q"},
-    "jacobi": {"order"},
-    "diag": {"lmax", "u", "q"},
-    "power": {"lmax", "u", "q"},
-    "stochastic": {"u", "q"},
-    "chain-measure": {"u", "q"},
-    "bailey": {"lmax", "u", "q", "count", "seed"},
-    "fristedt": {"q"},
-    "quiver": {"size_cap"},
+# ---------------------------------------------------------------------------
+# Suites: each makes its cases, in report order, from the options it reads
+
+
+def _uq(args) -> dict:
+    """u and q of the measure suites as reduced "p/q" strings; 1/2 and 2
+    where the flag is absent."""
+    u = "1/2" if args.u is None else args.u
+    return _model("gl", u, "2" if args.q is None else args.q).params
+
+
+def _rr_cases(args):
+    order = 60 if args.order is None else args.order
+    return [("ag", {"k": 2, "i": i, "order": order, "inject": args.inject_fault})
+            for i in (2, 1)]
+
+
+def _ag_cases(args):
+    order = 40 if args.order is None else args.order
+    return [
+        ("ag", {"k": k, "i": i, "order": order, "inject": args.inject_fault})
+        for k in ([2, 3, 4, 5] if args.k is None else [args.k])
+        for i in (range(1, k + 1) if args.i is None else [args.i])
+    ]
+
+
+def _pipeline_cases(args):
+    order = 60 if args.order is None else args.order
+    return [("pipeline", {"k": k, "order": order})
+            for k in ([2, 3, 4] if args.k is None else [args.k])]
+
+
+def _qbinomial_cases(args):
+    qs = ("1/2", "1/3", "2/5") if args.q is None else (args.q,)
+    top = 12 if args.n is None else args.n
+    return [("qbinomial", {"n": n, "q": q}) for q in qs for n in range(top + 1)]
+
+
+def _jacobi_cases(args):
+    order = 200 if args.order is None else args.order
+    return [("jacobi", {"a": 5, "b": b, "order": order}) for b in (1, 3)]
+
+
+def _diag_cases(args):
+    l_max = 30 if args.lmax is None else args.lmax
+    if args.u is None and args.q is None:
+        uqs = [{"u": "1/2", "q": "2"}, {"u": "1/3", "q": "3"}, {"u": "2/5", "q": "5/2"}]
+    else:
+        uqs = [_uq(args)]
+    return [("diag", {**uq, "l_max": l_max}) for uq in uqs]
+
+
+def _power_cases(args):
+    l_max = 20 if args.lmax is None else args.lmax
+    return [("power", {**_uq(args), "l_max": l_max, "r_max": 8})]
+
+
+def _stochastic_cases(args):
+    return [
+        ("stochastic", {"model": "gl", **_uq(args), "a_max": 40}),
+        ("stochastic", {"model": "fristedt", "u": None, "q": "1/2", "a_max": 40}),
+    ]
+
+
+def _chain_measure_cases(args):
+    return [("chain-measure", {**_uq(args), "size": 10})]
+
+
+def _bailey_cases(args):
+    l_max = 15 if args.lmax is None else args.lmax
+    count = 50 if args.count is None else args.count
+    return [("bailey", {**_uq(args), "l_max": l_max, "seed": args.seed,
+                        "count": count})]
+
+
+def _fristedt_cases(args):
+    q = "1/2" if args.q is None else args.q
+    return [("fristedt", {"q": q, "l_max": 10, "r_max": 4, "size": 8})]
+
+
+def _quiver_cases(args):
+    return [("quiver", {"name": name, "size_cap": args.size_cap, "a_budget": 3})
+            for name in ("a2", "jordan")]
+
+
+# suite: (case maker, the options it reads, those of them it reads only when
+# run alone).  `all` runs every suite as if its alone-only options were
+# absent: --k, --i and --n pick single cases, and the q of the q-binomial and
+# Fristedt suites lies in (0, 1), so --q goes to the measure suites only.
+# --seed (bailey's), --jobs, --inject-fault and --format suit every suite.
+_SUITES = {
+    "rr": (_rr_cases, {"order"}, set()),
+    "ag": (_ag_cases, {"order", "k", "i"}, {"k", "i"}),
+    "pipeline": (_pipeline_cases, {"order", "k"}, {"k"}),
+    "qbinomial": (_qbinomial_cases, {"n", "q"}, {"n", "q"}),
+    "jacobi": (_jacobi_cases, {"order"}, set()),
+    "diag": (_diag_cases, {"lmax", "u", "q"}, set()),
+    "power": (_power_cases, {"lmax", "u", "q"}, set()),
+    "stochastic": (_stochastic_cases, {"u", "q"}, set()),
+    "chain-measure": (_chain_measure_cases, {"u", "q"}, set()),
+    "bailey": (_bailey_cases, {"lmax", "u", "q", "count"}, set()),
+    "fristedt": (_fristedt_cases, {"q"}, {"q"}),
+    "quiver": (_quiver_cases, {"size_cap"}, set()),
 }
-_SUITE_FLAGS["all"] = set().union(*_SUITE_FLAGS.values()) - {"i", "n", "k"}
-_MEASURE_SUITES = {"diag", "power", "stochastic", "chain-measure", "bailey", "all"}
+_SUITE_OPTIONS = set().union(*(reads for _, reads, _ in _SUITES.values()))
 
 
-def _custom_uq(args) -> bool:
-    return args.u is not None or args.q is not None
-
-
-def _check_verify_flags(args, cfg):
-    allowed = _SUITE_FLAGS[args.suite]
-    names = ("u", "q", "eps", "order", "lmax", "k", "i", "n", "count", "size_cap")
-    supplied = {name for name in names if getattr(args, name, None) is not None}
-    extra = supplied - allowed
+def _suite_cases(args):
+    """The cases of args.suite in report order; a given option that the suite
+    does not read is a config error."""
+    if args.suite == "all":
+        runs = [(make, reads - alone) for make, reads, alone in _SUITES.values()]
+    else:
+        make, reads, _ = _SUITES[args.suite]
+        runs = [(make, reads)]
+    read = set().union(*(reads for _, reads in runs))
+    extra = sorted(n for n in _SUITE_OPTIONS - read if getattr(args, n) is not None)
     if extra:
-        raise ValueError(
-            f"options not used by suite {args.suite!r}: {sorted(extra)}"
-        )
-    if args.suite in _MEASURE_SUITES and _custom_uq(args):
-        cfg.measure_params()
-    if args.suite == "fristedt" and args.q is not None:
-        cfg.fristedt_params()
-
-
-def _suite_cases(args, cfg):
-    suite = args.suite
-    inject = args.inject_fault
+        raise ValueError(f"options not used by suite {args.suite!r}: {extra}")
     cases = []
-
-    def ag_cases(order, ks):
-        for k in ks:
-            for i in range(1, k + 1) if args.i is None else [args.i]:
-                cases.append(
-                    ("ag", {"k": k, "i": i, "order": order, "inject": inject})
-                )
-
-    if suite in ("rr", "all"):
-        order = cfg.order if cfg.order >= 0 else 60
-        cases.append(("ag", {"k": 2, "i": 2, "order": order, "inject": inject}))
-        cases.append(("ag", {"k": 2, "i": 1, "order": order, "inject": inject}))
-    if suite in ("ag", "all"):
-        order = cfg.order if cfg.order >= 0 else 40
-        ks = [2, 3, 4, 5] if args.k is None else [args.k]
-        ag_cases(order, ks)
-    if suite in ("pipeline", "all"):
-        order = cfg.order if cfg.order >= 0 else 60
-        for k in [2, 3, 4] if args.k is None else [args.k]:
-            cases.append(("pipeline", {"k": k, "order": order}))
-    if suite in ("qbinomial", "all"):
-        top = 12 if args.n is None else args.n
-        custom_q = args.q if suite == "qbinomial" else None
-        for q in ("1/2", "1/3", "2/5") if custom_q is None else (custom_q,):
-            for n in range(top + 1):
-                cases.append(("qbinomial", {"n": n, "q": q}))
-    if suite in ("jacobi", "all"):
-        order = cfg.order if cfg.order >= 0 else 200
-        cases.append(("jacobi", {"a": 5, "b": 1, "order": order}))
-        cases.append(("jacobi", {"a": 5, "b": 3, "order": order}))
-    if suite in ("diag", "all"):
-        l_max = cfg.l_max if cfg.l_max >= 0 else 30
-        for u, q in ((str(cfg.u), str(cfg.q)),) if _custom_uq(args) else (
-            ("1/2", "2"),
-            ("1/3", "3"),
-            ("2/5", "5/2"),
-        ):
-            cases.append(("diag", {"u": u, "q": q, "l_max": l_max}))
-    if suite in ("power", "all"):
-        l_max = cfg.l_max if cfg.l_max >= 0 else 20
-        cases.append(
-            (
-                "power",
-                {"u": str(cfg.u), "q": str(cfg.q), "l_max": l_max, "r_max": 8},
-            )
-        )
-    if suite in ("stochastic", "all"):
-        cases.append(
-            ("stochastic", {"model": "gl", "u": str(cfg.u), "q": str(cfg.q), "a_max": 40})
-        )
-        cases.append(
-            ("stochastic", {"model": "fristedt", "u": None, "q": "1/2", "a_max": 40})
-        )
-    if suite in ("chain-measure", "all"):
-        cases.append(("chain-measure", {"u": str(cfg.u), "q": str(cfg.q), "size": 10}))
-    if suite in ("bailey", "all"):
-        l_max = cfg.l_max if cfg.l_max >= 0 else 15
-        cases.append(
-            (
-                "bailey",
-                {
-                    "u": str(cfg.u),
-                    "q": str(cfg.q),
-                    "l_max": l_max,
-                    "seed": cfg.seed,
-                    "count": 50 if args.count is None else args.count,
-                },
-            )
-        )
-    if suite in ("fristedt", "all"):
-        fq = args.q if suite == "fristedt" and args.q is not None else "1/2"
-        cases.append(("fristedt", {"q": fq, "l_max": 10, "r_max": 4, "size": 8}))
-    if suite in ("quiver", "all"):
-        for name in ("a2", "jordan"):
-            cases.append(
-                (
-                    "quiver",
-                    {"name": name, "size_cap": args.size_cap, "a_budget": 3},
-                )
-            )
-    if not cases:
-        raise ValueError(f"unknown suite {args.suite!r}")
+    for make, reads in runs:
+        absent = dict.fromkeys(_SUITE_OPTIONS - reads)
+        cases += make(argparse.Namespace(**{**vars(args), **absent}))
     return cases
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
-    _check_verify_flags(args, cfg)
-    cases = _suite_cases(args, cfg)
+    cases = _suite_cases(args)
     jobs = min(args.jobs, len(cases))  # a pool starts all its workers at once
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -578,7 +555,7 @@ def cmd_verify(args) -> int:
         reports = [run_case(c) for c in cases]
     failed = 0
     for report in reports:
-        _emit(report, cfg.mode)
+        _emit(report, args.format)
         if report["status"] != "pass":
             failed += 1
     print(f"{len(reports) - failed}/{len(reports)} checks passed", file=sys.stderr)
@@ -586,49 +563,34 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg = RunConfig.from_args(args)
-    count = args.count
-    if args.model == "gl":
-        stream = sample_stream(cfg.measure_params(), cfg.seed, count, cfg.eps)
-        for s in stream:
-            _emit(s.to_json(model="gl"), cfg.mode)
-    elif args.model == "fristedt":
-        stream = f_sample_stream(cfg.fristedt_params(), cfg.seed, count, cfg.eps)
-        for s in stream:
-            _emit(s.to_json(model="fristedt"), cfg.mode)
-    elif args.model == "quiver":
-        if args.quiver is None:
-            raise ValueError("quiver model requires --quiver FILE")
-        try:
-            g, qp = load_quiver(args.quiver)
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
-            raise ValueError(f"bad quiver file: {exc}") from exc
-        for i in range(count):
-            t = quiver_sample(g, qp, cfg.seed + i, args.size_cap, cfg.eps)
-            _emit(
-                {
-                    "model": "quiver",
-                    "seed": cfg.seed + i,
-                    "partitions": t.to_json(),
-                },
-                cfg.mode,
-            )
+    eps = Fraction(args.eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if args.model != "quiver":
+        m = _model(args.model, args.u, args.q)
+        for s in m.stream(m.p, args.seed, args.count, eps):
+            _emit(s.to_json(model=args.model), args.format)
+        return 0
+    if args.quiver is None:
+        raise ValueError("quiver model requires --quiver FILE")
+    try:
+        g, qp = load_quiver(args.quiver)
+    except (OSError, KeyError, json.JSONDecodeError) as exc:
+        raise ValueError(f"bad quiver file: {exc}") from exc
+    for seed in range(args.seed, args.seed + args.count):
+        t = quiver_sample(g, qp, seed, args.size_cap, eps)
+        _emit({"model": "quiver", "seed": seed, "partitions": t.to_json()},
+              args.format)
     return 0
 
 
 def cmd_power(args) -> int:
-    cfg = RunConfig.from_args(args)
     ll, j, r = args.L, args.j, args.r
     if not 0 <= j <= ll:
         raise ValueError("need 0 <= j <= L")
-    if args.model == "gl":
-        p = cfg.measure_params()
-        closed = kr_closed(ll, j, r, p)
-        power = kernel_matrix(ll, p).power_entry(ll, j, r)
-    else:
-        fp = cfg.fristedt_params()
-        closed = f_kr_closed(ll, j, r, fp)
-        power = f_kernel_matrix(ll, fp).power_entry(ll, j, r)
+    m = _model(args.model, args.u, args.q)
+    closed = m.closed(ll, j, r, m.p)
+    power = m.matrix(ll, m.p).power_entry(ll, j, r)
     equal = closed == power
     _emit(
         {
@@ -640,62 +602,46 @@ def cmd_power(args) -> int:
             "matrix_power": str(power),
             "equal": equal,
         },
-        cfg.mode,
+        args.format,
     )
     return 0 if equal else 1
 
 
 def cmd_kernel(args) -> int:
-    cfg = RunConfig.from_args(args)
-    l_max = cfg.l_max if cfg.l_max >= 0 else 10
-    which = args.matrix
-    if args.model == "gl":
-        p = cfg.measure_params()
-        params = {"u": str(p.u), "q": str(p.q)}
-        if which == "K":
-            mat = kernel_matrix(l_max, p)
-        else:
-            d = build_diagonalization(l_max, p)
-            mat = {"C": d.c, "M": d.m, "A": d.a, "Ainv": d.a_inv, "E": d.e}[which]
+    m = _model(args.model, args.u, args.q)
+    if args.matrix == "K":
+        mat = m.matrix(args.lmax, m.p)
     else:
-        fp = cfg.fristedt_params()
-        params = {"q": str(fp.q)}
-        if which == "K":
-            mat = f_kernel_matrix(l_max, fp)
-        else:
-            d = f_diagonalization(l_max, fp)
-            mat = {"C": d.c, "M": d.m, "A": d.a, "Ainv": d.a_inv, "E": d.e}[which]
-    _emit(mat.to_json(params=params, model=args.model, name=which), cfg.mode)
+        d = m.diagonalization(args.lmax, m.p)
+        mat = {"C": d.c, "M": d.m, "A": d.a, "Ainv": d.a_inv, "E": d.e}[args.matrix]
+    _emit(mat.to_json(params=m.params, model=args.model, name=args.matrix),
+          args.format)
     return 0
 
 
 def cmd_bailey(args) -> int:
-    cfg = RunConfig.from_args(args)
-    l_max = cfg.l_max if cfg.l_max >= 0 else 15
-    p = cfg.measure_params()
+    p = MeasureParams(u=Fraction(args.u), q=Fraction(args.q))
     if args.alpha is not None:
         pair = bailey_pair_from_alpha(
             [Fraction(v) for v in args.alpha.split(",")], p
         )
     else:
-        pair = unit_bailey_pair(p, l_max)
+        pair = unit_bailey_pair(p, 15 if args.lmax is None else args.lmax)
     report = pair.to_json()
     report.update({"step": 0, "valid": bailey_check(pair)})
-    _emit(report, cfg.mode)
+    _emit(report, args.format)
     ok = report["valid"]
     for step in range(1, args.steps + 1):
         pair = bailey_step(pair)
         report = pair.to_json()
         report.update({"step": step, "valid": bailey_check(pair)})
         ok = ok and report["valid"]
-        _emit(report, cfg.mode)
+        _emit(report, args.format)
     return 0 if ok else 1
 
 
 def cmd_series(args) -> int:
-    cfg = RunConfig.from_args(args)
-    order = cfg.order if cfg.order >= 0 else 20
-    which = args.which
+    order, which = args.order, args.which
     if which == "ag-sum":
         s = ag_sum(AGSpec(args.k, args.i, order))
     elif which == "ag-product":
@@ -704,11 +650,9 @@ def cmd_series(args) -> int:
         s = absorption_limit_series(args.r, args.delta, order)
     elif which == "theta":
         s = theta_sum(args.A, args.B, order)
-    elif which == "jacobi":
-        s = jacobi_product(args.v, args.w, order)
     else:
-        raise ValueError(f"unknown series {which!r}")
-    _emit(s.to_json(), cfg.mode)
+        s = jacobi_product(args.v, args.w, order)
+    _emit(s.to_json(), args.format)
     return 0
 
 
@@ -721,83 +665,75 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each flag is declared once, on the commands that read it
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="json")
+    chain = argparse.ArgumentParser(add_help=False)
+    chain.add_argument("--u", default="1/2", help='chain parameter u as "p/q"')
+    chain.add_argument("--q", default="2", help='chain parameter q as "p/q"')
 
-    def common(sp):
-        sp.add_argument("--u", help='chain parameter u as "p/q"')
-        sp.add_argument("--q", help='chain parameter q as "p/q"')
-        sp.add_argument("--order", type=int, help="series truncation order")
-        sp.add_argument("--lmax", type=int, help="matrix truncation")
-        sp.add_argument("--eps", help="certification width for intervals")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-
-    sp = sub.add_parser("verify", help="run a verification battery")
-    common(sp)
-    sp.add_argument(
-        "--suite",
-        required=True,
-        choices=(
-            "rr",
-            "ag",
-            "pipeline",
-            "qbinomial",
-            "jacobi",
-            "diag",
-            "power",
-            "stochastic",
-            "chain-measure",
-            "bailey",
-            "fristedt",
-            "quiver",
-            "all",
-        ),
-    )
+    sp = sub.add_parser("verify", parents=[fmt], help="run a verification battery")
+    sp.add_argument("--suite", required=True, choices=(*_SUITES, "all"))
+    # absent options take each suite's own default
+    sp.add_argument("--u", help='measure parameter u as "p/q"')
+    sp.add_argument("--q", help='parameter q as "p/q"')
+    sp.add_argument("--order", type=int, help="series truncation order")
+    sp.add_argument("--lmax", type=int, help="matrix truncation")
     sp.add_argument("--k", type=int)
     sp.add_argument("--i", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--count", type=int)
     sp.add_argument("--size-cap", dest="size_cap", type=int)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--inject-fault", dest="inject_fault", action="store_true")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("sample", help="draw random partitions from a chain")
-    common(sp)
+    sp = sub.add_parser("sample", parents=[fmt, chain],
+                        help="draw random partitions from a chain")
     sp.add_argument("--model", choices=("gl", "fristedt", "quiver"), default="gl")
     sp.add_argument("--count", type=int, default=1)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--eps", default="1/1048576",
+                    help="certification width for intervals")
     sp.add_argument("--quiver", help="quiver JSON file (quiver model)")
     sp.add_argument("--size-cap", dest="size_cap", type=int, default=20)
     sp.set_defaults(func=cmd_sample)
 
-    sp = sub.add_parser("power", help="closed-form vs matrix r-step probability")
-    common(sp)
+    sp = sub.add_parser("power", parents=[fmt, chain],
+                        help="closed-form vs matrix r-step probability")
     sp.add_argument("--model", choices=("gl", "fristedt"), default="gl")
     sp.add_argument("--L", type=int, required=True)
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.set_defaults(func=cmd_power)
 
-    sp = sub.add_parser("kernel", help="dump a chain matrix as JSON")
-    common(sp)
+    sp = sub.add_parser("kernel", parents=[fmt, chain],
+                        help="dump a chain matrix as JSON")
     sp.add_argument("--model", choices=("gl", "fristedt"), default="gl")
     sp.add_argument(
         "--matrix", choices=("K", "C", "M", "A", "Ainv", "E"), default="K"
     )
+    sp.add_argument("--lmax", type=int, default=10, help="matrix truncation")
     sp.set_defaults(func=cmd_kernel)
 
-    sp = sub.add_parser("bailey", help="iterate the Bailey step on a pair")
-    common(sp)
+    sp = sub.add_parser("bailey", parents=[fmt, chain],
+                        help="iterate the Bailey step on a pair")
     sp.add_argument("--steps", type=int, default=1)
-    sp.add_argument("--alpha", help='comma-separated "p/q" values')
+    start = sp.add_mutually_exclusive_group()
+    # no argparse default: a given `--lmax 15` must still clash with --alpha
+    start.add_argument("--lmax", type=int,
+                       help="length - 1 of the unit pair (default 15)")
+    start.add_argument("--alpha", help='comma-separated "p/q" values')
     sp.set_defaults(func=cmd_bailey)
 
-    sp = sub.add_parser("series", help="print a named series as JSON")
-    common(sp)
+    sp = sub.add_parser("series", parents=[fmt], help="print a named series as JSON")
     sp.add_argument(
         "--which",
         required=True,
         choices=("ag-sum", "ag-product", "absorption", "theta", "jacobi"),
     )
+    sp.add_argument("--order", type=int, default=20, help="series truncation order")
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--i", type=int, default=2)
     sp.add_argument("--r", type=int, default=2)
@@ -814,9 +750,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact entries may have any length
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_int_flags(args)
         return args.func(args)
     except (ValueError, ZeroDivisionError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,16 +9,8 @@ size gives the uniform measure on partitions of that size.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from qchains.glchain import (
-    _SAMPLERS,
-    TAIL_BITS,
-    ChainSample,
-    ChainSampler,
-    Diagonalization,
-    TruncatedMatrix,
-)
+from qchains.glchain import ChainSample, Diagonalization, TruncatedMatrix, row_chain
 from qchains.partitions import Partition
 from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
 
@@ -157,28 +149,19 @@ def f_chain_mass(lam: Partition, p: FristedtParams) -> Fraction:
 # Sampling
 
 
-@lru_cache(maxsize=_SAMPLERS)
-def _sampler(p: FristedtParams, eps: Fraction) -> ChainSampler:
-    """The row chain, its first step on 0..A, A minimal with certified tail
-    below 2**-TAIL_BITS."""
+@row_chain
+def _sampler(p: FristedtParams, eps: Fraction):
+    """The row chain."""
     q = p.q
     z = weight_normalizer(p, eps)
     if z.lo <= 0:
         raise ValueError("eps too large to certify the support cap")
-    bound = Fraction(1, 2**TAIL_BITS)
-    a = 0
-    while True:
+    return (
+        lambda b: first_row_unnormalized(b, p),
+        lambda s, b: f_kernel(s, b, p),
         # sum_{b>a} q^b (q)_inf/(q)_b <= (hi/lo) q^(a+1)/(1-q)
-        tail = z.hi / z.lo * q ** (a + 1) / (1 - q)
-        if tail < bound:
-            break
-        a += 1
-
-    def row(s):
-        return range(s + 1), [f_kernel(s, b, p) for b in range(s + 1)]
-
-    weights = [first_row_unnormalized(b, p) for b in range(a + 1)]
-    return ChainSampler(range(a + 1), weights, row, 0)
+        lambda a: z.hi / z.lo * q ** (a + 1) / (1 - q),
+    )
 
 
 def f_sample(p: FristedtParams, seed: int, eps=Fraction(1, 2**20)) -> ChainSample:

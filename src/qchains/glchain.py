@@ -14,7 +14,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd, lcm
 from operator import mul
 
@@ -502,28 +502,47 @@ class ChainSampler:
 _SAMPLERS = 16  # per-parameter samplers kept by each model
 
 
-@lru_cache(maxsize=_SAMPLERS)
-def _sampler(p: MeasureParams, eps: Fraction) -> ChainSampler:
-    """The column chain, its first step on 0..A, A minimal with certified
-    tail below 2**-TAIL_BITS."""
+def row_chain(describe):
+    """Decorator: describe(p, eps) -> (first, step, tail) becomes a bounded
+    cache of ChainSamplers keyed by (p, eps).
+
+    The chain on row (or column) lengths starts at b with weight first(b),
+    steps from s to b <= s with probability step(s, b) and is absorbed at 0.
+    Its first step is cut to 0..A, A the least state whose certified tail(A),
+    a bound on the relative first-step mass above A, is below 2**-TAIL_BITS.
+    """
+
+    @lru_cache(maxsize=_SAMPLERS)
+    @wraps(describe)
+    def sampler(p, eps) -> ChainSampler:
+        first, step, tail = describe(p, eps)
+        bound = Fraction(1, 2**TAIL_BITS)
+        top = 0
+        while tail(top) >= bound:
+            top += 1
+
+        def row(s):
+            return range(s + 1), [step(s, b) for b in range(s + 1)]
+
+        weights = [first(b) for b in range(top + 1)]
+        return ChainSampler(range(top + 1), weights, row, 0)
+
+    return sampler
+
+
+@row_chain
+def _sampler(p: MeasureParams, eps: Fraction):
+    """The column chain."""
     u, q = p.u, p.q
     lo = poch_inf(1, q, eps).lo * poch_inf(u, q, eps).lo
     if lo <= 0:
         raise ValueError("eps too large to certify the support cap")
-    bound = Fraction(1, 2**TAIL_BITS)
-    a = 0
-    while True:
+    return (
+        lambda b: first_col_unnormalized(b, p),
+        lambda s, b: kernel(s, b, p),
         # sum_{b>a} u^b q^(-b^2) <= u^(a+1) q^(-(a+1)^2) / (1 - u/q)
-        tail = u ** (a + 1) / q ** ((a + 1) * (a + 1)) / (1 - u / q) / lo
-        if tail < bound:
-            break
-        a += 1
-
-    def row(s):
-        return range(s + 1), [kernel(s, b, p) for b in range(s + 1)]
-
-    weights = [first_col_unnormalized(b, p) for b in range(a + 1)]
-    return ChainSampler(range(a + 1), weights, row, 0)
+        lambda a: u ** (a + 1) / q ** ((a + 1) * (a + 1)) / (1 - u / q) / lo,
+    )
 
 
 def sample(p: MeasureParams, seed: int, eps=Fraction(1, 2**20)) -> ChainSample:

@@ -8,7 +8,6 @@ interval (measure_normalizer).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
 
@@ -83,24 +82,30 @@ class Partition:
         return sum(i * p for i, p in enumerate(self.parts))
 
 
-@lru_cache(maxsize=None)
-def _partitions_of(n: int, max_part: int) -> tuple:
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_of(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+def _partitions_of(n: int):
+    """Yield the part tuples of n in decreasing lexicographic order: each
+    next one lowers the last part above 1 by one and refills the rest of n
+    greedily with parts no larger than it."""
+    parts = [n] if n else []
+    while True:
+        yield tuple(parts)
+        rest = 0
+        while parts and parts[-1] == 1:
+            rest += parts.pop()
+        if not parts:
+            return
+        top = parts.pop() - 1
+        full, left = divmod(rest + 1, top)
+        parts += [top] * (1 + full) + ([left] if left else [])
 
 
-def enumerate_partitions(n: int, cap: int = ENUMERATION_CAP) -> list:
+def enumerate_partitions(n: int) -> list:
     """All partitions of n, in decreasing lexicographic order of part lists."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the enumeration cap {cap}")
-    return [Partition(parts) for parts in _partitions_of(n, n if n else 1)]
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"n = {n} exceeds the enumeration cap {ENUMERATION_CAP}")
+    return [Partition(parts) for parts in _partitions_of(n)]
 
 
 @dataclass(frozen=True)

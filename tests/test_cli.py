@@ -62,7 +62,7 @@ def test_verify_bad_config_exits_2(capsys):
     code, _, err = run(capsys, ["verify", "--suite", "rr", "--u", "3/2"])
     assert code == 2
     assert "error:" in err
-    code, _, err = run(capsys, ["verify", "--suite", "rr", "--eps", "1/3"])
+    code, _, err = run(capsys, ["verify", "--suite", "rr", "--lmax", "5"])
     assert code == 2
     assert "options not used by suite" in err
 
@@ -73,9 +73,6 @@ def test_verify_bad_config_exits_2(capsys):
         ["verify", "--suite", "rr", "--order", "-5"],
         ["verify", "--suite", "diag", "--lmax", "-3"],
         ["series", "--which", "ag-sum", "--order", "-1"],
-        ["series", "--which", "theta", "--A", "5", "--B", "1", "--lmax", "-1"],
-        ["power", "--L", "3", "--j", "0", "--r", "1", "--order", "-2"],
-        ["power", "--L", "3", "--j", "0", "--r", "1", "--lmax", "-2"],
         ["sample", "--count", "-3"],
         ["verify", "--suite", "bailey", "--count", "-5"],
         ["verify", "--suite", "rr", "--jobs", "0"],
@@ -89,8 +86,7 @@ def test_verify_bad_config_exits_2(capsys):
         ["sample", "--seed", "-1"],
         ["verify", "--suite", "bailey", "--seed", "-1"],
     ],
-    ids=["verify-order", "verify-lmax", "series-order", "series-lmax",
-         "power-order", "power-lmax", "sample-count", "bailey-count",
+    ids=["verify-order", "verify-lmax", "series-order", "sample-count", "bailey-count",
          "jobs-zero", "jobs-negative", "qbinomial-n", "verify-k-zero",
          "series-k-zero", "size-cap-negative", "size-cap-zero", "bailey-steps",
          "sample-seed", "verify-seed"],
@@ -100,6 +96,44 @@ def test_negative_order_or_lmax_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# flags that each command registered but never read, before each command
+# registered only the flags that it reads
+_UNREAD = [
+    ("verify", "--eps"),
+    *[("sample", f) for f in ("--order", "--lmax")],
+    *[("power", f) for f in ("--order", "--lmax", "--eps", "--seed")],
+    *[(c, f) for c in ("kernel", "bailey") for f in ("--order", "--eps", "--seed")],
+    *[("series", f) for f in ("--u", "--q", "--lmax", "--eps", "--seed")],
+]
+_REQUIRED_ARGS = {
+    "verify": ["--suite", "rr"],
+    "power": ["--L", "3", "--j", "0", "--r", "1"],
+    "series": ["--which", "theta"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag", _UNREAD, ids=[f"{c}-{f[2:]}" for c, f in _UNREAD]
+)
+def test_flag_the_command_does_not_read_exits_2(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_REQUIRED_ARGS.get(command, []), flag, "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_bailey_alpha_and_lmax_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bailey", "--alpha", "1,1/2", "--lmax", "7"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument --alpha" in captured.err
+    code, out, _ = run(capsys, ["bailey", "--alpha", "1,1/2"])
+    assert code == 0
+    assert json_lines(out)[0]["l_max"] == 1
 
 
 def test_power_checks_report_the_first_mismatch(monkeypatch):
@@ -343,6 +377,68 @@ def test_power_output_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, and the exit code, of the dumps and reports that the
+# command-line refactor touched; a verify report is hashed without "elapsed"
+_PINNED = [
+    *[(["kernel", "--model", "gl", "--matrix", m], 0, d) for m, d in [
+        ("K", "f05b0aead533224d476b486b7970ba5ad55b413feb19d585158d23540875de98"),
+        ("C", "bbbc20005216ceea19966d29162596c5bf4289ee6cfaaaa9d7b63cb8c59040cf"),
+        ("M", "71c33da322f7f5b88a71bc30d4ee93bccf21366ec919dad57ff576fed0e89eee"),
+        ("A", "4146ad7b97e95ff888b5f517f78c6804916367d2bb0bb39d2e0577650180fa01"),
+        ("Ainv", "fdbaf2ae0a5747f80bab3cf2a82a54c2bf8f40d3add17ca13a6335a7ade7eb69"),
+        ("E", "88a433a41862ea85d67609ee0e77243eab50d48f276e04577e2b29845ee97db2"),
+    ]],
+    *[(["kernel", "--model", "fristedt", "--q", "2/5", "--matrix", m], 0, d)
+      for m, d in [
+        ("K", "b965a9b8285b8a59b6a5b5246ee3c1dbb0462d1708276cfcc0b5b6cca4dd39cf"),
+        ("C", "dbd915ca97d4f1f05613182b3634c65bae977c3324d1fb995f73cd5ef39742ab"),
+        ("M", "2f34af6d63f48f19e1fc58040330f3b0e2c497b44fb223b0d1ded35770a60a07"),
+        ("A", "a33ff28944b3495cf558bea86b030d4683bd5f506dba013e598dd358ce3bf62b"),
+        ("Ainv", "45638d687c0b03be99acd822b595d926ad2dec95cbc315625ecf1065647543bd"),
+        ("E", "23bd43343eb5528e956d413aa3bc6e82acb0d0a74de9b3090dc73fe26bb2c67d"),
+    ]],
+    (["bailey", "--steps", "2"], 0,
+     "6d6a45baa14e68565f47ff9902190157637ffffdc6b91f5b9a8277486a361cf2"),
+    (["bailey", "--alpha", "1,1/2,-3", "--steps", "2"], 0,
+     "67888fe19adc43ba49f19325bb889af3907d7494ae338db3491dee9e501d27f7"),
+    *[(["series", "--which", w], 0, d) for w, d in [
+        ("ag-sum", "d6e85b28ba900cfd203689fdad10f24fe66982e6dc8e973c26cfb3976de7233e"),
+        ("ag-product",
+         "d6e85b28ba900cfd203689fdad10f24fe66982e6dc8e973c26cfb3976de7233e"),
+        ("absorption",
+         "ca962b4138c6fd49fa74b0498d9ab845fb57a85a75472cc50db470951791d823"),
+        ("theta", "68576073595c765fe42dc58d41879191f2ef41b625d82a71b526d379f47d6aaf"),
+        ("jacobi", "68576073595c765fe42dc58d41879191f2ef41b625d82a71b526d379f47d6aaf"),
+    ]],
+    (["kernel", "--lmax", "3", "--format", "text"], 0,
+     "929388dd40fd8f8120f7623d8678f135d5bf93998ff2f38aa597bb48c192047f"),
+    (["verify", "--suite", "diag", "--u", "2/4"], 0,
+     "4a746b53ba085ddeecf48b8c0a18befb2f9da7b992052be4d1f0e03b4d00a3a9"),
+    (["verify", "--suite", "qbinomial", "--q", "2/6"], 0,
+     "6f7943d33c72d449e7ca1f933e7d816e2336e8bd35b45e37e7b825cf36567225"),
+    (["verify", "--suite", "fristedt", "--q", "1/3"], 0,
+     "30ec2ca3f8abc2f0a8bb13e6a4adcbde155610484e0a92e36d9cf7193186f615"),
+    (["verify", "--suite", "all", "--q", "1/2"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    _PINNED,
+    ids=["-".join(word.lstrip("-") for word in argv) for argv, _, _ in _PINNED],
+)
+def test_cli_outputs_pinned(capsys, argv, code, digest):
+    got, out, _ = run(capsys, argv)
+    assert got == code
+    if argv[0] == "verify":
+        reports = json_lines(out)
+        for report in reports:
+            del report["elapsed"]
+        out = "".join(json.dumps(r, sort_keys=True) + "\n" for r in reports)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_kernel_prints_entries_of_any_length(capsys):
     q = "1" + "0" * 50
     code, out, _ = run(capsys, ["kernel", "--q", q, "--u", "1/2", "--lmax", "10"])
@@ -478,40 +574,44 @@ _RATIONALS = st.sampled_from(
     ["1/2", "1/3", "2/5", "2", "3", "5/2", "1", "0", "-1", "1/0", "", "junk"]
 )
 _INTS = st.sampled_from([str(i) for i in range(-2, 13)] + ["", "x"])
-_COMMON = {
-    "--u": _RATIONALS,
-    "--q": _RATIONALS,
-    "--eps": _RATIONALS,
-    "--order": _INTS,
-    "--lmax": _INTS,
-    "--seed": _INTS,
-    "--format": st.sampled_from(["json", "text", "junk"]),
-}
+_CHAIN = {"--u": _RATIONALS, "--q": _RATIONALS}
+_MODELS = st.sampled_from(["gl", "fristedt"])
 _SUITES = ["rr", "ag", "pipeline", "qbinomial", "jacobi", "diag", "power",
            "stochastic", "chain-measure", "bailey", "fristedt", "quiver"]
+# the flags each command registers, besides --format
 _COMMANDS = {
     "verify": {
-        **{f: _INTS for f in ("--k", "--i", "--n", "--count", "--size-cap")},
+        **_CHAIN,
+        **{f: _INTS for f in ("--order", "--lmax", "--seed", "--k", "--i", "--n",
+                              "--count", "--size-cap")},
         "--jobs": st.sampled_from(["-1", "0", "1"]),
         "--inject-fault": st.none(),
     },
     "sample": {
+        **_CHAIN,
+        "--eps": _RATIONALS,
+        "--seed": _INTS,
         "--model": st.sampled_from(["gl", "fristedt", "quiver", "junk"]),
         "--count": _INTS,
         "--size-cap": _INTS,
         "--quiver": st.sampled_from(["A2", "/nonexistent.json", ""]),
     },
-    "power": {"--model": st.sampled_from(["gl", "fristedt"])},
+    "power": {**_CHAIN, "--model": _MODELS},
     "kernel": {
-        "--model": st.sampled_from(["gl", "fristedt"]),
+        **_CHAIN,
+        "--lmax": _INTS,
+        "--model": _MODELS,
         "--matrix": st.sampled_from(["K", "C", "M", "A", "Ainv", "E"]),
     },
     "bailey": {
+        **_CHAIN,
+        "--lmax": _INTS,
         "--steps": _INTS,
         "--alpha": st.sampled_from(["1,1/2,-3", "1", "", "1,junk"]),
     },
     "series": {
-        f: _INTS for f in ("--k", "--i", "--r", "--delta", "--A", "--B", "--v", "--w")
+        f: _INTS
+        for f in ("--order", "--k", "--i", "--r", "--delta", "--A", "--B", "--v", "--w")
     },
 }
 _REQUIRED = {
@@ -531,7 +631,8 @@ _FAILED = re.compile(
 @st.composite
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    strategies = {**_COMMON, **_COMMANDS[command]}
+    strategies = {"--format": st.sampled_from(["json", "text", "junk"]),
+                  **_COMMANDS[command]}
     names = draw(st.lists(st.sampled_from(sorted(strategies)), max_size=3, unique=True))
     flags = {name: draw(strategies[name]) for name in names}
     flags.update(draw(st.fixed_dictionaries(_REQUIRED.get(command, {}))))

@@ -1,11 +1,17 @@
 """Partition type, enumeration, and the two equivalent mass formulas."""
 
+import ast
+import importlib
+import inspect
+import itertools
+import pkgutil
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qchains
 from qchains.partitions import (
     MeasureParams,
     Partition,
@@ -73,6 +79,46 @@ def test_enumeration_order_is_lex_decreasing():
     assert got == sorted(got, reverse=True)
     assert got[0] == (5,)
     assert got[-1] == (1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_enumeration_order_matches_a_brute_force_sort(n):
+    # every composition of n is a subset of the n - 1 cut points; keep the
+    # weakly decreasing ones
+    found = set()
+    for cuts in itertools.product((0, 1), repeat=max(n - 1, 0)):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 0
+            run += 1
+        parts = parts + [run] if n else []
+        if parts == sorted(parts, reverse=True):
+            found.add(tuple(parts))
+    assert [p.parts for p in enumerate_partitions(n)] == sorted(found, reverse=True)
+
+
+def test_no_module_keeps_an_unbounded_cache():
+    def unbounded(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "cache":
+            return True
+        if name != "lru_cache":
+            return False
+        sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+        return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+    names = [m.name for m in pkgutil.iter_modules(qchains.__path__)]
+    assert "partitions" in names
+    for name in names:
+        if name == "__main__":
+            continue
+        source = inspect.getsource(importlib.import_module(f"qchains.{name}"))
+        found = [n.lineno for n in ast.walk(ast.parse(source)) if unbounded(n)]
+        assert not found, f"qchains.{name}: unbounded cache at lines {found}"
 
 
 def test_enumeration_cap():
