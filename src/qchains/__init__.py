@@ -11,9 +11,8 @@ from qchains.qalgebra import (
     Interval,
     QSeries,
     jacobi_product,
-    poch_desc,
     poch_inf,
-    poch_std,
+    poch_table,
     q_binomial_check,
     theta_sum,
 )

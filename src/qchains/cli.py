@@ -47,7 +47,6 @@ from qchains.identities import (
 from qchains.partitions import MeasureParams, enumerate_partitions, mass_v1, mass_v2
 from qchains.qalgebra import (
     QSeries,
-    euler_poch,
     jacobi_product,
     one_minus_product,
     q_binomial_check,
@@ -123,12 +122,31 @@ class _Model(NamedTuple):
     stream: Callable
 
 
+# the options each model reads (the quiver file sets the quiver's U and q)
+_MODEL_OPTIONS = {"gl": {"u", "q"}, "fristedt": {"q"}, "quiver": {"quiver", "size_cap"}}
+
+
+def _check_model_flags(args):
+    """Reject a given option that the chosen model does not read, as verify
+    rejects one that the chosen suite does not read."""
+    model = getattr(args, "model", None)
+    if model is None:
+        return
+    unread = set().union(*_MODEL_OPTIONS.values()) - _MODEL_OPTIONS[model]
+    extra = sorted(n for n in unread if getattr(args, n, None) is not None)
+    if extra:
+        raise ValueError(f"options not used by model {model!r}: {extra}")
+
+
 def _model(name, u, q) -> _Model:
-    """The gl chain at (u, q), or the Fristedt chain at q, from "p/q" strings.
+    """The gl chain at (u, q), or the Fristedt chain at q, from "p/q" strings;
+    an absent (None) u is 1/2 and an absent q is 2.
 
     The builders are this module's names as bound at call time, so a name
     rebound here (by a tracer or a test) reaches every command and case.
     """
+    u = "1/2" if u is None else u
+    q = "2" if q is None else q
     if name == "gl":
         p = MeasureParams(u=Fraction(u), q=Fraction(q))
         return _Model(p, {"u": str(p.u), "q": str(p.q)}, kernel, kernel_matrix,
@@ -198,7 +216,9 @@ def _case_ag(k, i, order, inject=False):
 def _case_pipeline(k, order):
     failures = []
     flat = absorption_limit_series(k, 0, order)
-    if flat != euler_poch(order, order) * ag_sum(AGSpec(k, k, order)):
+    if flat != one_minus_product(range(1, order + 1), order) * ag_sum(
+        AGSpec(k, k, order)
+    ):
         failures.append("absorption-vs-sum-side-top")
     tilted = absorption_limit_series(k, 1, order)
     if tilted != one_minus_product(range(2, order + 1), order) * ag_sum(
@@ -245,7 +265,9 @@ def _case_diag(u, q, l_max):
     p = MeasureParams(u=Fraction(u), q=Fraction(q))
     d = build_diagonalization(l_max, p)
     failures = _eigen_failures(d, "E")
-    if d.kernel_matrix() != kernel_matrix(l_max, p):
+    # against the chain's entry formula, not the factor lists d is built from
+    k = TruncatedMatrix.build(l_max + 1, lambda a, b: kernel(a, b, p))
+    if d.kernel_matrix() != k:
         failures.append("K=CMC^-1")
     return {
         "suite": "diag",
@@ -396,25 +418,10 @@ def _case_quiver(name, size_cap, a_budget):
     }
 
 
-_CASE_FNS = {
-    "ag": _case_ag,
-    "pipeline": _case_pipeline,
-    "qbinomial": _case_qbinomial,
-    "jacobi": _case_jacobi,
-    "diag": _case_diag,
-    "power": _case_power_battery,
-    "stochastic": _case_stochastic,
-    "chain-measure": _case_chain_measure,
-    "bailey": _case_bailey,
-    "fristedt": _case_fristedt,
-    "quiver": _case_quiver,
-}
-
-
 def run_case(case):
-    kind, kwargs = case
+    fn, kwargs = case
     t0 = perf_counter()
-    report = _CASE_FNS[kind](**kwargs)
+    report = fn(**kwargs)
     report["elapsed"] = round(perf_counter() - t0, 6)
     return report
 
@@ -424,22 +431,20 @@ def run_case(case):
 
 
 def _uq(args) -> dict:
-    """u and q of the measure suites as reduced "p/q" strings; 1/2 and 2
-    where the flag is absent."""
-    u = "1/2" if args.u is None else args.u
-    return _model("gl", u, "2" if args.q is None else args.q).params
+    """u and q of the measure suites as reduced "p/q" strings."""
+    return _model("gl", args.u, args.q).params
 
 
 def _rr_cases(args):
     order = 60 if args.order is None else args.order
-    return [("ag", {"k": 2, "i": i, "order": order, "inject": args.inject_fault})
+    return [(_case_ag, {"k": 2, "i": i, "order": order, "inject": args.inject_fault})
             for i in (2, 1)]
 
 
 def _ag_cases(args):
     order = 40 if args.order is None else args.order
     return [
-        ("ag", {"k": k, "i": i, "order": order, "inject": args.inject_fault})
+        (_case_ag, {"k": k, "i": i, "order": order, "inject": args.inject_fault})
         for k in ([2, 3, 4, 5] if args.k is None else [args.k])
         for i in (range(1, k + 1) if args.i is None else [args.i])
     ]
@@ -447,19 +452,19 @@ def _ag_cases(args):
 
 def _pipeline_cases(args):
     order = 60 if args.order is None else args.order
-    return [("pipeline", {"k": k, "order": order})
+    return [(_case_pipeline, {"k": k, "order": order})
             for k in ([2, 3, 4] if args.k is None else [args.k])]
 
 
 def _qbinomial_cases(args):
     qs = ("1/2", "1/3", "2/5") if args.q is None else (args.q,)
     top = 12 if args.n is None else args.n
-    return [("qbinomial", {"n": n, "q": q}) for q in qs for n in range(top + 1)]
+    return [(_case_qbinomial, {"n": n, "q": q}) for q in qs for n in range(top + 1)]
 
 
 def _jacobi_cases(args):
     order = 200 if args.order is None else args.order
-    return [("jacobi", {"a": 5, "b": b, "order": order}) for b in (1, 3)]
+    return [(_case_jacobi, {"a": 5, "b": b, "order": order}) for b in (1, 3)]
 
 
 def _diag_cases(args):
@@ -468,39 +473,39 @@ def _diag_cases(args):
         uqs = [{"u": "1/2", "q": "2"}, {"u": "1/3", "q": "3"}, {"u": "2/5", "q": "5/2"}]
     else:
         uqs = [_uq(args)]
-    return [("diag", {**uq, "l_max": l_max}) for uq in uqs]
+    return [(_case_diag, {**uq, "l_max": l_max}) for uq in uqs]
 
 
 def _power_cases(args):
     l_max = 20 if args.lmax is None else args.lmax
-    return [("power", {**_uq(args), "l_max": l_max, "r_max": 8})]
+    return [(_case_power_battery, {**_uq(args), "l_max": l_max, "r_max": 8})]
 
 
 def _stochastic_cases(args):
     return [
-        ("stochastic", {"model": "gl", **_uq(args), "a_max": 40}),
-        ("stochastic", {"model": "fristedt", "u": None, "q": "1/2", "a_max": 40}),
+        (_case_stochastic, {"model": "gl", **_uq(args), "a_max": 40}),
+        (_case_stochastic, {"model": "fristedt", "u": None, "q": "1/2", "a_max": 40}),
     ]
 
 
 def _chain_measure_cases(args):
-    return [("chain-measure", {**_uq(args), "size": 10})]
+    return [(_case_chain_measure, {**_uq(args), "size": 10})]
 
 
 def _bailey_cases(args):
     l_max = 15 if args.lmax is None else args.lmax
     count = 50 if args.count is None else args.count
-    return [("bailey", {**_uq(args), "l_max": l_max, "seed": args.seed,
-                        "count": count})]
+    return [(_case_bailey, {**_uq(args), "l_max": l_max, "seed": args.seed,
+                            "count": count})]
 
 
 def _fristedt_cases(args):
     q = "1/2" if args.q is None else args.q
-    return [("fristedt", {"q": q, "l_max": 10, "r_max": 4, "size": 8})]
+    return [(_case_fristedt, {"q": q, "l_max": 10, "r_max": 4, "size": 8})]
 
 
 def _quiver_cases(args):
-    return [("quiver", {"name": name, "size_cap": args.size_cap, "a_budget": 3})
+    return [(_case_quiver, {"name": name, "size_cap": args.size_cap, "a_budget": 3})
             for name in ("a2", "jordan")]
 
 
@@ -577,8 +582,9 @@ def cmd_sample(args) -> int:
         g, qp = load_quiver(args.quiver)
     except (OSError, KeyError, json.JSONDecodeError) as exc:
         raise ValueError(f"bad quiver file: {exc}") from exc
+    size_cap = 20 if args.size_cap is None else args.size_cap
     for seed in range(args.seed, args.seed + args.count):
-        t = quiver_sample(g, qp, seed, args.size_cap, eps)
+        t = quiver_sample(g, qp, seed, size_cap, eps)
         _emit({"model": "quiver", "seed": seed, "partitions": t.to_json()},
               args.format)
     return 0
@@ -620,7 +626,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_bailey(args) -> int:
-    p = MeasureParams(u=Fraction(args.u), q=Fraction(args.q))
+    p = _model("gl", args.u, args.q).p
     if args.alpha is not None:
         pair = bailey_pair_from_alpha(
             [Fraction(v) for v in args.alpha.split(",")], p
@@ -669,8 +675,9 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "text"), default="json")
     chain = argparse.ArgumentParser(add_help=False)
-    chain.add_argument("--u", default="1/2", help='chain parameter u as "p/q"')
-    chain.add_argument("--q", default="2", help='chain parameter q as "p/q"')
+    # no argparse defaults (1/2 and 2, from _model), so a given flag is seen
+    chain.add_argument("--u", help='chain parameter u as "p/q" (default 1/2)')
+    chain.add_argument("--q", help='chain parameter q as "p/q" (default 2)')
 
     sp = sub.add_parser("verify", parents=[fmt], help="run a verification battery")
     sp.add_argument("--suite", required=True, choices=(*_SUITES, "all"))
@@ -697,7 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", default="1/1048576",
                     help="certification width for intervals")
     sp.add_argument("--quiver", help="quiver JSON file (quiver model)")
-    sp.add_argument("--size-cap", dest="size_cap", type=int, default=20)
+    sp.add_argument("--size-cap", dest="size_cap", type=int,
+                    help="first-column part cap (quiver model; default 20)")
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("power", parents=[fmt, chain],
@@ -753,6 +761,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_int_flags(args)
+        _check_model_flags(args)
         return args.func(args)
     except (ValueError, ZeroDivisionError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

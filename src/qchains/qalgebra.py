@@ -1,13 +1,11 @@
 """Exact rational scalars, q-Pochhammer symbols, and truncated power series.
 
-Two Pochhammer conventions coexist and are kept apart by name:
-
-* ``poch_std(x, n)``  = (1-x)(1-x^2)...(1-x^n)           (ascending powers)
-* ``poch_desc(x, n, q)`` = (1-x)(1-x/q)...(1-x/q^(n-1))  (descending powers).
-
-Both are reads of one append-only table per parameter pair (PochTable); a
-negative index is an error, and callers whose formulas let an index go
-negative test the range themselves.
+Every Pochhammer value is a read of one append-only table per parameter pair:
+``poch_table(x, q)[n]`` = (1-x)(1-x/q)...(1-x/q^(n-1)).  The ascending symbol
+(1-x)(1-x^2)...(1-x^n) is the same table at (x, 1/x).  A negative index is an
+error, and callers whose formulas let an index go negative test the range
+themselves.  As series, products of factors (1 - v^e) are built by
+``QSeries.mul_one_minus_pow``, one factor at a time.
 
 Scalars are fractions.Fraction throughout; nothing in this module rounds.
 Series are truncated at a known order: coefficients beyond the order are
@@ -82,9 +80,8 @@ class PochTable:
     for one pair (x, q).
 
     The table is append-only: a read past its end extends it iteratively up
-    to that index, under a lock since tables are shared.  Both conventions
-    read it, since the ascending (1-x)...(1-x^n) is the descending symbol
-    at (x, 1/x).
+    to that index, under a lock since tables are shared.  The ascending
+    (1-x)...(1-x^n) is the table at (x, 1/x).
     """
 
     __slots__ = ("_vals", "_term", "_inv_q", "_lock")
@@ -119,32 +116,6 @@ class PochTable:
 def poch_table(x, q) -> PochTable:
     """The shared table of (1-x)(1-x/q)...(1-x/q^(n-1)) over n for (x, q)."""
     return PochTable(x, q)
-
-
-def poch_std(x, n: int):
-    """(1-x)(1-x^2)...(1-x^n); the empty product 1 for n = 0.
-
-    x may be a Fraction (exact scalar result) or a QSeries (truncated
-    series result).
-    """
-    if n < 0:
-        raise ValueError("poch_std needs n >= 0")
-    if isinstance(x, QSeries):
-        if x.is_gen():
-            return euler_poch(n, x.order, x.var)
-        out = QSeries.one(x.order, x.var)
-        for r in range(1, n + 1):
-            out = out * (QSeries.one(x.order, x.var) - x**r)
-        return out
-    x = as_fraction(x)
-    if x == 0:
-        return _ONE
-    return poch_table(x, 1 / x)[n]
-
-
-def poch_desc(x, n: int, q) -> Fraction:
-    """(1-x)(1-x/q)...(1-x/q^(n-1)); the empty product 1 for n = 0."""
-    return poch_table(x, q)[n]
 
 
 def poch_inf(x, q, eps) -> Interval:
@@ -318,31 +289,11 @@ class QSeries:
             raise ValueError("generator needs order >= 1")
         return cls([_ZERO, _ONE], order=order, var=var)
 
-    @classmethod
-    def from_dict(cls, terms, order, var="x"):
-        coeffs = [_ZERO] * (order + 1)
-        for e, c in terms.items():
-            if 0 <= e <= order:
-                coeffs[e] = as_fraction(c)
-            elif e < 0:
-                raise ValueError("negative exponent")
-        return cls(coeffs, order=order, var=var)
-
     # -- internals
 
     def _check_var(self, other):
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    def is_gen(self) -> bool:
-        nums = self.nums
-        return (
-            self.order >= 1
-            and self.den == 1
-            and nums[1] == 1
-            and nums[0] == 0
-            and not any(nums[2:])
-        )
 
     # -- ring operations
 
@@ -389,18 +340,6 @@ class QSeries:
         return QSeries._make(nums, self.den * other.den, n, self.var)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        out = QSeries.one(self.order, self.var)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
 
     def first_mismatch(self, other):
         """Smallest exponent up to the common order where the coefficients
@@ -506,26 +445,13 @@ class QSeries:
         return f"QSeries([{shown}], order={self.order}, var={self.var!r})"
 
 
-def euler_poch(n: int, order: int, var: str = "x") -> QSeries:
-    """(1-v)(1-v^2)...(1-v^n) as a truncated series in the variable v."""
-    if n < 0:
-        raise ValueError("needs n >= 0")
-    nums = [1] + [0] * order
-    for r in range(1, min(n, order) + 1):
-        for i in range(order, r - 1, -1):
-            nums[i] -= nums[i - r]
-    return QSeries._make(nums, 1, order, var)
-
-
 def one_minus_product(exponents, order: int, var: str = "x") -> QSeries:
     """prod_e (1 - v^e) over the given exponents, truncated."""
-    nums = [1] + [0] * order
+    out = QSeries.one(order, var)
     for e in exponents:
-        if e <= 0:
-            raise ValueError("exponents must be positive")
-        for i in range(order, e - 1, -1):
-            nums[i] -= nums[i - e]
-    return QSeries._make(nums, 1, order, var)
+        out = out.mul_one_minus_pow(e)
+    return out
+
 
 # ---------------------------------------------------------------------------
 # Theta sums and the Jacobi triple product
@@ -562,22 +488,12 @@ def jacobi_product(v_exp: int, w_exp: int, order: int) -> QSeries:
     """
     if not (w_exp > v_exp >= 0):
         raise ValueError("jacobi_product needs w_exp > v_exp >= 0")
-    nums = [1] + [0] * order
-    n = 1
-    while True:
-        exps = [
-            w_exp * (2 * n - 1) + v_exp,
-            w_exp * (2 * n - 1) - v_exp,
-            2 * n * w_exp,
-        ]
-        live = [e for e in exps if e <= order]
-        if not live:
-            break
-        for e in live:
-            for i in range(order, e - 1, -1):
-                nums[i] -= nums[i - e]
-        n += 1
-    return QSeries._make(nums, 1, order, "y")
+    exps = []
+    for n in range(1, (order + v_exp + w_exp) // (2 * w_exp) + 1):
+        # n runs while the smallest exponent, w(2n-1) - v, is within the order
+        odd = w_exp * (2 * n - 1)
+        exps += [odd + v_exp, odd - v_exp, 2 * n * w_exp]
+    return one_minus_product(exps, order, "y")
 
 
 def q_binomial_check(n: int, q, order: int | None = None) -> bool:
@@ -592,21 +508,21 @@ def q_binomial_check(n: int, q, order: int | None = None) -> bool:
     if n < 0:
         raise ValueError("needs n >= 0")
     q = as_fraction(q)
-    for m in range(n + 1):
-        if poch_std(q, m) == 0:
-            raise ValueError("degenerate q: (q)_m vanishes")
+    qs = poch_table(q, 1 / q) if q else [_ONE] * (n + 1)  # (0)_m = 1
+    top = qs[n]
+    if top == 0:  # (q)_n = 0 iff some (q)_m with m <= n is 0
+        raise ValueError("degenerate q: (q)_m vanishes")
     deg = n if order is None else min(n, order)
-    top = poch_std(q, n)
-    lhs = QSeries.zero(deg, "y")
-    for m in range(deg + 1):
-        c = q ** ((m * m + m) // 2) * top / (poch_std(q, m) * poch_std(q, n - m))
-        lhs = lhs + QSeries.from_dict({m: c}, deg, "y")
+    lhs = QSeries(
+        [q ** ((m * m + m) // 2) * top / (qs[m] * qs[n - m]) for m in range(deg + 1)],
+        order=deg,
+        var="y",
+    )
     rhs = QSeries.one(deg, "y")
-    y = QSeries.gen(deg, "y") if deg >= 1 else None
-    for s in range(1, n + 1):
-        if y is None:
-            break
-        rhs = rhs * (QSeries.one(deg, "y") + (q**s) * y)
+    if deg:
+        y = QSeries.gen(deg, "y")
+        for s in range(1, n + 1):
+            rhs = rhs * (QSeries.one(deg, "y") + (q**s) * y)
     return lhs == rhs
 
 
@@ -615,12 +531,9 @@ __all__ = [
     "PochTable",
     "QSeries",
     "as_fraction",
-    "euler_poch",
     "jacobi_product",
     "one_minus_product",
-    "poch_desc",
     "poch_inf",
-    "poch_std",
     "poch_table",
     "q_binomial_check",
     "theta_sum",

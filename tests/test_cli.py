@@ -124,6 +124,40 @@ def test_flag_the_command_does_not_read_exits_2(capsys, command, flag):
     assert capsys.readouterr().out == ""
 
 
+# a flag the command registers for one of its models, given with another
+_MODEL_UNREAD = [
+    (["kernel", "--model", "fristedt", "--q", "1/2", "--u", "junk"], "fristedt", ["u"]),
+    (["power", "--model", "fristedt", "--q", "1/2", "--u", "1/2",
+      "--L", "3", "--j", "0", "--r", "1"], "fristedt", ["u"]),
+    (["sample", "--model", "quiver", "--quiver", "perfbench/a2.json", "--q", "1/0",
+      "--u", "junk"], "quiver", ["q", "u"]),
+    (["sample", "--model", "gl", "--quiver", "/nonexistent.json", "--size-cap", "3"],
+     "gl", ["quiver", "size_cap"]),
+    (["sample", "--model", "fristedt", "--q", "1/2", "--size-cap", "20"],
+     "fristedt", ["size_cap"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, model, extra", _MODEL_UNREAD,
+    ids=["kernel-u", "power-u", "sample-quiver-uq", "sample-gl-quiver",
+         "sample-fristedt-size-cap"],
+)
+def test_flag_the_model_does_not_read_exits_2(capsys, argv, model, extra):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: options not used by model {model!r}: {extra}\n"
+
+
+def test_fristedt_default_q_is_still_rejected(capsys):
+    # the default q of 2 lies outside the Fristedt chain's (0, 1), as before
+    code, out, err = run(capsys, ["power", "--model", "fristedt",
+                                  "--L", "3", "--j", "0", "--r", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: q must satisfy 0 < q < 1\n"
+
+
 def test_bailey_alpha_and_lmax_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bailey", "--alpha", "1,1/2", "--lmax", "7"])
@@ -151,6 +185,28 @@ def test_power_checks_report_the_first_mismatch(monkeypatch):
     monkeypatch.setattr(cli, "f_kr_closed", off_at(cli.f_kr_closed))
     report = cli._case_fristedt("1/2", 6, 4, 0)
     assert report["failures"] == ["power(2,1,1)", "power(5,3,4)"]
+
+
+def test_diag_case_checks_k_against_the_entry_formula(monkeypatch):
+    entry = cli.kernel
+
+    def off_at_one(a, b, p):
+        return entry(a, b, p) + ((a, b) == (4, 2))
+
+    monkeypatch.setattr(cli, "kernel", off_at_one)
+    report = cli._case_diag("1/2", "2", 6)
+    assert report["status"] == "fail"
+    assert report["failures"] == ["K=CMC^-1"]
+
+
+def test_qbinomial_at_q_zero(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "qbinomial", "--q", "0",
+                                  "--n", "4"])
+    assert code == 0
+    reports = json_lines(out)
+    assert [r["n"] for r in reports] == [0, 1, 2, 3, 4]
+    assert all(r["status"] == "pass" for r in reports)
+    assert "5/5 checks passed" in err
 
 
 def test_quiver_case_checks_the_chain_measure(monkeypatch):
@@ -638,7 +694,7 @@ def _argvs(draw):
     flags.update(draw(st.fixed_dictionaries(_REQUIRED.get(command, {}))))
     if flags.get("--suite") in ("diag", "power", "bailey"):
         flags.setdefault("--lmax", "6")
-    if flags.get("--suite") == "quiver" or command == "sample":
+    if flags.get("--suite") == "quiver" or flags.get("--model") == "quiver":
         flags.setdefault("--size-cap", "8")
     return command, flags
 

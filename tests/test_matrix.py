@@ -21,7 +21,7 @@ from qchains.glchain import (
     kr_closed,
 )
 from qchains.partitions import MeasureParams
-from qchains.qalgebra import poch_desc
+from qchains.qalgebra import poch_table
 
 # ---------------------------------------------------------------------------
 # The layer against a square of Fractions
@@ -147,10 +147,10 @@ def test_gl_builds_match_the_entry_formulas(p):
     u, q = p.u, p.q
 
     def iq(n):
-        return poch_desc(1 / q, n, q)
+        return poch_table(1 / q, q)[n]
 
     def uq(n):
-        return poch_desc(u / q, n, q)
+        return poch_table(u / q, q)[n]
 
     def a_inv(i, j):
         if i == 0:
@@ -179,10 +179,10 @@ def test_fristedt_builds_match_the_entry_formulas(q):
     p = FristedtParams(q=q)
 
     def iqs(n):
-        return poch_desc(1 / q, n, q)
+        return poch_table(1 / q, q)[n]
 
     def qs(n):
-        return poch_desc(q, n, 1 / q)
+        return poch_table(q, 1 / q)[n]
 
     assert f_kernel_matrix(size - 1, p) == TruncatedMatrix.build(
         size, lambda i, j: f_kernel(i, j, p)
@@ -207,10 +207,10 @@ def _kr_terms(l, j, r, p):
     u, q = p.u, p.q
 
     def iq(n):
-        return poch_desc(1 / q, n, q)
+        return poch_table(1 / q, q)[n]
 
     def uq(n):
-        return poch_desc(u / q, n, q)
+        return poch_table(u / q, q)[n]
 
     total = F(0)
     for n in range(j, l + 1):
