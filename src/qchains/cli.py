@@ -11,7 +11,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from time import perf_counter
 from typing import Callable, NamedTuple
@@ -83,7 +82,8 @@ _INT_FLAG_MIN = {
 # - L, lmax: the (L+1)^2/2 kernel entries carry about L^2 bits each, so
 #   memory grows as L^4.  `power --L N --j 0 --r 1` peaks at 25 MB at
 #   N = 120 and 38 MB at 160, and at N = 200 takes 21 s; `kernel --lmax`,
-#   which also prints every entry, peaks at 89 MB at 120 and 232 MB at 160.
+#   which writes the entries one row at a time, peaks at 25 MB at 120 and
+#   40 MB at 160 (15.6 s).
 # - r, for `power` only (`series --r` is another flag): row L of K^r takes
 #   r row-vector products whose entries grow to about r L^2 bits, so the
 #   time grows about as r^2.  `power --L 40 --j 0` took 0.6 s at r = 32 and
@@ -96,18 +96,28 @@ _INT_FLAG_MAX = {"L": 200, "lmax": 200, "r": 32, "size_cap": 40}
 _INT_FLAG_COMMAND = {"r": "power"}  # flags bounded on one command only
 
 
+def _flag(name) -> str:
+    """The option as typed, from its argparse attribute name."""
+    return "--" + name.replace("_", "-")
+
+
+def _typed(names) -> str:
+    """Attribute names as the sorted, comma-separated options they come from."""
+    return ", ".join(sorted(map(_flag, names)))
+
+
 def _check_int_flags(args):
     """Reject a given integer flag outside its bounds before any work starts."""
     for name, low in _INT_FLAG_MIN.items():
         value = getattr(args, name, None)
         if value is not None and value < low:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= {low}")
+            raise ValueError(f"{_flag(name)} must be >= {low}")
     for name, high in _INT_FLAG_MAX.items():
         if _INT_FLAG_COMMAND.get(name, args.command) != args.command:
             continue
         value = getattr(args, name, None)
         if value is not None and value > high:
-            raise ValueError(f"--{name.replace('_', '-')} must be <= {high}")
+            raise ValueError(f"{_flag(name)} must be <= {high}")
 
 
 class _Model(NamedTuple):
@@ -133,7 +143,7 @@ def _check_model_flags(args):
     if model is None:
         return
     unread = set().union(*_MODEL_OPTIONS.values()) - _MODEL_OPTIONS[model]
-    extra = sorted(n for n in unread if getattr(args, n, None) is not None)
+    extra = _typed(n for n in unread if getattr(args, n, None) is not None)
     if extra:
         raise ValueError(f"options not used by model {model!r}: {extra}")
 
@@ -156,11 +166,47 @@ def _model(name, u, q) -> _Model:
                   f_diagonalization, f_kr_closed, f_sample_stream)
 
 
-def _emit(obj, mode="json"):
+def _line(obj, mode="json") -> str:
+    """obj as one output line, without its newline."""
     if mode == "json":
-        print(json.dumps(obj, sort_keys=True))
+        return json.dumps(obj, sort_keys=True)
+    return " ".join(f"{k}={v}" for k, v in sorted(obj.items()))
+
+
+def _emit(obj, mode="json"):
+    print(_line(obj, mode))
+
+
+def _emit_list(obj, key, chunks, mode="json"):
+    """Print the line _emit prints for obj with obj[key] the concatenation
+    of chunks, an iterable of lists of strings, writing each chunk as it is
+    produced, so that the whole list is never held."""
+    marker = f"{json.dumps(key)}: []" if mode == "json" else f"{key}=[]"
+    line = _line({**obj, key: []}, mode)
+    cut = line.index(marker) + len(marker) - 1  # just after the "["
+    item = json.dumps if mode == "json" else repr
+    out = sys.stdout
+    out.write(line[:cut])
+    sep = ""
+    for chunk in chunks:
+        if chunk:
+            out.write(sep + ", ".join(map(item, chunk)))
+            sep = ", "
+    out.write(line[cut:] + "\n")
+
+
+def _sample_lines(samples, model, mode="json"):
+    """Yield, for each ChainSample, the line that _emit(s.to_json(model),
+    mode) prints, formatted directly."""
+    if mode == "json":
+        name = json.dumps(model)
+        for s in samples:
+            yield (f'{{"columns": {list(s.columns)}, "model": {name}, '
+                   f'"partition": {list(s.partition.parts)}, "seed": {s.seed}}}\n')
     else:
-        print(" ".join(f"{k}={v}" for k, v in sorted(obj.items())))
+        for s in samples:
+            yield (f"columns={list(s.columns)} model={model} "
+                   f"partition={list(s.partition.parts)} seed={s.seed}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +586,7 @@ def _suite_cases(args):
         make, reads, _ = _SUITES[args.suite]
         runs = [(make, reads)]
     read = set().union(*(reads for _, reads in runs))
-    extra = sorted(n for n in _SUITE_OPTIONS - read if getattr(args, n) is not None)
+    extra = _typed(n for n in _SUITE_OPTIONS - read if getattr(args, n) is not None)
     if extra:
         raise ValueError(f"options not used by suite {args.suite!r}: {extra}")
     cases = []
@@ -554,6 +600,8 @@ def cmd_verify(args) -> int:
     cases = _suite_cases(args)
     jobs = min(args.jobs, len(cases))  # a pool starts all its workers at once
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costly import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(run_case, cases))
     else:
@@ -573,8 +621,8 @@ def cmd_sample(args) -> int:
         raise ValueError("eps must be positive")
     if args.model != "quiver":
         m = _model(args.model, args.u, args.q)
-        for s in m.stream(m.p, args.seed, args.count, eps):
-            _emit(s.to_json(model=args.model), args.format)
+        samples = m.stream(m.p, args.seed, args.count, eps)
+        sys.stdout.writelines(_sample_lines(samples, args.model, args.format))
         return 0
     if args.quiver is None:
         raise ValueError("quiver model requires --quiver FILE")
@@ -620,8 +668,9 @@ def cmd_kernel(args) -> int:
     else:
         d = m.diagonalization(args.lmax, m.p)
         mat = {"C": d.c, "M": d.m, "A": d.a, "Ainv": d.a_inv, "E": d.e}[args.matrix]
-    _emit(mat.to_json(params=m.params, model=args.model, name=args.matrix),
-          args.format)
+    info = {"size": mat.size, "model": args.model, "name": args.matrix,
+            "params": m.params}
+    _emit_list(info, "entries", mat.entry_rows(), args.format)
     return 0
 
 

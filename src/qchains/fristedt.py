@@ -151,14 +151,23 @@ def f_chain_mass(lam: Partition, p: FristedtParams) -> Fraction:
 
 @row_chain
 def _sampler(p: FristedtParams, eps: Fraction):
-    """The row chain."""
+    """The row chain, with first(b) = first_row_unnormalized(b) = q^b/(q)_b.
+
+    Row s is step(s, b) = f_kernel(s, b) = (q)_s first(b), so it has the
+    first step's ratios, and its integers are those of the first step on
+    0..s divided by their common factor.
+    """
     q = p.q
     z = weight_normalizer(p, eps)
     if z.lo <= 0:
         raise ValueError("eps too large to certify the support cap")
+
+    def ratio(b):
+        return (1 - q**b) / q
+
     return (
-        lambda b: first_row_unnormalized(b, p),
-        lambda s, b: f_kernel(s, b, p),
+        ratio,
+        lambda s, b: ratio(b),
         # sum_{b>a} q^b (q)_inf/(q)_b <= (hi/lo) q^(a+1)/(1-q)
         lambda a: z.hi / z.lo * q ** (a + 1) / (1 - q),
     )
@@ -178,7 +187,7 @@ def f_sample_stream(p: FristedtParams, seed: int, count: int, eps=Fraction(1, 2*
     rng = random.Random(seed)
     for _ in range(count):
         rows = chain.path(rng)
-        yield ChainSample(seed=seed, columns=rows, partition=Partition(rows))
+        yield ChainSample(seed, rows, Partition(rows))
 
 
 __all__ = [

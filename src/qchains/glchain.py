@@ -15,8 +15,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from qchains.partitions import MeasureParams, Partition
 from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
@@ -45,7 +46,7 @@ class TruncatedMatrix:
     rows and dens.  Entries above the diagonal are zero by construction.
     Products, matrix-vector products and equality run on these ints; the
     entries appear as Fractions only at the edges: entry(), power_entry(),
-    the mul_vector() result, to_json() and the entries view.
+    the mul_vector() result, entry_rows() and the entries view.
     """
 
     __slots__ = ("rows", "dens", "size", "_cols", "_entries")
@@ -200,22 +201,12 @@ class TruncatedMatrix:
     def __repr__(self):
         return f"TruncatedMatrix(size={self.size})"
 
-    def to_json(self, params=None, model="gl", name=None) -> dict:
+    def entry_rows(self):
+        """Yield each row of the full square as its entries' "p/q" strings,
+        converting one row at a time."""
         n = self.size
-        out = {
-            "size": n,
-            "model": model,
-            "entries": [
-                s
-                for i, (row, den) in enumerate(zip(self.rows, self.dens))
-                for s in [str(Fraction(c, den)) for c in row] + ["0"] * (n - 1 - i)
-            ],
-        }
-        if name:
-            out["name"] = name
-        if params is not None:
-            out["params"] = params
-        return out
+        for i, (row, den) in enumerate(zip(self.rows, self.dens)):
+            yield [str(Fraction(c, den)) for c in row] + ["0"] * (n - 1 - i)
 
 
 def _common_den(values):
@@ -357,28 +348,35 @@ def kernel_matrix(l_max: int, p: MeasureParams) -> TruncatedMatrix:
     return TruncatedMatrix.build(size, lambda i, j: c[i] * t[i - j] * f[j])
 
 
-_CLOSED_FACTORS = 2048  # factors of each kind kept by kr_closed
+_CLOSED_PARAMS = 4  # parameter sets whose factors kr_closed keeps
+_CLOSED_FACTORS = 2048  # factors of each kind kept per parameter set
 
 
-@lru_cache(maxsize=_CLOSED_FACTORS)
-def _closed_head(l: int, n: int, r: int, p: MeasureParams) -> Fraction:
-    """C(l) A(l,n) E(n)^r, the factor of the n-th term that does not involve j."""
+@lru_cache(maxsize=_CLOSED_PARAMS)
+def _closed_factors(p: MeasureParams):
+    """(head, tail): the two factor kinds of kr_closed at p, each a bounded
+    cache keyed by integers only, so a lookup hashes no Fraction.
+
+    head(l, n, r) = C(l) A(l,n) E(n)^r, the factor of the n-th term free of j;
+    tail(n, j) = A^-1(n,j) / C(j), the factor of the n-th term free of l, r.
+    """
     u, q = p.u, p.q
     iq, uq = _tables(p)
-    return iq[l] * uq[l] / (iq[l - n] * uq[l + n]) * (u**n / q ** (n * n)) ** r
 
+    @lru_cache(maxsize=_CLOSED_FACTORS)
+    def head(l: int, n: int, r: int) -> Fraction:
+        return iq[l] * uq[l] / (iq[l - n] * uq[l + n]) * (u**n / q ** (n * n)) ** r
 
-@lru_cache(maxsize=_CLOSED_FACTORS)
-def _closed_tail(n: int, j: int, p: MeasureParams) -> Fraction:
-    """A^-1(n,j) / C(j), the factor of the n-th term that involves j."""
-    if n == 0:
-        return _ONE  # (1 - u/q^0) (u/q)_{-1} via the extension; 1 at u = 1
-    u, q = p.u, p.q
-    iq, uq = _tables(p)
-    d = n - j
-    core = (1 - u / q ** (2 * n)) * uq[n + j - 1]
-    sign = -1 if d % 2 else 1
-    return sign * core / (q ** (d * (d - 1) // 2) * iq[d] * iq[j] * uq[j])
+    @lru_cache(maxsize=_CLOSED_FACTORS)
+    def tail(n: int, j: int) -> Fraction:
+        if n == 0:
+            return _ONE  # (1 - u/q^0) (u/q)_{-1} via the extension; 1 at u = 1
+        d = n - j
+        core = (1 - u / q ** (2 * n)) * uq[n + j - 1]
+        sign = -1 if d % 2 else 1
+        return sign * core / (q ** (d * (d - 1) // 2) * iq[d] * iq[j] * uq[j])
+
+    return head, tail
 
 
 def kr_closed(l: int, j: int, r: int, p: MeasureParams) -> Fraction:
@@ -388,18 +386,19 @@ def kr_closed(l: int, j: int, r: int, p: MeasureParams) -> Fraction:
     indices n = j..l; terms outside that range vanish (a Pochhammer index
     there is negative), and the n = j = 0 term uses the same extension as
     A^-1(0,0).  Each term is a factor free of j times a factor free of l
-    and r; both are kept in bounded caches keyed by the parameters, and the
-    terms are summed as integers over the lcm of their denominators.
+    and r; both are kept in bounded per-parameter caches, and the terms are
+    summed as integers over the lcm of their denominators.
     """
     if not 0 <= j <= l:
         raise ValueError("need 0 <= j <= l")
     if r < 1:
         raise ValueError("need r >= 1")
+    head, tail = _closed_factors(p)
     nums, dens = [], []
     for n in range(j, l + 1):
-        head, tail = _closed_head(l, n, r, p), _closed_tail(n, j, p)
-        nums.append(head.numerator * tail.numerator)
-        dens.append(head.denominator * tail.denominator)
+        h, t = head(l, n, r), tail(n, j)
+        nums.append(h.numerator * t.numerator)
+        dens.append(h.denominator * t.denominator)
     den = lcm(*dens)
     return Fraction(sum(x * (den // d) for x, d in zip(nums, dens)), den)
 
@@ -422,8 +421,7 @@ def chain_mass(lam: Partition, p: MeasureParams) -> Fraction:
 # Sampling
 
 
-@dataclass(frozen=True)
-class ChainSample:
+class ChainSample(NamedTuple):
     """One absorbed trajectory: the positive chain states and the partition.
 
     For this chain the states are column heights; the Fristedt chain stores
@@ -446,20 +444,20 @@ class ChainSample:
 class _Cdf:
     """Exact inverse-CDF table over integer prefix sums.
 
-    With the weights over one common denominator, P_i are the prefix sums of
-    their numerators and T the total; pick(V) is the first i with
-    V/2^128 < P_i/T, compared as V T < P_i 2^128 without any reduction.
+    It takes a list of integers proportional to the weights, at any common
+    scale, and turns that list into its prefix sums P_i in place.  With T
+    the total, pick(V) is the first i with V/2^128 < P_i/T, compared as
+    V T < P_i 2^128 without any reduction, so the scale never changes a draw.
     """
 
     __slots__ = ("bounds", "total")
 
-    def __init__(self, weights):
-        den = lcm(*(w.denominator for w in weights))
+    def __init__(self, nums: list):
         acc = 0
-        self.bounds = []
-        for w in weights:
-            acc += w.numerator * (den // w.denominator)
-            self.bounds.append(acc << 128)
+        for i, w in enumerate(nums):
+            acc += w
+            nums[i] = acc << 128
+        self.bounds = nums
         self.total = acc
 
     def pick(self, v: int) -> int:
@@ -469,16 +467,17 @@ class _Cdf:
 class ChainSampler:
     """Inverse-CDF driver of one absorbing chain.
 
-    A path draws its first state from the first-step law (keys, weights),
-    then steps with row(state) -> (keys, weights) until the absorbing state.
-    Every row CDF built is kept: states only decrease, so the table is
-    bounded by the first-step support.
+    A path draws its first state from the first-step law, given as keys and
+    integers proportional to their weights, then steps with
+    row(state) -> (keys, integers) until the absorbing state.  Every row CDF
+    built is kept: states only decrease, so the table is bounded by the
+    first-step support.
     """
 
     __slots__ = ("first", "row", "absorbing", "rows")
 
-    def __init__(self, keys, weights, row, absorbing):
-        self.first = (tuple(keys), _Cdf(weights))
+    def __init__(self, keys, nums, row, absorbing):
+        self.first = (tuple(keys), _Cdf(nums))
         self.row = row
         self.absorbing = absorbing
         self.rows = {}
@@ -494,52 +493,78 @@ class ChainSampler:
             states.append(state)
             table = self.rows.get(state)
             if table is None:
-                row_keys, weights = self.row(state)
-                table = self.rows[state] = (tuple(row_keys), _Cdf(weights))
+                row_keys, nums = self.row(state)
+                table = self.rows[state] = (tuple(row_keys), _Cdf(nums))
             keys, cdf = table
 
 
 _SAMPLERS = 16  # per-parameter samplers kept by each model
 
 
+def _ratio_ints(top: int, ratio) -> list:
+    """Integers w_0..w_top proportional to a positive f(0..top), from the
+    exact ratios ratio(b) = f(b-1)/f(b), b = 1..top.
+
+    w_top is the product of the ratios' denominators; going down, w_b holds
+    the denominators of ratio(1..b), so each step w_{b-1} = w_b ratio(b) is
+    an exact integer division.
+    """
+    ratios = [ratio(b) for b in range(1, top + 1)]
+    w = prod(r.denominator for r in ratios)
+    out = [w]
+    for r in reversed(ratios):
+        w = w * r.numerator // r.denominator
+        out.append(w)
+    out.reverse()
+    return out
+
+
 def row_chain(describe):
-    """Decorator: describe(p, eps) -> (first, step, tail) becomes a bounded
-    cache of ChainSamplers keyed by (p, eps).
+    """Decorator: describe(p, eps) -> (ratio, step_ratio, tail) becomes a
+    bounded cache of ChainSamplers keyed by (p, eps).
 
     The chain on row (or column) lengths starts at b with weight first(b),
-    steps from s to b <= s with probability step(s, b) and is absorbed at 0.
-    Its first step is cut to 0..A, A the least state whose certified tail(A),
-    a bound on the relative first-step mass above A, is below 2**-TAIL_BITS.
+    steps from s to b <= s with probability step(s, b) and is absorbed at 0;
+    all these weights are positive.  The model gives them by their small
+    exact ratios ratio(b) = first(b-1)/first(b) and
+    step_ratio(s, b) = step(s, b-1)/step(s, b), and the first step and each
+    row are integers built from the top state down (_ratio_ints).  The first
+    step is cut to 0..A, A the least state whose certified tail(A), a bound
+    on the relative first-step mass above A, is below 2**-TAIL_BITS.
     """
 
     @lru_cache(maxsize=_SAMPLERS)
     @wraps(describe)
     def sampler(p, eps) -> ChainSampler:
-        first, step, tail = describe(p, eps)
+        ratio, step_ratio, tail = describe(p, eps)
         bound = Fraction(1, 2**TAIL_BITS)
         top = 0
         while tail(top) >= bound:
             top += 1
 
         def row(s):
-            return range(s + 1), [step(s, b) for b in range(s + 1)]
+            return range(s + 1), _ratio_ints(s, lambda b: step_ratio(s, b))
 
-        weights = [first(b) for b in range(top + 1)]
-        return ChainSampler(range(top + 1), weights, row, 0)
+        return ChainSampler(range(top + 1), _ratio_ints(top, ratio), row, 0)
 
     return sampler
 
 
 @row_chain
 def _sampler(p: MeasureParams, eps: Fraction):
-    """The column chain."""
+    """The column chain, with first(b) = first_col_unnormalized(b) and
+    step(s, b) = kernel(s, b) = first(b) (1/q)_s (u/q)_s / (1/q)_{s-b}."""
     u, q = p.u, p.q
     lo = poch_inf(1, q, eps).lo * poch_inf(u, q, eps).lo
     if lo <= 0:
         raise ValueError("eps too large to certify the support cap")
+
+    def ratio(b):
+        return q ** (2 * b - 1) * (1 - q**-b) * (1 - u * q**-b) / u
+
     return (
-        lambda b: first_col_unnormalized(b, p),
-        lambda s, b: kernel(s, b, p),
+        ratio,
+        lambda s, b: ratio(b) / (1 - q ** (b - s - 1)),
         # sum_{b>a} u^b q^(-b^2) <= u^(a+1) q^(-(a+1)^2) / (1 - u/q)
         lambda a: u ** (a + 1) / q ** ((a + 1) * (a + 1)) / (1 - u / q) / lo,
     )
@@ -560,9 +585,7 @@ def sample_stream(p: MeasureParams, seed: int, count: int, eps=Fraction(1, 2**20
     rng = random.Random(seed)
     for _ in range(count):
         cols = chain.path(rng)
-        yield ChainSample(
-            seed=seed, columns=cols, partition=Partition(cols).conjugate()
-        )
+        yield ChainSample(seed, cols, Partition(cols).conjugate())
 
 
 __all__ = [

@@ -8,6 +8,7 @@ interval (measure_normalizer).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 
 from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
 
@@ -20,12 +21,15 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        for i, p in enumerate(parts):
-            if p <= 0:
-                raise ValueError("parts must be positive")
-            if i and parts[i - 1] < p:
-                raise ValueError("parts must be weakly decreasing")
+        parts = tuple(map(int, parts))
+        # weakly decreasing with a positive last part; the first offending
+        # part names the error
+        if parts and (parts[-1] <= 0 or any(map(lt, parts, parts[1:]))):
+            for i, p in enumerate(parts):
+                if p <= 0:
+                    raise ValueError("parts must be positive")
+                if i and parts[i - 1] < p:
+                    raise ValueError("parts must be weakly decreasing")
         object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):
@@ -63,12 +67,15 @@ class Partition:
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
     def conjugate(self) -> "Partition":
-        """Column lengths of the diagram: lambda'_j = #{i : lambda_i >= j}."""
-        if not self.parts:
-            return Partition()
+        """Column lengths of the diagram: lambda'_j = #{i : lambda_i >= j}.
+
+        From the smallest part up, lambda'_j = i for lambda_{i+1} < j <=
+        lambda_i (lambda_{len+1} = 0): O(len + lambda_1) steps.
+        """
+        parts = self.parts
         cols = []
-        for j in range(1, self.parts[0] + 1):
-            cols.append(sum(1 for p in self.parts if p >= j))
+        for i in range(len(parts), 0, -1):
+            cols += [i] * (parts[i - 1] - len(cols))
         return Partition(cols)
 
     def multiplicities(self) -> dict:

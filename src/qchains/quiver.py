@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 from math import prod
 
-from qchains.glchain import _SAMPLERS, ChainSampler
+from qchains.glchain import _SAMPLERS, ChainSampler, _common_den
 from qchains.partitions import Partition
 from qchains.qalgebra import as_fraction, poch_table
 
@@ -332,9 +332,10 @@ def _sampler(g: Quiver, p: QuiverParams, size_cap: int) -> ChainSampler:
 
     def row(a):
         support = tuple(iter_product(*(range(v + 1) for v in a)))
-        return support, [quiver_kernel(a, b, g, p, size_cap) for b in support]
+        weights = [quiver_kernel(a, b, g, p, size_cap) for b in support]
+        return support, _common_den(weights)[0]
 
-    return ChainSampler(keys, [mass[k] for k in keys], row, (0,) * g.n)
+    return ChainSampler(keys, _common_den(mass[k] for k in keys)[0], row, (0,) * g.n)
 
 
 def quiver_sample(

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from qchains import cli
 from qchains.cli import main
-from qchains.glchain import kernel
-from qchains.partitions import MeasureParams
+from qchains.glchain import ChainSample, kernel
+from qchains.partitions import MeasureParams, Partition
 
 
 def run(capsys, argv):
@@ -124,17 +124,18 @@ def test_flag_the_command_does_not_read_exits_2(capsys, command, flag):
     assert capsys.readouterr().out == ""
 
 
-# a flag the command registers for one of its models, given with another
+# a flag the command registers for one of its models, given with another;
+# the error names the options as typed
 _MODEL_UNREAD = [
-    (["kernel", "--model", "fristedt", "--q", "1/2", "--u", "junk"], "fristedt", ["u"]),
+    (["kernel", "--model", "fristedt", "--q", "1/2", "--u", "junk"], "fristedt", "--u"),
     (["power", "--model", "fristedt", "--q", "1/2", "--u", "1/2",
-      "--L", "3", "--j", "0", "--r", "1"], "fristedt", ["u"]),
+      "--L", "3", "--j", "0", "--r", "1"], "fristedt", "--u"),
     (["sample", "--model", "quiver", "--quiver", "perfbench/a2.json", "--q", "1/0",
-      "--u", "junk"], "quiver", ["q", "u"]),
+      "--u", "junk"], "quiver", "--q, --u"),
     (["sample", "--model", "gl", "--quiver", "/nonexistent.json", "--size-cap", "3"],
-     "gl", ["quiver", "size_cap"]),
+     "gl", "--quiver, --size-cap"),
     (["sample", "--model", "fristedt", "--q", "1/2", "--size-cap", "20"],
-     "fristedt", ["size_cap"]),
+     "fristedt", "--size-cap"),
 ]
 
 
@@ -148,6 +149,21 @@ def test_flag_the_model_does_not_read_exits_2(capsys, argv, model, extra):
     assert code == 2
     assert out == ""
     assert err == f"error: options not used by model {model!r}: {extra}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["sample", "--model", "gl", "--quiver", "/nonexistent.json",
+          "--size-cap", "3"],
+         "error: options not used by model 'gl': --quiver, --size-cap\n"),
+        (["verify", "--suite", "rr", "--size-cap", "3"],
+         "error: options not used by suite 'rr': --size-cap\n"),
+    ],
+    ids=["sample", "verify"],
+)
+def test_unread_options_are_named_as_typed(capsys, argv, err):
+    assert run(capsys, argv) == (2, "", err)
 
 
 def test_fristedt_default_q_is_still_rejected(capsys):
@@ -607,8 +623,18 @@ def test_text_mode(capsys):
          "dd770e6979297edb67e5f9d9578ded54c4eac6f4500ad39405d021a9bd5c54ea"),
         (["verify", "--suite", "all", "--jobs", "2"],
          "7743ae7bd3fb1b4af9f7096e18357a91121350d3d4497792aac8226079dea61d"),
+        (["sample", "--model", "gl", "--u", "1/2", "--q", "2", "--count", "2000",
+          "--format", "text"],
+         "5195bf63b474956a32d2161a7bab0c3e6b2db865ca7a78872dbde8042a1a7997"),
+        (["sample", "--model", "fristedt", "--q", "4/5", "--count", "200",
+          "--format", "text"],
+         "21f58fddd80cdf322f66781c87cc02df030a8924cd999037370e8d253da5159c"),
+        (["sample", "--model", "quiver", "--quiver", "perfbench/a2.json",
+          "--count", "100", "--format", "text"],
+         "aacb0cf55d25e2a20862f90de2d1a08886ff89fd8042d0c686968dfb67d26d3d"),
     ],
-    ids=["gl", "fristedt", "fristedt-large", "verify-all"],
+    ids=["gl", "fristedt", "fristedt-large", "verify-all", "gl-text",
+         "fristedt-large-text", "quiver-text"],
 )
 def test_seed_zero_outputs_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, argv + ["--seed", "0"])
@@ -619,6 +645,47 @@ def test_seed_zero_outputs_pinned(capsys, argv, digest):
             del report["elapsed"]
         out = "".join(json.dumps(r, sort_keys=True) + "\n" for r in reports)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_PARTS = st.lists(st.integers(1, 30), max_size=8).map(
+    lambda xs: Partition(sorted(xs, reverse=True))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**70),
+    columns=_PARTS,
+    partition=_PARTS,
+    model=st.sampled_from(["gl", "fristedt", 'a "b"']),
+    mode=st.sampled_from(["json", "text"]),
+)
+def test_sample_line_is_the_emitted_line(seed, columns, partition, model, mode):
+    s = ChainSample(seed, columns.parts, partition)
+    (line,) = cli._sample_lines([s], model, mode)
+    if mode == "json":
+        assert line == json.dumps(s.to_json(model), sort_keys=True) + "\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(s.to_json(model), mode)
+    assert line == out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.sampled_from(["0", "1", "-1/2", "123/4567"]),
+                           max_size=4), max_size=5),
+    key=st.sampled_from(["entries", "a", "z"]),
+    mode=st.sampled_from(["json", "text"]),
+)
+def test_emit_list_is_the_emitted_line(rows, key, mode):
+    info = {"size": 3, "model": "gl", "params": {"u": "1/2", "q": "2"}}
+    streamed, whole = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(streamed):
+        cli._emit_list(info, key, iter(rows), mode)
+    with contextlib.redirect_stdout(whole):
+        cli._emit({**info, key: [x for row in rows for x in row]}, mode)
+    assert streamed.getvalue() == whole.getvalue()
 
 
 # The CLI contract over a small argparse space.  Integers stay at most 12:

@@ -275,8 +275,11 @@ _WEIGHTS = st.lists(
 @example(weights=[F(0), F(1), F(0), F(1), F(0)], data=None)  # zero weights
 def test_cdf_pick_matches_fraction_definition(weights, data):
     """Integer prefix sums pick exactly as the Fraction thresholds, also for zero
-    weights and for v exactly on, just below and just above a threshold."""
-    cdf = glchain._Cdf(weights)
+    weights and for v exactly on, just below and just above a threshold, and
+    at any common scale of the integers."""
+    nums = glchain._common_den(weights)[0]
+    scale = 3**40 + 1
+    cdfs = [glchain._Cdf(list(nums)), glchain._Cdf([w * scale for w in nums])]
     total = sum(weights, F(0))
     candidates = {0, 2**128 - 1}
     acc = F(0)
@@ -288,16 +291,63 @@ def test_cdf_pick_matches_fraction_definition(weights, data):
     if data is not None:
         candidates.add(data.draw(st.integers(0, 2**128 - 1)))
     for v in sorted(candidates):
-        assert cdf.pick(v) == _cdf_by_fractions(weights, v), v
+        want = _cdf_by_fractions(weights, v)
+        assert [cdf.pick(v) for cdf in cdfs] == [want, want], v
 
 
 def test_cdf_exact_thresholds():
-    cdf = glchain._Cdf([F(1), F(1), F(2)])
+    cdf = glchain._Cdf([1, 1, 2])
     assert [cdf.pick(v) for v in (0, 2**126 - 1, 2**126, 2**127, 2**128 - 1)] == [
         0, 0, 1, 2, 2
     ]
-    cdf = glchain._Cdf([F(0), F(1, 3), F(0), F(2, 3)])
+    cdf = glchain._Cdf([0, 1, 0, 2])
     assert [cdf.pick(v) for v in (0, 2**128 // 3, 2**128 // 3 + 1)] == [1, 1, 3]
+
+
+def _first_step_ints(chain):
+    """The integers of a sampler's first step, from its prefix-sum CDF."""
+    bounds = chain.first[1].bounds
+    return [(hi - lo) >> 128 for lo, hi in zip([0] + bounds, bounds)]
+
+
+def _proportional(ints, weights, picks):
+    """ints[b] / ints[0] == weights[b] / weights[0] for b in picks, compared
+    by cross-multiplying, since a gcd of integers this long is slow."""
+    w0 = weights[0]
+    return len(ints) == len(weights) and all(
+        ints[b] * w0.numerator * weights[b].denominator
+        == ints[0] * weights[b].numerator * w0.denominator
+        for b in picks
+    )
+
+
+@pytest.mark.parametrize(
+    "sampler, p, first, step",
+    [
+        *[(glchain._sampler, MeasureParams(u=F(u), q=F(q)), first_col_unnormalized,
+           kernel) for u, q in [("1/2", "2"), ("1/3", "3"), ("9/10", "5/4")]],
+        *[(fristedt._sampler, fristedt.FristedtParams(q=F(q)),
+           fristedt.first_row_unnormalized, fristedt.f_kernel)
+          for q in ("1/2", "4/5", "9/10")],
+    ],
+    ids=["gl-1/2-2", "gl-1/3-3", "gl-9/10-5/4", "fristedt-1/2", "fristedt-4/5",
+         "fristedt-9/10"],
+)
+def test_ratio_built_integers_are_proportional_to_the_weights(sampler, p, first, step):
+    """The first-step integers are proportional to first(b), and the integers
+    of each row s < 30 to step(s, b), b <= s.  The first step is checked at
+    every b < 30, every 8th b and the top (some 450 states of 300k bits at
+    q = 9/10); the integers are built from the top down, so a wrong ratio
+    shows between two checked states."""
+    chain = sampler(p, F(1, 2**20))
+    ints = _first_step_ints(chain)
+    top = len(ints) - 1
+    picks = sorted({*range(min(30, top + 1)), *range(0, top, 8), top})
+    assert _proportional(ints, [first(b, p) for b in range(top + 1)], picks)
+    for s in range(30):
+        keys, nums = chain.row(s)
+        assert list(keys) == list(range(s + 1))
+        assert _proportional(nums, [step(s, b, p) for b in keys], keys), s
 
 
 def test_sample_json():

@@ -78,7 +78,7 @@ def test_layer_matches_the_fraction_oracle(case):
     assert ma.size == n
     assert ma.entries == tuple(tuple(row) for row in a)
     assert all(ma.entry(i, j) == a[i][j] for i in range(n) for j in range(n))
-    assert ma.to_json()["entries"] == [str(e) for row in a for e in row]
+    assert list(ma.entry_rows()) == [[str(e) for e in row] for row in a]
     assert ma == TruncatedMatrix.build(n, lambda i, j: a[i][j])
 
     product = ma @ mb

@@ -35,6 +35,11 @@ def test_partition_validation():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, 0])
+    # the first offending part names the error
+    with pytest.raises(ValueError, match="positive"):
+        Partition([1, 0, 2])
+    with pytest.raises(ValueError, match="decreasing"):
+        Partition([2, 3, 0])
     assert Partition([]).size == 0
 
 
@@ -51,6 +56,15 @@ def test_conjugate_empty():
 def test_conjugate_involution(lam):
     assert lam.conjugate().conjugate() == lam
     assert lam.conjugate().size == lam.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.integers(1, 40), max_size=40))
+def test_conjugate_matches_its_definition(parts):
+    lam = Partition(sorted(parts, reverse=True))
+    top = lam.parts[0] if lam.parts else 0
+    want = [sum(1 for p in lam.parts if p >= j) for j in range(1, top + 1)]
+    assert lam.conjugate().parts == tuple(want)
 
 
 @settings(max_examples=40, deadline=None)
