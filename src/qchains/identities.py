@@ -2,19 +2,19 @@
 the absorption-limit series that proves them probabilistically, and Bailey
 pairs with the Bailey step.
 
-Everything here is a formal series in x with exact rational coefficients;
-the chain parameters enter through the substitution u = x^delta, x = 1/q
-(delta is 0 or 1; those are the only two values the pipeline needs).
+The series here are formal in x with exact rational coefficients; the chain
+parameters enter through the substitution u = x^delta, x = 1/q (delta is 0
+or 1; those are the only two values the pipeline needs).  Bailey pairs are
+finite rational sequences, related and stepped by the chain's matrices.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from qchains.glchain import Diagonalization, build_diagonalization
 from qchains.partitions import MeasureParams
-from qchains.qalgebra import QSeries, poch_table
-
-_ZERO = Fraction(0)
+from qchains.qalgebra import QSeries
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,8 @@ class BaileyPair:
 
         beta_L = sum_{r=0}^{L} alpha_r / ((1/q)_{L-r} (u/q)_{L+r})
 
-    for all L up to the common length.  bailey_check tests the relation;
-    bailey_step maps a pair to a new pair (this closure is the lemma).
+    for all L up to the common length (beta = A alpha).  bailey_check tests the
+    relation; bailey_step maps a pair to a new pair (this closure is the lemma).
     """
 
     alpha: tuple
@@ -186,38 +186,33 @@ class BaileyPair:
         }
 
 
-def _beta_from_alpha(alpha, p: MeasureParams):
-    u, q = p.u, p.q
-    iq, uq = poch_table(1 / q, q), poch_table(u / q, q)
-    beta = []
-    for ll in range(len(alpha)):
-        acc = _ZERO
-        for r in range(ll + 1):
-            acc += alpha[r] / (iq[ll - r] * uq[ll + r])
-        beta.append(acc)
-    return tuple(beta)
+@lru_cache(maxsize=4)
+def _diagonalization(p: MeasureParams, l_max: int) -> Diagonalization:
+    """A, M, E and A^-1 for the pairs of length l_max + 1 at p; cached here,
+    not in build_diagonalization, so no other check's matrices stay alive."""
+    return build_diagonalization(l_max, p)
 
 
 def bailey_pair_from_alpha(alpha, p: MeasureParams) -> BaileyPair:
-    """The unique Bailey pair with the given alpha."""
+    """The unique Bailey pair with the given alpha: beta = A alpha."""
     alpha = tuple(Fraction(a) for a in alpha)
-    return BaileyPair(alpha=alpha, beta=_beta_from_alpha(alpha, p), params=p)
+    beta = _diagonalization(p, len(alpha) - 1).a.mul_vector(alpha)
+    return BaileyPair(alpha=alpha, beta=beta, params=p)
 
 
 def unit_bailey_pair(p: MeasureParams, l_max: int) -> BaileyPair:
     """The pair with beta = (1, 0, 0, ...); alpha is column 0 of the inverse
     eigenvector matrix."""
-    from qchains.glchain import build_diagonalization
-
-    diag = build_diagonalization(l_max, p)
-    alpha = tuple(diag.a_inv.entry(r, 0) for r in range(l_max + 1))
-    beta = (Fraction(1),) + (_ZERO,) * l_max
+    a_inv = _diagonalization(p, l_max).a_inv
+    alpha = tuple(a_inv.entry(r, 0) for r in range(l_max + 1))
+    beta = (Fraction(1),) + (Fraction(0),) * l_max
     return BaileyPair(alpha=alpha, beta=beta, params=p)
 
 
 def bailey_check(pair: BaileyPair) -> bool:
-    """True iff the defining relation holds exactly for every L <= l_max."""
-    return pair.beta == _beta_from_alpha(pair.alpha, pair.params)
+    """True iff beta = A alpha holds exactly for every L <= l_max."""
+    a = _diagonalization(pair.params, pair.l_max).a
+    return pair.beta == a.mul_vector(pair.alpha)
 
 
 def bailey_step(pair: BaileyPair) -> BaileyPair:
@@ -231,18 +226,10 @@ def bailey_step(pair: BaileyPair) -> BaileyPair:
     """
     if not bailey_check(pair):
         raise ValueError("input does not satisfy the Bailey pair relation")
-    u, q = pair.params.u, pair.params.q
-    iq = poch_table(1 / q, q)
-    alpha = tuple(
-        u**ll / q ** (ll * ll) * a for ll, a in enumerate(pair.alpha)
+    d = _diagonalization(pair.params, pair.l_max)
+    return BaileyPair(
+        d.e.mul_vector(pair.alpha), d.m.mul_vector(pair.beta), pair.params
     )
-    beta = []
-    for ll in range(len(pair.beta)):
-        acc = _ZERO
-        for r in range(ll + 1):
-            acc += u**r / (q ** (r * r) * iq[ll - r]) * pair.beta[r]
-        beta.append(acc)
-    return BaileyPair(alpha=alpha, beta=tuple(beta), params=pair.params)
 
 
 __all__ = [

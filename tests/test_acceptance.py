@@ -54,6 +54,7 @@ from qchains.qalgebra import (
     jacobi_product,
     one_minus_product,
     poch_inf,
+    poch_table,
     q_binomial_check,
     theta_sum,
 )
@@ -207,6 +208,17 @@ def test_c08_fristedt_suite():
                 assert q_binomial_check(n, q), (n, q)
 
 
+def relation_beta(pair):
+    """beta_L = sum_{r<=L} alpha_r / ((1/q)_{L-r} (u/q)_{L+r}), from the
+    Pochhammer tables alone."""
+    u, q = pair.params.u, pair.params.q
+    iq, uq = poch_table(1 / q, q), poch_table(u / q, q)
+    return tuple(
+        sum(pair.alpha[r] / (iq[ll - r] * uq[ll + r]) for r in range(ll + 1))
+        for ll in range(len(pair.alpha))
+    )
+
+
 def test_c09_bailey_battery():
     with criterion(9, "Bailey step closure for unit pair and 50 random pairs"):
         import random
@@ -227,6 +239,9 @@ def test_c09_bailey_battery():
             assert bailey_check(stepped)
             assert stepped.beta == d.m.mul_vector(pair.beta)
             assert stepped.beta == d.a.mul_vector(stepped.alpha)
+            # the defining sums, evaluated without the matrix layer
+            assert pair.beta == relation_beta(pair)
+            assert stepped.beta == relation_beta(stepped)
 
 
 def test_c10_quiver_consistency():

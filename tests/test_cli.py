@@ -1,6 +1,7 @@
 """Exit codes, report shapes, and byte-determinism of the command line."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qchains import cli
+from qchains import cli, identities
 from qchains.cli import main
-from qchains.glchain import ChainSample, kernel
+from qchains.glchain import ChainSample, TruncatedMatrix, build_diagonalization, kernel
 from qchains.partitions import MeasureParams, Partition
 
 
@@ -393,9 +394,10 @@ def test_power_invalid_indices(capsys):
         (["verify", "--suite", "diag", "--lmax"], "lmax"),
         (["power", "--model", "gl", "--L", "3", "--j", "0", "--r"], "r"),
         (["sample", "--model", "quiver", "--size-cap"], "size_cap"),
+        (["bailey", "--steps"], "steps"),
     ],
     ids=["gl", "fristedt", "kernel", "bailey", "verify-diag", "power-r",
-         "sample-size-cap"],
+         "sample-size-cap", "bailey-steps"],
 )
 def test_power_l_above_the_bound_exits_2_at_once(capsys, monkeypatch, argv, flag):
     def unreachable(*args):
@@ -410,6 +412,28 @@ def test_power_l_above_the_bound_exits_2_at_once(capsys, monkeypatch, argv, flag
     assert code == 2
     assert out == ""
     assert err == f"error: --{flag.replace('_', '-')} must be <= {bound}\n"
+
+
+def test_bailey_alpha_longer_than_the_lmax_bound_exits_2_at_once(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("built a pair past the size bound")
+
+    monkeypatch.setattr(cli, "bailey_pair_from_alpha", unreachable)
+    monkeypatch.setattr(identities, "build_diagonalization", unreachable)
+    most = cli._INT_FLAG_MAX["lmax"] + 1
+    code, out, err = run(capsys, ["bailey", "--alpha", ",".join(["1"] * (most + 1))])
+    assert (code, out) == (2, "")
+    assert err == f"error: --alpha must have at most {most} values\n"
+
+
+def test_bailey_alpha_at_the_lmax_bound_runs(capsys, monkeypatch):
+    monkeypatch.setitem(cli._INT_FLAG_MAX, "lmax", 2)
+    code, out, _ = run(capsys, ["bailey", "--alpha", "1,1/2,-3", "--steps", "0"])
+    assert code == 0
+    assert json_lines(out)[0]["l_max"] == 2
+    code, out, err = run(capsys, ["bailey", "--alpha", "1,1/2,-3,4"])
+    assert (code, out) == (2, "")
+    assert err == "error: --alpha must have at most 3 values\n"
 
 
 def test_series_r_is_not_bounded_as_power_r(capsys):
@@ -559,6 +583,36 @@ def test_bailey_iteration(capsys):
     assert len(lines) == 4
     assert all(line["valid"] for line in lines)
     assert lines[0]["beta"] == ["1", "0", "0", "0", "0", "0", "0"]
+
+
+def _one_entry_wrong(name):
+    """The Bailey pairs' diagonalization with matrix `name` off by one at
+    entry (3, 0)."""
+    def diagonalization(p, l_max):
+        d = build_diagonalization(l_max, p)
+        square = [list(row) for row in getattr(d, name).entries]
+        square[3][0] += 1
+        return dataclasses.replace(d, **{name: TruncatedMatrix(square)})
+
+    return diagonalization
+
+
+@pytest.mark.parametrize(
+    "name, labels",
+    [("a", {"unit:pair", "random0:step", "random0:relation"}),
+     ("m", {"unit:step", "unit:relation", "random0:step", "random0:relation"})],
+)
+def test_bailey_checks_see_a_wrong_matrix_entry(capsys, monkeypatch, name, labels):
+    monkeypatch.setattr(identities, "_diagonalization", _one_entry_wrong(name))
+    code, out, _ = run(capsys, ["verify", "--suite", "bailey", "--lmax", "6"])
+    assert code == 1
+    (report,) = json_lines(out)
+    assert report["status"] == "fail"
+    # the step check and the matrix-free relation each report
+    assert labels <= set(report["failures"])
+    code, out, _ = run(capsys, ["bailey", "--steps", "1", "--lmax", "6"])
+    assert code == 1
+    assert json_lines(out)[-1]["valid"] is False
 
 
 def test_bailey_custom_alpha(capsys):

@@ -22,10 +22,30 @@ from qchains.partitions import MeasureParams, enumerate_partitions
 from qchains.qalgebra import (
     jacobi_product,
     one_minus_product,
+    poch_table,
     theta_sum,
 )
 
 P12 = MeasureParams(u=F(1, 2), q=F(2))
+
+
+def defining_sums(pair):
+    """For a pair at (u, q), with no matrix: the relation's beta from alpha,
+    and the step's alpha' and beta' from alpha and beta, read off the
+    Pochhammer tables term by term."""
+    u, q = pair.params.u, pair.params.q
+    iq, uq = poch_table(1 / q, q), poch_table(u / q, q)
+    ls = range(len(pair.alpha))
+    beta = tuple(
+        sum(pair.alpha[r] / (iq[ll - r] * uq[ll + r]) for r in range(ll + 1))
+        for ll in ls
+    )
+    alpha_next = tuple(u**ll / q ** (ll * ll) * pair.alpha[ll] for ll in ls)
+    beta_next = tuple(
+        sum(u**r / (q ** (r * r) * iq[ll - r]) * pair.beta[r] for r in range(ll + 1))
+        for ll in ls
+    )
+    return beta, alpha_next, beta_next
 
 
 def count_gap2(n, min_part=1):
@@ -197,6 +217,11 @@ def test_step_random_pairs_and_eigenvector_identity():
         # beta' = M beta = A alpha' entrywise
         assert stepped.beta == d.m.mul_vector(pair.beta)
         assert stepped.beta == d.a.mul_vector(stepped.alpha)
+        # and against the defining sums, which share no code with the matrices
+        beta, alpha_next, beta_next = defining_sums(pair)
+        assert pair.beta == beta
+        assert (stepped.alpha, stepped.beta) == (alpha_next, beta_next)
+        assert stepped.beta == defining_sums(stepped)[0]
 
 
 def test_bailey_json():
