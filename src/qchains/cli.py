@@ -35,6 +35,7 @@ from qchains.glchain import (
 )
 from qchains.identities import (
     AGSpec,
+    _bailey_step,
     absorption_limit_series,
     ag_product,
     ag_sum,
@@ -699,11 +700,11 @@ def cmd_bailey(args) -> int:
         pair = unit_bailey_pair(p, 15 if args.lmax is None else args.lmax)
     for step in range(args.steps + 1):
         if step:
-            pair = bailey_step(pair)
+            pair = _bailey_step(pair)  # checked at the step before
         ok = bailey_check(pair)
         _emit({**pair.to_json(), "step": step, "valid": ok}, args.format)
         if not ok:
-            break  # bailey_step refuses a non-pair
+            break  # a non-pair is not stepped
     return 0 if ok else 1
 
 

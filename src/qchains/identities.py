@@ -11,6 +11,7 @@ finite rational sequences, related and stepped by the chain's matrices.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from qchains.glchain import Diagonalization, build_diagonalization
 from qchains.partitions import MeasureParams
@@ -37,53 +38,46 @@ class AGSpec:
 @lru_cache(maxsize=8)
 def _euler_inverses(order: int) -> tuple:
     """1/((1-x)...(1-x^m)) for m = 0..isqrt(order)+1, each to the full order."""
-    top = 1
-    while top * top <= order:
-        top += 1
     out = [QSeries.one(order)]
-    for m in range(1, top + 1):
+    for m in range(1, isqrt(order) + 2):
         out.append(out[-1].mul_geom_inv(m))
     return tuple(out)
 
 
 def ag_sum(spec: AGSpec) -> QSeries:
-    """Sum side: over decreasing tails N_1 >= ... >= N_{k-1} >= 0,
+    """Sum side: over tails N_1 >= ... >= N_{k-1} >= N_k = 0, with (x)_n ascending,
 
-        x^(N_1^2+...+N_{k-1}^2 + N_i+...+N_{k-1}) / ((x)_{n_1}...(x)_{n_{k-1}})
+        x^(N_1^2+...+N_{k-1}^2 + N_i+...+N_{k-1}) / prod_j (x)_{N_j - N_{j+1}},
 
-    where n_j = N_j - N_{j+1} and (x)_n is the ascending symbol.  Enumeration
-    prunes on the exponent, so N_1 never exceeds isqrt(order).
-    """
+    nested like Horner's rule: with e_j(N) = N^2 + [j >= i] N, G_{k-1}(N) =
+    x^e_{k-1}(N)/(x)_N, G_j(N) = x^e_j(N) sum_{M<=N} G_{j+1}(M)/(x)_{N-M} and
+    the sum is sum_N G_1(N).  Summands are truncated before their products."""
     k, i, order = spec.k, spec.i, spec.order
     inv = _euler_inverses(order)
     acc = QSeries.zero(order)
-    stack = [(1, order, 0, ())]  # (position, value bound, exponent so far, tail)
-    while stack:
-        pos, bound, expo, tail = stack.pop()
-        if pos == k:
-            # truncating the first factor costs no product; for k = 2 that is all
-            factors = [inv[nj] for nj in _diffs(tail) if nj]
-            if factors:
-                term = factors[0].truncate(order - expo)
+    inner = []  # (e, body) with G_{j+1}(M) = x^e body, for M = 0, 1, ...
+    for j in range(k - 1, 0, -1):
+        level = []
+        for n in range(len(inv)):
+            expo = n * n + (n if j >= i else 0)
+            if expo + (j - 1) * n * n > order:
+                break  # positions 1..j-1 each hold at least n
+            rest = order - expo
+            if j == k - 1:
+                term = inv[n].truncate(rest)
             else:
-                term = QSeries.one(order - expo)
-            for factor in factors[1:]:
-                term = term * factor
-            acc = acc + term.shift(expo)
-            continue
-        for v in range(bound + 1):
-            add = v * v + (v if pos >= i else 0)
-            if expo + add > order:
-                break
-            stack.append((pos + 1, v, expo + add, tail + (v,)))
+                term = QSeries.zero(rest)
+                for m, (low, g) in enumerate(inner[: n + 1]):
+                    if low > rest:
+                        break
+                    g = g.truncate(rest - low)
+                    term = term + (g * inv[n - m] if m < n else g).shift(low)
+            if j == 1:
+                acc = acc + term.shift(expo)
+            else:
+                level.append((expo, term))
+        inner = level
     return acc
-
-
-def _diffs(tail):
-    """n_j = N_j - N_{j+1} with N_k = 0."""
-    return tuple(
-        tail[j] - (tail[j + 1] if j + 1 < len(tail) else 0) for j in range(len(tail))
-    )
 
 
 def ag_product(spec: AGSpec) -> QSeries:
@@ -226,10 +220,14 @@ def bailey_step(pair: BaileyPair) -> BaileyPair:
     """
     if not bailey_check(pair):
         raise ValueError("input does not satisfy the Bailey pair relation")
+    return _bailey_step(pair)
+
+
+def _bailey_step(pair: BaileyPair) -> BaileyPair:
+    """bailey_step without its input check, for a pair already checked."""
     d = _diagonalization(pair.params, pair.l_max)
-    return BaileyPair(
-        d.e.mul_vector(pair.alpha), d.m.mul_vector(pair.beta), pair.params
-    )
+    alpha, beta = d.e.mul_vector(pair.alpha), d.m.mul_vector(pair.beta)
+    return BaileyPair(alpha, beta, pair.params)
 
 
 __all__ = [

@@ -1,6 +1,7 @@
 """Sum and product sides, the absorption-limit pipeline, and Bailey pairs."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from qchains.identities import (
 )
 from qchains.partitions import MeasureParams, enumerate_partitions
 from qchains.qalgebra import (
+    QSeries,
     jacobi_product,
     one_minus_product,
     poch_table,
@@ -92,6 +94,61 @@ def test_ag_sum_order_zero():
     for k in (2, 3, 5):
         s = ag_sum(AGSpec(k, k, 0))
         assert list(s.coeffs) == [1]
+
+
+def gordon_stats(n):
+    """(f_1, max_j f_j + f_{j+1}) for every partition of n, f_j being the
+    multiplicity of part j."""
+    stats = []
+    for lam in enumerate_partitions(n):
+        f = Counter(lam.parts)
+        stats.append((f[1], max((f[j] + f[j + 1] for j in f), default=0)))
+    return stats
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_ag_sides_count_gordon_partitions(k):
+    # Gordon's theorem: both sides count the partitions of n with at most
+    # i - 1 ones and f_j + f_{j+1} <= k - 1 for every j
+    order = 24
+    stats = [gordon_stats(n) for n in range(order + 1)]
+    for i in range(1, k + 1):
+        want = [
+            sum(f1 <= i - 1 and pair <= k - 1 for f1, pair in by_n) for by_n in stats
+        ]
+        spec = AGSpec(k, i, order)
+        assert list(ag_sum(spec).coeffs) == want, i
+        assert list(ag_product(spec).coeffs) == want, i
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_ag_sum_at_small_orders_for_large_k(k):
+    # k - 1 exceeds isqrt(order) + 1, so every tail ends in zeros; only
+    # f_1 <= i - 1 binds at these orders
+    rows = {1: [1, 0, 1, 1], 2: [1, 1, 1, 2], 3: [1, 1, 2, 2]}
+    for i in range(1, k + 1):
+        for order in range(4):
+            s = ag_sum(AGSpec(k, i, order))
+            assert s.order == order
+            assert list(s.coeffs) == rows.get(i, [1, 1, 2, 3])[: order + 1]
+
+
+def test_ag_sum_products_per_level(monkeypatch):
+    # k = 2 truncates and shifts only; each further level makes at most one
+    # product per pair M < N <= isqrt(order)
+    products = []
+    mul = QSeries.__mul__
+
+    def counted(a, b):
+        products.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    for k in (2, 3, 4):
+        products.clear()
+        for i in range(1, k + 1):
+            ag_sum(AGSpec(k, i, 160))
+        assert len(products) <= k * (k - 2) * 12 * 13 // 2, k
 
 
 def test_ag_product_counts_residue_partitions():
