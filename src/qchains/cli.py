@@ -91,13 +91,28 @@ _INT_FLAG_MIN = {
 #   time grows about as r^2.  `power --L 40 --j 0` took 0.6 s at r = 32 and
 #   1.5 s at r = 64; at L = 100, r = 32 took 44 s; at L = 200, r = 1, 4 and
 #   8 took 21, 42 and 112 s.
-# - size_cap: the quiver mass table grows about as cap^3.5 for the A2
-#   quiver, whose first draw took 0.1, 0.7, 2.8 and 16.4 s at caps 20, 30,
-#   40 and 60.
+# - size_cap: the quiver mass table takes |a| <= cap terms for a state a,
+#   over about cap^n / n! states.  The A2 quiver's first draw (in-process)
+#   took 0.012, 0.036, 0.089 and 0.46 s at caps 20, 30, 40 and 60; summing
+#   each state's whole box, as before, took 0.067, 0.35, 1.2 and 9.5 s.
 # - steps: the entries grow with each step; `bailey --lmax 15` took 0.27, 0.97
 #   and 19.8 s at 32, 64 and 200 steps.  `--alpha` takes <= lmax + 1 values.
-_INT_FLAG_MAX = {"L": 200, "lmax": 200, "r": 32, "size_cap": 40, "steps": 32}
+# - order (verify and series): `verify --suite pipeline`, the costliest
+#   suite, grows about as N^3: it took 1.7, 12 and 113 s at N = 1000, 2000
+#   and 4000 (23, 28 and 44 MB), and `verify --suite ag` took 5.7 s at 1000.
+#   `verify --suite rr` holds about N^1.5 coefficients: 21, 25 and 34 MB at
+#   N = 1000, 2000 and 4000.  The series-deep benchmark runs rr at 1000.
+_INT_FLAG_MAX = {"L": 200, "lmax": 200, "order": 1000, "r": 32, "size_cap": 40,
+                 "steps": 32}
 _INT_FLAG_COMMAND = {"r": "power"}  # flags bounded on one command only
+
+# largest q that `sample --model fristedt` accepts: the first step's support
+# cap A grows as 1/(1 - q) and its CDF holds A + 1 sums of about
+# A^2 log2(D) / 2 bits each (q = N/D), so memory grows about as (1 - q)^-3.
+# `--count 1` took 0.03, 0.14, 0.40 and 9.4 s (in-process) and peaked at 18,
+# 28, 44 and 342 MB at q = 4/5, 7/8, 9/10 and 19/20, with support caps 206,
+# 347, 442 and 923.
+_FRISTEDT_SAMPLE_Q_MAX = Fraction(9, 10)
 
 
 def _flag(name) -> str:
@@ -211,6 +226,18 @@ def _sample_lines(samples, model, mode="json"):
         for s in samples:
             yield (f"columns={list(s.columns)} model={model} "
                    f"partition={list(s.partition.parts)} seed={s.seed}\n")
+
+
+def _quiver_lines(draws, mode="json"):
+    """Yield, for each (seed, PartitionTuple), the line that
+    _emit({"model": "quiver", "seed": seed, "partitions": t.to_json()}, mode)
+    prints, formatted directly."""
+    if mode == "json":
+        line = '{{"model": "quiver", "partitions": {}, "seed": {}}}\n'
+    else:
+        line = "model=quiver partitions={} seed={}\n"
+    for seed, t in draws:
+        yield line.format(t.to_json(), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +662,9 @@ def cmd_sample(args) -> int:
         raise ValueError("eps must be positive")
     if args.model != "quiver":
         m = _model(args.model, args.u, args.q)
+        if args.model == "fristedt" and m.p.q > _FRISTEDT_SAMPLE_Q_MAX:
+            raise ValueError(f"--q must be <= {_FRISTEDT_SAMPLE_Q_MAX} "
+                             "for --model fristedt")
         samples = m.stream(m.p, args.seed, args.count, eps)
         sys.stdout.writelines(_sample_lines(samples, args.model, args.format))
         return 0
@@ -645,10 +675,9 @@ def cmd_sample(args) -> int:
     except (OSError, KeyError, json.JSONDecodeError) as exc:
         raise ValueError(f"bad quiver file: {exc}") from exc
     size_cap = 20 if args.size_cap is None else args.size_cap
-    for seed in range(args.seed, args.seed + args.count):
-        t = quiver_sample(g, qp, seed, size_cap, eps)
-        _emit({"model": "quiver", "seed": seed, "partitions": t.to_json()},
-              args.format)
+    seeds = range(args.seed, args.seed + args.count)
+    draws = ((s, quiver_sample(g, qp, s, size_cap, eps)) for s in seeds)
+    sys.stdout.writelines(_quiver_lines(draws, args.format))
     return 0
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qchains.glchain import ChainSample, Diagonalization, TruncatedMatrix, row_chain
-from qchains.partitions import Partition
+from qchains.partitions import Partition, _partition
 from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
 
 _ZERO = Fraction(0)
@@ -186,8 +186,8 @@ def f_sample_stream(p: FristedtParams, seed: int, count: int, eps=Fraction(1, 2*
     chain = _sampler(p, eps)
     rng = random.Random(seed)
     for _ in range(count):
-        rows = chain.path(rng)
-        yield ChainSample(seed, rows, Partition(rows))
+        rows = chain.path(rng)  # decreasing and positive: a partition
+        yield ChainSample(seed, rows, _partition(rows))
 
 
 __all__ = [

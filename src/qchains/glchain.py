@@ -19,7 +19,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from qchains.partitions import MeasureParams, Partition
+from qchains.partitions import MeasureParams, Partition, _conjugate_parts, _partition
 from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
 
 TAIL_BITS = 64  # first-step support cap: certified tail below 2**-TAIL_BITS
@@ -216,6 +216,17 @@ def _common_den(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _dot(xs, ys) -> Fraction:
+    """sum_k xs[k] ys[k] over exact rationals: the products' numerators over
+    the lcm of their denominators, reduced once."""
+    nums, dens = [], []
+    for x, y in zip(xs, ys):
+        nums.append(x.numerator * y.numerator)
+        dens.append(x.denominator * y.denominator)
+    den = lcm(*dens)
+    return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
+
+
 def _int_rows(rows):
     """Canonical (rows, dens) of rows of exact rationals: each row over the
     lcm of its reduced denominators."""
@@ -394,13 +405,8 @@ def kr_closed(l: int, j: int, r: int, p: MeasureParams) -> Fraction:
     if r < 1:
         raise ValueError("need r >= 1")
     head, tail = _closed_factors(p)
-    nums, dens = [], []
-    for n in range(j, l + 1):
-        h, t = head(l, n, r), tail(n, j)
-        nums.append(h.numerator * t.numerator)
-        dens.append(h.denominator * t.denominator)
-    den = lcm(*dens)
-    return Fraction(sum(x * (den // d) for x, d in zip(nums, dens)), den)
+    terms = range(j, l + 1)
+    return _dot([head(l, n, r) for n in terms], [tail(n, j) for n in terms])
 
 
 def chain_mass(lam: Partition, p: MeasureParams) -> Fraction:
@@ -584,8 +590,8 @@ def sample_stream(p: MeasureParams, seed: int, count: int, eps=Fraction(1, 2**20
     chain = _sampler(p, eps)
     rng = random.Random(seed)
     for _ in range(count):
-        cols = chain.path(rng)
-        yield ChainSample(seed, cols, Partition(cols).conjugate())
+        cols = chain.path(rng)  # decreasing and positive: a partition
+        yield ChainSample(seed, cols, _partition(_conjugate_parts(cols)))
 
 
 __all__ = [

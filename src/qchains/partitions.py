@@ -67,16 +67,8 @@ class Partition:
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
     def conjugate(self) -> "Partition":
-        """Column lengths of the diagram: lambda'_j = #{i : lambda_i >= j}.
-
-        From the smallest part up, lambda'_j = i for lambda_{i+1} < j <=
-        lambda_i (lambda_{len+1} = 0): O(len + lambda_1) steps.
-        """
-        parts = self.parts
-        cols = []
-        for i in range(len(parts), 0, -1):
-            cols += [i] * (parts[i - 1] - len(cols))
-        return Partition(cols)
+        """Column lengths of the diagram: lambda'_j = #{i : lambda_i >= j}."""
+        return _partition(_conjugate_parts(self.parts))
 
     def multiplicities(self) -> dict:
         out = {}
@@ -87,6 +79,25 @@ class Partition:
     def n_stat(self) -> int:
         """sum_i (i-1) * lambda_i."""
         return sum(i * p for i, p in enumerate(self.parts))
+
+
+def _partition(parts: tuple) -> Partition:
+    """The Partition of a tuple of ints that is weakly decreasing and
+    positive by construction, built without the checks of Partition()."""
+    lam = object.__new__(Partition)
+    object.__setattr__(lam, "parts", parts)
+    return lam
+
+
+def _conjugate_parts(parts) -> tuple:
+    """The conjugate of weakly decreasing parts >= 0, lambda'_j =
+    #{i : lambda_i >= j}, weakly decreasing and positive; zero parts add
+    nothing.  From the smallest part up, lambda'_j = i for lambda_{i+1} < j
+    <= lambda_i (lambda_{len+1} = 0): O(len + lambda_1) steps."""
+    cols = []
+    for i in range(len(parts), 0, -1):
+        cols += [i] * (parts[i - 1] - len(cols))
+    return tuple(cols)
 
 
 def _partitions_of(n: int):

@@ -20,11 +20,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from itertools import product as iter_product
-from math import prod
 
-from qchains.glchain import _SAMPLERS, ChainSampler, _common_den
-from qchains.partitions import Partition
+from qchains.glchain import _SAMPLERS, ChainSampler, _common_den, _dot
+from qchains.partitions import Partition, _conjugate_parts, _partition
 from qchains.qalgebra import as_fraction, poch_table
 
 _ZERO = Fraction(0)
@@ -187,11 +187,23 @@ class _MassTable:
     Kernel rows sum to 1 and M(a, b) = m(a) / prod_i (1/q)_{a_i-b_i} for b <= a,
     m(a) = M(a, a).  So P(0) = 1 and P(a) = m(a) S(a) / (1 - m(a)), where
     S(a) = sum_{b <= a, b != a} P(b) / prod_i (1/q)_{a_i-b_i}.
+
+    The kernel is one factor t(d) = 1/(1/q)_d per axis, so S takes n one-axis
+    passes instead of a sum over the box.  With G_0 = P and G_j(a) the sum of
+    P(b) t(a_1 - b_1) ... t(a_j - b_j) over b <= a that agree with a past
+    axis j, H_j = G_j - P has H_0 = 0 and
+
+        H_j(a) = H_{j-1}(a) + sum_{c < a_j} t(a_j - c) G_{j-1}(a with a_j = c),
+
+    whose points all lie at lower levels; S(a) = H_n(a).  partial[a] keeps
+    G_0(a), ..., G_{n-1}(a), so a state costs |a| terms.
     """
 
     def __init__(self, g: Quiver, p: QuiverParams):
         self.g, self.p = g, p
-        self.mass = {(0,) * g.n: _ONE}
+        zero = (0,) * g.n
+        self.mass = {zero: _ONE}
+        self.partial = {zero: (_ONE,) * g.n}
         self.level_sums = [_ONE]
         self.totals = [_ONE]  # totals[k] = sum(level_sums[: k + 1])
         self._lock = threading.Lock()  # tables are shared
@@ -204,19 +216,34 @@ class _MassTable:
         return self
 
     def _add_level(self, k: int):
-        g, p, mass = self.g, self.p, self.mass
+        g, p, mass, partial = self.g, self.p, self.mass, self.partial
         iq = poch_table(1 / p.q, p.q)
+        t = [1 / iq[d] for d in range(k + 1)]
         level_sum = _ZERO
-        for a in (a for a in iter_product(range(k + 1), repeat=g.n) if sum(a) == k):
+        for a in _level(g.n, k):
             m = quiver_m_entry(a, a, g, p)
             if m >= 1:
                 raise ConvergenceError(f"M(a, a) = {m} >= 1 at a = {a}: P(a) diverges")
-            below = (b for b in iter_product(*(range(v + 1) for v in a)) if b != a)
-            s = sum(mass[b] / prod(iq[x - y] for x, y in zip(a, b)) for b in below)
-            mass[a] = m * s / (1 - m)
-            level_sum += mass[a]
+            h, hs = _ZERO, []
+            for j, top in enumerate(a):
+                head, tail = a[:j], a[j + 1 :]
+                if top:  # t(top), ..., t(1) against c = 0, ..., top - 1
+                    h += _dot(t[top:0:-1],
+                              [partial[head + (c,) + tail][j] for c in range(top)])
+                hs.append(h)
+            mass[a] = pa = m * h / (1 - m)
+            partial[a] = (pa, *(pa + x for x in hs[:-1]))
+            level_sum += pa
         self.level_sums.append(level_sum)
         self.totals.append(self.totals[-1] + level_sum)
+
+
+def _level(n: int, k: int):
+    """The vectors a of n entries >= 0 with |a| = k, in lexicographic order:
+    the entries are the gaps between n - 1 bars placed among k + n - 1 slots."""
+    for bars in combinations(range(k + n - 1), n - 1):
+        edges = (-1, *bars, k + n - 1)
+        yield tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
 
 
 _masses = lru_cache(maxsize=_SAMPLERS)(_MassTable)  # one table per (g, p)
@@ -324,9 +351,14 @@ def quiver_chain_mass(
 
 
 @lru_cache(maxsize=_SAMPLERS)
-def _sampler(g: Quiver, p: QuiverParams, size_cap: int) -> ChainSampler:
+def _sampler(g: Quiver, p: QuiverParams, size_cap: int, eps) -> ChainSampler:
     """The componentwise chain, its first step on the exact first-column
-    masses of the support |a| <= size_cap; each kernel row sums to 1."""
+    masses of the support |a| <= size_cap; each kernel row sums to 1.
+
+    The normalizer's Cauchy check at eps runs once, when the sampler is
+    built; a failed check caches nothing, so it raises again on every call.
+    """
+    normalizer(g, p, size_cap, eps)  # surfaces non-convergence early
     mass = _masses(g, p).grow(size_cap).mass
     keys = sorted(a for a in mass if sum(a) <= size_cap)
 
@@ -347,14 +379,11 @@ def quiver_sample(
 ) -> PartitionTuple:
     """Draw one n-tuple: first-column vector from the masses on |a| <=
     size_cap, then kernel steps until the all-zero vector; seeded."""
-    normalizer(g, p, size_cap, eps)  # surfaces non-convergence early
-    path = _sampler(g, p, size_cap).path(random.Random(seed))
-    return PartitionTuple(
-        tuple(
-            Partition([state[i] for state in path if state[i] > 0]).conjugate()
-            for i in range(g.n)
-        )
-    )
+    path = _sampler(g, p, size_cap, eps).path(random.Random(seed))
+    # component i of the path is the column sequence of partition i: it
+    # decreases, and the zeros it reaches add nothing to the conjugate
+    cols = zip(*path) if path else ((),) * g.n
+    return PartitionTuple(tuple(_partition(_conjugate_parts(c)) for c in cols))
 
 
 __all__ = [

@@ -16,6 +16,7 @@ from qchains import cli, identities
 from qchains.cli import main
 from qchains.glchain import ChainSample, TruncatedMatrix, build_diagonalization, kernel
 from qchains.partitions import MeasureParams, Partition
+from qchains.quiver import PartitionTuple
 
 
 def run(capsys, argv):
@@ -86,17 +87,47 @@ def test_verify_bad_config_exits_2(capsys):
         ["bailey", "--steps", "-1"],
         ["sample", "--seed", "-1"],
         ["verify", "--suite", "bailey", "--seed", "-1"],
+        ["verify", "--suite", "rr", "--order", "1001"],
+        ["series", "--which", "theta", "--order", "1001"],
+        ["sample", "--model", "fristedt", "--q", "91/100", "--count", "1"],
+        ["sample", "--model", "fristedt", "--q", "99/100", "--count", "1"],
     ],
     ids=["verify-order", "verify-lmax", "series-order", "sample-count", "bailey-count",
          "jobs-zero", "jobs-negative", "qbinomial-n", "verify-k-zero",
          "series-k-zero", "size-cap-negative", "size-cap-zero", "bailey-steps",
-         "sample-seed", "verify-seed"],
+         "sample-seed", "verify-seed", "verify-order-above", "series-order-above",
+         "fristedt-q-above", "fristedt-q-near-one"],
 )
 def test_negative_order_or_lmax_exits_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_fristedt_q_bound_is_checked_before_any_exact_work(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("sampled past the q bound")
+
+    monkeypatch.setattr(cli, "f_sample_stream", unreachable)
+    code, out, err = run(capsys, ["sample", "--model", "fristedt", "--q", "99/100"])
+    assert (code, out) == (2, "")
+    assert err == "error: --q must be <= 9/10 for --model fristedt\n"
+
+
+def test_fristedt_q_bound_is_inclusive(capsys):
+    # --count 0 draws nothing, so no sampler is built
+    code, out, _ = run(capsys, ["sample", "--model", "fristedt", "--q", "9/10",
+                                "--count", "0"])
+    assert (code, out) == (0, "")
+
+
+def test_order_at_the_bound_runs(capsys):
+    bound = cli._INT_FLAG_MAX["order"]
+    assert bound >= 1000  # the series-deep benchmark runs rr at order 1000
+    code, out, _ = run(capsys, ["series", "--which", "theta", "--order", str(bound)])
+    assert code == 0
+    assert json_lines(out)[0]["order"] == bound
 
 
 # flags that each command registered but never read, before each command
@@ -722,6 +753,22 @@ def test_sample_line_is_the_emitted_line(seed, columns, partition, model, mode):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli._emit(s.to_json(model), mode)
+    assert line == out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**70),
+    comps=st.lists(_PARTS, min_size=1, max_size=4),
+    mode=st.sampled_from(["json", "text"]),
+)
+def test_quiver_line_is_the_emitted_line(seed, comps, mode):
+    t = PartitionTuple(tuple(comps))
+    (line,) = cli._quiver_lines([(seed, t)], mode)
+    report = {"model": "quiver", "seed": seed, "partitions": t.to_json()}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(report, mode)
     assert line == out.getvalue()
 
 

@@ -4,17 +4,22 @@ componentwise chain, and its factorization."""
 import hashlib
 import itertools
 import json
+import math
+import random
 import sys
 import threading
 import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qchains.fristedt import FristedtParams, f_sample_stream
 from qchains.glchain import _SAMPLERS, first_col_unnormalized, kernel
 from qchains.glchain import sample_stream as gl_sample_stream
 from qchains.partitions import MeasureParams, Partition, enumerate_partitions, mass_v1
-from qchains.qalgebra import poch_inf
+from qchains.qalgebra import poch_inf, poch_table
 from qchains.quiver import (
     ConvergenceError,
     PartitionTuple,
@@ -30,7 +35,7 @@ from qchains.quiver import (
     quiver_sample,
     tuple_weight,
 )
-from qchains.quiver import _masses, _MassTable
+from qchains.quiver import _masses, _MassTable, _sampler
 
 POINT = Quiver(n=1, f=((0,),))
 POINT_PARAMS = QuiverParams(q=F(2), u=(F(1, 2),))
@@ -41,6 +46,8 @@ A2_PARAMS = QuiverParams(q=F(2), u=(F(1, 4), F(1, 4)))
 # a loop, a double edge and a simple edge
 THREE = Quiver.from_edges(3, [(1, 1, 1), (1, 2, 2), (2, 3, 1)])
 THREE_PARAMS = QuiverParams(q=F(2), u=(F(1, 8), F(1, 8), F(1, 8)))
+A3 = Quiver.from_edges(3, [(1, 2, 1), (2, 3, 1)])
+A3_PARAMS = QuiverParams(q=F(2), u=(F(1, 4), F(1, 4), F(1, 4)))
 
 
 def all_tuples(n_components, total):
@@ -202,9 +209,58 @@ def test_divergent_mass_raises_convergence_error():
         quiver_first_cols((1,), DIVERGENT, DIVERGENT_PARAMS, 4)
     with pytest.raises(ConvergenceError, match=r"a = \(1,\)"):
         normalizer(DIVERGENT, DIVERGENT_PARAMS, size_cap=4, eps=F(1, 2))
-    with pytest.raises(ConvergenceError, match=r"a = \(1,\)"):
-        quiver_sample(DIVERGENT, DIVERGENT_PARAMS, seed=0, size_cap=4, eps=F(1, 2))
+    for seed in (0, 1):  # a failed check is not cached: every call raises
+        with pytest.raises(ConvergenceError, match=r"a = \(1,\)"):
+            quiver_sample(DIVERGENT, DIVERGENT_PARAMS, seed, size_cap=4, eps=F(1, 2))
     assert quiver_first_cols((0,), DIVERGENT, DIVERGENT_PARAMS, 4) == 1
+
+
+def box_sum_masses(g, p, cap):
+    """(mass, level_sums, totals) through level cap by the defining
+    recursion P(a) = m(a) S(a) / (1 - m(a)), with S(a) summed over the
+    whole box b <= a, b != a: the oracle of the table's axis passes."""
+    iq = poch_table(1 / p.q, p.q)
+    mass, level_sums, totals = {(0,) * g.n: F(1)}, [F(1)], [F(1)]
+    for k in range(1, cap + 1):
+        level = F(0)
+        for a in itertools.product(range(k + 1), repeat=g.n):
+            if sum(a) != k:
+                continue
+            m = quiver_m_entry(a, a, g, p)
+            if m >= 1:
+                raise ConvergenceError(f"M(a, a) = {m} >= 1 at a = {a}: P(a) diverges")
+            box = itertools.product(*(range(v + 1) for v in a))
+            s = sum(mass[b] / math.prod(iq[x - y] for x, y in zip(a, b))
+                    for b in box if b != a)
+            mass[a] = m * s / (1 - m)
+            level += mass[a]
+        level_sums.append(level)
+        totals.append(totals[-1] + level)
+    return mass, level_sums, totals
+
+
+@pytest.mark.parametrize(
+    "g,p,cap",
+    [(A2, A2_PARAMS, 20), (JORDAN, JORDAN_PARAMS, 24), (A3, A3_PARAMS, 12),
+     (THREE, THREE_PARAMS, 8)],
+    ids=["a2", "jordan", "a3", "three"],
+)
+def test_axis_passes_equal_the_box_sums(g, p, cap):
+    table = _MassTable(g, p).grow(cap)
+    mass, level_sums, totals = box_sum_masses(g, p, cap)
+    assert table.mass == mass
+    assert table.level_sums == level_sums
+    assert table.totals == totals
+
+
+def test_axis_passes_diverge_where_the_box_sums_do():
+    # M(a, a) = 2^(2 a_1 a_2 - a_2^2 - 3|a|) first reaches 1 at a = (6, 3, 0)
+    with pytest.raises(ConvergenceError) as oracle:
+        box_sum_masses(THREE, THREE_PARAMS, 9)
+    with pytest.raises(ConvergenceError) as table:
+        _MassTable(THREE, THREE_PARAMS).grow(9)
+    assert str(table.value) == str(oracle.value)
+    assert "a = (6, 3, 0)" in str(table.value)
 
 
 def test_mass_tables_are_bounded():
@@ -302,8 +358,31 @@ def test_sample_determinism_and_columns():
 
 
 def test_sample_surfaces_nonconvergence():
-    with pytest.raises(ConvergenceError):
-        quiver_sample(A2, A2_PARAMS, seed=5, size_cap=8, eps=F(1, 10**30))
+    for _ in range(2):
+        with pytest.raises(ConvergenceError):
+            quiver_sample(A2, A2_PARAMS, seed=5, size_cap=8, eps=F(1, 10**30))
+
+
+GL_PARAMS = MeasureParams(u=F(1, 2), q=F(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64), q=st.sampled_from([F(1, 2), F(4, 5)]))
+def test_draws_equal_the_validating_builds(seed, q):
+    """The streams build each drawn Partition without checks; the public
+    constructor, with every check, builds the same partitions."""
+    for s in gl_sample_stream(GL_PARAMS, seed, 30):
+        assert s.partition == Partition(s.columns).conjugate()
+        assert Partition(s.partition.parts) == s.partition
+    for s in f_sample_stream(FristedtParams(q), seed, 30):
+        assert s.partition == Partition(s.columns)
+    eps = F(1, 10**8)
+    path = _sampler(A2, A2_PARAMS, 20, eps).path(random.Random(seed))
+    old = tuple(Partition([state[i] for state in path if state[i] > 0]).conjugate()
+                for i in range(A2.n))
+    got = quiver_sample(A2, A2_PARAMS, seed, 20, eps).components
+    assert got == old
+    assert all(Partition(c.parts) == c for c in got)
 
 
 def test_a2_stream_pinned():
