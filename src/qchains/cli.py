@@ -11,9 +11,9 @@ import argparse
 import itertools
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from time import perf_counter
-from typing import Callable, NamedTuple
 
 from qchains.fristedt import (
     FristedtParams,
@@ -107,11 +107,11 @@ _INT_FLAG_MAX = {"L": 200, "lmax": 200, "order": 1000, "r": 32, "size_cap": 40,
 _INT_FLAG_COMMAND = {"r": "power"}  # flags bounded on one command only
 
 # largest q that `sample --model fristedt` accepts: the first step's support
-# cap A grows as 1/(1 - q) and its CDF holds A + 1 sums of about
-# A^2 log2(D) / 2 bits each (q = N/D), so memory grows about as (1 - q)^-3.
-# `--count 1` took 0.03, 0.14, 0.40 and 9.4 s (in-process) and peaked at 18,
-# 28, 44 and 342 MB at q = 4/5, 7/8, 9/10 and 19/20, with support caps 206,
-# 347, 442 and 923.
+# cap A grows as 1/(1 - q), and its A + 1 integers, held while its cut points
+# are made, have about A^2 log2(D) / 2 bits each (q = N/D), so memory grows
+# about as (1 - q)^-3.  `--count 1` took 0.03, 0.14, 0.40 and 9.4 s
+# (in-process) and peaked at 17, 23, 33 and 234 MB (whole process) at
+# q = 4/5, 7/8, 9/10 and 19/20, with support caps 206, 347, 442 and 923.
 _FRISTEDT_SAMPLE_Q_MAX = Fraction(9, 10)
 
 
@@ -139,16 +139,8 @@ def _check_int_flags(args):
             raise ValueError(f"{_flag(name)} must be <= {high}")
 
 
-class _Model(NamedTuple):
-    """A row-length chain: its parameters, their "p/q" strings, its builders."""
-
-    p: object
-    params: dict
-    kernel: Callable
-    matrix: Callable
-    diagonalization: Callable
-    closed: Callable
-    stream: Callable
+# A row-length chain: its parameters, their "p/q" strings, its builders.
+_Model = namedtuple("_Model", "p params kernel matrix diagonalization closed stream")
 
 
 # the options each model reads (the quiver file sets the quiver's U and q)
@@ -214,18 +206,37 @@ def _emit_list(obj, key, chunks, mode="json"):
     out.write(line[cut:] + "\n")
 
 
+_LINE_MEMO = 1024  # distinct chain paths whose line _sample_lines keeps
+
+
 def _sample_lines(samples, model, mode="json"):
     """Yield, for each ChainSample, the line that _emit(s.to_json(model),
-    mode) prints, formatted directly."""
+    mode) prints, formatted directly.
+
+    For one model and seed the line depends only on the chain states, so
+    the lines of the first _LINE_MEMO distinct states of a seed are kept
+    and written again when those states recur; others are formatted anew.
+    """
     if mode == "json":
         name = json.dumps(model)
-        for s in samples:
-            yield (f'{{"columns": {list(s.columns)}, "model": {name}, '
-                   f'"partition": {list(s.partition.parts)}, "seed": {s.seed}}}\n')
+
+        def line(s):
+            return (f'{{"columns": {list(s.columns)}, "model": {name}, '
+                    f'"partition": {list(s.partition.parts)}, "seed": {s.seed}}}\n')
     else:
-        for s in samples:
-            yield (f"columns={list(s.columns)} model={model} "
-                   f"partition={list(s.partition.parts)} seed={s.seed}\n")
+        def line(s):
+            return (f"columns={list(s.columns)} model={model} "
+                    f"partition={list(s.partition.parts)} seed={s.seed}\n")
+    memo, seed = {}, None
+    for s in samples:
+        if s.seed != seed:
+            memo, seed = {}, s.seed
+        text = memo.get(s.columns)
+        if text is None:
+            text = line(s)
+            if len(memo) < _LINE_MEMO:
+                memo[s.columns] = text
+        yield text
 
 
 def _quiver_lines(draws, mode="json"):

@@ -6,28 +6,27 @@ Here 0 < q < 1 and every Pochhammer symbol is the ascending convention:
 size gives the uniform measure on partitions of that size.
 """
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from qchains.glchain import ChainSample, Diagonalization, TruncatedMatrix, row_chain
-from qchains.partitions import Partition, _partition
+from qchains.partitions import Partition
 from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
+from qchains.record import Record, _set
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class FristedtParams:
+class FristedtParams(Record):
     """The geometric weight: 0 < q < 1."""
 
-    q: Fraction
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", as_fraction(self.q))
-        if not 0 < self.q < 1:
+    def __init__(self, q: Fraction):
+        q = as_fraction(q)
+        if not 0 < q < 1:
             raise ValueError("q must satisfy 0 < q < 1")
+        _set(self, "q", q)
 
 
 def uniform_mass(lam: Partition, p: FristedtParams) -> Fraction:
@@ -183,11 +182,7 @@ def f_sample_stream(p: FristedtParams, seed: int, count: int, eps=Fraction(1, 2*
     row lengths, and each sampled partition is the state sequence itself."""
     if count <= 0:
         return  # no draw, so no support cap to certify
-    chain = _sampler(p, eps)
-    rng = random.Random(seed)
-    for _ in range(count):
-        rows = chain.path(rng)  # decreasing and positive: a partition
-        yield ChainSample(seed, rows, _partition(rows))
+    yield from _sampler(p, eps).stream(seed, count, tuple)
 
 
 __all__ = [

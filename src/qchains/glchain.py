@@ -12,15 +12,21 @@ run until absorption spells out the column heights of a random partition.
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import gcd, lcm, prod
 from operator import mul
-from typing import NamedTuple
 
 from qchains.partitions import MeasureParams, Partition, _conjugate_parts, _partition
-from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
+from qchains.qalgebra import (
+    Interval,
+    as_fraction,
+    poch_inf,
+    poch_inf_lower,
+    poch_table,
+)
+from qchains.record import Record, _set
 
 TAIL_BITS = 64  # first-step support cap: certified tail below 2**-TAIL_BITS
 
@@ -234,20 +240,23 @@ def _int_rows(rows):
     return [tuple(nums) for nums, _ in pairs], [den for _, den in pairs]
 
 
-@dataclass(frozen=True)
-class Diagonalization:
+class Diagonalization(Record):
     """The factorization K = C M C^-1 with M A = A E, on a truncation.
 
     c and e are diagonal; m, a, a_inv are lower triangular, so truncation
     commutes with every product appearing in the identities.
     """
 
-    c: TruncatedMatrix
-    m: TruncatedMatrix
-    a: TruncatedMatrix
-    a_inv: TruncatedMatrix
-    e: TruncatedMatrix
-    params: MeasureParams
+    __slots__ = ("c", "m", "a", "a_inv", "e", "params")
+
+    def __init__(self, c: TruncatedMatrix, m: TruncatedMatrix, a: TruncatedMatrix,
+                 a_inv: TruncatedMatrix, e: TruncatedMatrix, params: MeasureParams):
+        _set(self, "c", c)
+        _set(self, "m", m)
+        _set(self, "a", a)
+        _set(self, "a_inv", a_inv)
+        _set(self, "e", e)
+        _set(self, "params", params)
 
     @property
     def size(self):
@@ -427,16 +436,15 @@ def chain_mass(lam: Partition, p: MeasureParams) -> Fraction:
 # Sampling
 
 
-class ChainSample(NamedTuple):
-    """One absorbed trajectory: the positive chain states and the partition.
+class ChainSample(namedtuple("ChainSample", "seed columns partition")):
+    """One absorbed trajectory (seed, columns, partition): the positive chain
+    states and the partition.
 
     For this chain the states are column heights; the Fristedt chain stores
     row lengths in the same slot.
     """
 
-    seed: int
-    columns: tuple
-    partition: Partition
+    __slots__ = ()
 
     def to_json(self, model="gl") -> dict:
         return {
@@ -447,27 +455,39 @@ class ChainSample(NamedTuple):
         }
 
 
-class _Cdf:
-    """Exact inverse-CDF table over integer prefix sums.
+def _cuts(nums: list) -> list:
+    """Inverse-CDF cut points of integers proportional to the weights, at any
+    common scale; the list is overwritten with them and returned.
 
-    It takes a list of integers proportional to the weights, at any common
-    scale, and turns that list into its prefix sums P_i in place.  With T
-    the total, pick(V) is the first i with V/2^128 < P_i/T, compared as
-    V T < P_i 2^128 without any reduction, so the scale never changes a draw.
+    With P_i the prefix sums and T the total, c_i = ceil(P_i 2^128 / T).
+    For an integer V, V/2^128 < P_i/T holds exactly when V < c_i, so
+    bisect_right(cuts, V) is the first i with V/2^128 < P_i/T.  The last
+    cut is 2^128, so every V < 2^128 picks a state, and no cut is wider
+    than 129 bits however long the weights are.
+
+    A long total is not divided into: with a and b the sums' leading bits
+    from bit k up (b of 192 bits), P_i 2^128 / T lies strictly between
+    a 2^128 / (b+1) and (a+1) 2^128 / b, less than 2^-62 apart, so when
+    their ceilings agree that is c_i.  Otherwise, about once in 2^62 or
+    when c_i is hit exactly, c_i is the full division.
     """
+    total = sum(nums)
+    k = max(0, total.bit_length() - 192)
+    b = total >> k
+    acc = 0
+    for i, w in enumerate(nums):
+        acc += w
+        if k:
+            a = acc >> k
+            cut = -((-a << 128) // (b + 1))
+            if cut == -((-(a + 1) << 128) // b):
+                nums[i] = cut
+                continue
+        nums[i] = -((-acc << 128) // total)
+    return nums
 
-    __slots__ = ("bounds", "total")
 
-    def __init__(self, nums: list):
-        acc = 0
-        for i, w in enumerate(nums):
-            acc += w
-            nums[i] = acc << 128
-        self.bounds = nums
-        self.total = acc
-
-    def pick(self, v: int) -> int:
-        return min(bisect_right(self.bounds, v * self.total), len(self.bounds) - 1)
+_STREAM_MEMO = 1024  # distinct paths whose sample one stream keeps
 
 
 class ChainSampler:
@@ -475,33 +495,54 @@ class ChainSampler:
 
     A path draws its first state from the first-step law, given as keys and
     integers proportional to their weights, then steps with
-    row(state) -> (keys, integers) until the absorbing state.  Every row CDF
-    built is kept: states only decrease, so the table is bounded by the
-    first-step support.
+    row(state) -> (keys, integers) until the absorbing state.  Each law is
+    kept as its keys and cut points (_cuts).  Every row built is kept:
+    states only decrease, so the table is bounded by the first-step support.
     """
 
     __slots__ = ("first", "row", "absorbing", "rows")
 
     def __init__(self, keys, nums, row, absorbing):
-        self.first = (tuple(keys), _Cdf(nums))
+        self.first = (tuple(keys), _cuts(nums))
         self.row = row
         self.absorbing = absorbing
         self.rows = {}
 
     def path(self, rng) -> tuple:
         """The states visited before absorption; one 128-bit draw per step."""
-        keys, cdf = self.first
+        draw = rng.getrandbits
+        rows = self.rows
+        keys, cuts = self.first
         states = []
         while True:
-            state = keys[cdf.pick(rng.getrandbits(128))]
+            state = keys[bisect_right(cuts, draw(128))]
             if state == self.absorbing:
                 return tuple(states)
             states.append(state)
-            table = self.rows.get(state)
+            table = rows.get(state)
             if table is None:
                 row_keys, nums = self.row(state)
-                table = self.rows[state] = (tuple(row_keys), _Cdf(nums))
-            keys, cdf = table
+                table = rows[state] = (tuple(row_keys), _cuts(nums))
+            keys, cuts = table
+
+    def stream(self, seed: int, count: int, parts):
+        """Yield count ChainSamples of one seeded stream, with the partition
+        parts(path) of each path; a path is decreasing and positive.
+
+        Within the stream a sample depends only on its path, so the samples
+        of the first _STREAM_MEMO distinct paths are kept and yielded again
+        when their path recurs; any later path is built anew each time.
+        """
+        rng = random.Random(seed)
+        memo = {}
+        for _ in range(count):
+            path = self.path(rng)
+            s = memo.get(path)
+            if s is None:
+                s = ChainSample(seed, path, _partition(parts(path)))
+                if len(memo) < _STREAM_MEMO:
+                    memo[path] = s
+            yield s
 
 
 _SAMPLERS = 16  # per-parameter samplers kept by each model
@@ -561,7 +602,9 @@ def _sampler(p: MeasureParams, eps: Fraction):
     """The column chain, with first(b) = first_col_unnormalized(b) and
     step(s, b) = kernel(s, b) = first(b) (1/q)_s (u/q)_s / (1/q)_{s-b}."""
     u, q = p.u, p.q
-    lo = poch_inf(1, q, eps).lo * poch_inf(u, q, eps).lo
+    # a rounded lower bound of (1/q)_inf (u/q)_inf: the exact products need
+    # thousands of factors of growing size when u and q are near 1
+    lo = poch_inf_lower(1, q, eps) * poch_inf_lower(u, q, eps)
     if lo <= 0:
         raise ValueError("eps too large to certify the support cap")
 
@@ -587,11 +630,8 @@ def sample_stream(p: MeasureParams, seed: int, count: int, eps=Fraction(1, 2**20
         raise ValueError("sampling needs u < 1")
     if count <= 0:
         return  # no draw, so no support cap to certify
-    chain = _sampler(p, eps)
-    rng = random.Random(seed)
-    for _ in range(count):
-        cols = chain.path(rng)  # decreasing and positive: a partition
-        yield ChainSample(seed, cols, _partition(_conjugate_parts(cols)))
+    # the path is the column heights; the partition is their conjugate
+    yield from _sampler(p, eps).stream(seed, count, _conjugate_parts)
 
 
 __all__ = [

@@ -8,7 +8,6 @@ or 1; those are the only two values the pipeline needs).  Bailey pairs are
 finite rational sequences, related and stepped by the chain's matrices.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -16,23 +15,24 @@ from math import isqrt
 from qchains.glchain import Diagonalization, build_diagonalization
 from qchains.partitions import MeasureParams
 from qchains.qalgebra import QSeries
+from qchains.record import Record, _set
 
 
-@dataclass(frozen=True)
-class AGSpec:
+class AGSpec(Record):
     """One identity instance: modulus family k, residue index i, order."""
 
-    k: int
-    i: int
-    order: int
+    __slots__ = ("k", "i", "order")
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __init__(self, k: int, i: int, order: int):
+        if k < 2:
             raise ValueError("k must be >= 2")
-        if not 1 <= self.i <= self.k:
+        if not 1 <= i <= k:
             raise ValueError("i must satisfy 1 <= i <= k")
-        if self.order < 0:
+        if order < 0:
             raise ValueError("order must be >= 0")
+        _set(self, "k", k)
+        _set(self, "i", i)
+        _set(self, "order", order)
 
 
 @lru_cache(maxsize=8)
@@ -144,8 +144,7 @@ def absorption_limit_series(r: int, delta: int, order: int) -> QSeries:
 # Bailey pairs
 
 
-@dataclass(frozen=True)
-class BaileyPair:
+class BaileyPair(Record):
     """Finite sequences (alpha, beta) at fixed (u, q) tied by
 
         beta_L = sum_{r=0}^{L} alpha_r / ((1/q)_{L-r} (u/q)_{L+r})
@@ -154,17 +153,18 @@ class BaileyPair:
     relation; bailey_step maps a pair to a new pair (this closure is the lemma).
     """
 
-    alpha: tuple
-    beta: tuple
-    params: MeasureParams
+    __slots__ = ("alpha", "beta", "params")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(Fraction(a) for a in self.alpha))
-        object.__setattr__(self, "beta", tuple(Fraction(b) for b in self.beta))
-        if len(self.alpha) != len(self.beta):
+    def __init__(self, alpha: tuple, beta: tuple, params: MeasureParams):
+        alpha = tuple(Fraction(a) for a in alpha)
+        beta = tuple(Fraction(b) for b in beta)
+        if len(alpha) != len(beta):
             raise ValueError("alpha and beta must have equal length")
-        if not self.alpha:
+        if not alpha:
             raise ValueError("sequences must be nonempty")
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "params", params)
 
     @property
     def l_max(self) -> int:

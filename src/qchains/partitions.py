@@ -6,11 +6,11 @@ prefactor, which is irrational in general and only available as a certified
 interval (measure_normalizer).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import lt
 
 from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
+from qchains.record import Record, _set
 
 ENUMERATION_CAP = 40
 
@@ -126,26 +126,25 @@ def enumerate_partitions(n: int) -> list:
     return [Partition(parts) for parts in _partitions_of(n)]
 
 
-@dataclass(frozen=True)
-class MeasureParams:
+class MeasureParams(Record):
     """Parameters (u, q) of the measure: q > 1, 0 < u <= 1, u/q < 1.
 
     u = 1 is allowed (the identity-verification limit); normalization claims
     are only made for u < 1.
     """
 
-    u: Fraction
-    q: Fraction
+    __slots__ = ("u", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", as_fraction(self.u))
-        object.__setattr__(self, "q", as_fraction(self.q))
-        if self.q <= 1:
+    def __init__(self, u: Fraction, q: Fraction):
+        u, q = as_fraction(u), as_fraction(q)
+        if q <= 1:
             raise ValueError("q must be > 1")
-        if not 0 < self.u <= 1:
+        if not 0 < u <= 1:
             raise ValueError("u must satisfy 0 < u <= 1")
-        if self.u / self.q >= 1:
+        if u / q >= 1:
             raise ValueError("u/q must be < 1")
+        _set(self, "u", u)
+        _set(self, "q", q)
 
 
 def gl_order(m: int, q) -> Fraction:

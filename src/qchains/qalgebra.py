@@ -7,18 +7,20 @@ error, and callers whose formulas let an index go negative test the range
 themselves.  As series, products of factors (1 - v^e) are built by
 ``QSeries.mul_one_minus_pow``, one factor at a time.
 
-Scalars are fractions.Fraction throughout; nothing in this module rounds.
+Scalars are fractions.Fraction throughout; nothing in this module rounds
+except poch_inf_lower, a lower bound rounded outward by construction.
 Series are truncated at a known order: coefficients beyond the order are
 unknown (not zero), so binary operations shrink to the smaller order and
 equality only compares up to the common order.
 """
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add
+
+from qchains.record import Record, _set
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -37,8 +39,7 @@ def as_fraction(value) -> Fraction:
 # Certified enclosures for (irrational) infinite products
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A closed interval [lo, hi] with exact rational endpoints.
 
     Used wherever an infinite product enters: the true value is certified to
@@ -46,12 +47,13 @@ class Interval:
     either cancels or is only scaled by an exact factor.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("empty interval")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:
@@ -118,12 +120,12 @@ def poch_table(x, q) -> PochTable:
     return PochTable(x, q)
 
 
-def poch_inf(x, q, eps) -> Interval:
-    """Certified enclosure of the infinite product prod_{r>=1} (1 - x/q^r).
+def _poch_inf_cutoff(x, q, eps):
+    """(x, q, R, tail) for prod_{r>=1} (1 - x/q^r): the exact x and q, the
+    least cutoff R >= 0 whose geometric tail bound tail = sum_{r>R} x/q^r
+    is <= eps/2, and that tail; R is None when x = 0 (the product is 1).
 
-    Needs q > 1 and 0 <= x < q so every factor lies in (0, 1].  The interval
-    has width <= eps; its upper endpoint is the partial product at the cutoff
-    chosen from the geometric tail bound sum_{r>R} x/q^r <= eps/2.
+    Needs q > 1 and 0 <= x < q so every factor lies in (0, 1].
     """
     x = as_fraction(x)
     q = as_fraction(q)
@@ -133,7 +135,7 @@ def poch_inf(x, q, eps) -> Interval:
     if not 0 <= x < q:
         raise ValueError("need 0 <= x < q")
     if x == 0:
-        return Interval(_ONE, _ONE)
+        return x, q, None, _ZERO
     if eps <= 0:
         raise ValueError("eps must be positive")
     tail = Fraction(x, q - 1)  # sum_{r>R} x/q^r at R = 0
@@ -141,11 +143,74 @@ def poch_inf(x, q, eps) -> Interval:
     while tail > eps / 2:
         tail /= q
         rr += 1
+    return x, q, rr, tail
+
+
+def poch_inf(x, q, eps) -> Interval:
+    """Certified enclosure of the infinite product prod_{r>=1} (1 - x/q^r).
+
+    Needs q > 1 and 0 <= x < q so every factor lies in (0, 1].  The interval
+    has width <= eps; its upper endpoint is the partial product at the cutoff
+    chosen from the geometric tail bound sum_{r>R} x/q^r <= eps/2.
+    """
+    x, q, rr, tail = _poch_inf_cutoff(x, q, eps)
+    if rr is None:
+        return Interval(_ONE, _ONE)
     partial = _ONE
     for r in range(1, rr + 1):
         partial *= 1 - x / q**r
     # prod_{r>R}(1 - x/q^r) >= 1 - tail (Weierstrass), and each factor <= 1
     return Interval(partial * (1 - tail), partial)
+
+
+_MANTISSA = 64  # bits that poch_inf_lower keeps of each value
+
+
+def _round(n: int, e: int, up: bool) -> tuple:
+    """(m, e') with m 2^e' the value n 2^e >= 0 rounded down (or up) to a
+    mantissa of _MANTISSA bits; rounding up may carry into one more bit."""
+    extra = n.bit_length() - _MANTISSA
+    if extra <= 0:
+        return n, e
+    return (-(-n >> extra) if up else n >> extra), e + extra
+
+
+def _fraction_bits(f: Fraction, up: bool) -> tuple:
+    """(m, e) with m 2^e rounded down (or up) from the rational f > 0."""
+    a, b = f.numerator, f.denominator
+    k = max(0, _MANTISSA + 1 + b.bit_length() - a.bit_length())
+    m = -(-(a << k) // b) if up else (a << k) // b
+    return _round(m, -k, up)
+
+
+def poch_inf_lower(x, q, eps) -> Fraction:
+    """A lower bound of lo = poch_inf(x, q, eps).lo, the partial product
+    times (1 - tail) at the same cutoff: at most lo when lo > 0, and 0 when
+    lo <= 0 (eps too large) or when a rounded factor reaches 0.
+
+    It is computed in binary floating point with _MANTISSA-bit mantissas and
+    unbounded exponents, every step rounded outward: down for the product
+    and its factors, up for each x/q^r.  The r-th exact factor has a
+    denominator of about r log2(N) bits (q = N/D), so near q = 1, where R
+    runs into the thousands, the exact product grows to millions of bits
+    and takes minutes; this bound takes milliseconds.
+    """
+    x, q, rr, tail = _poch_inf_cutoff(x, q, eps)
+    if rr is None:
+        return _ONE
+    if tail >= 1:
+        return _ZERO
+    step_m, step_e = _fraction_bits(1 / q, up=True)
+    t_m, t_e = _fraction_bits(x / q, up=True)  # >= x/q^r, from r = 1
+    p_m, p_e = _fraction_bits(1 - tail, up=False)
+    for _ in range(rr):
+        # t_m >= 2^(_MANTISSA-1), so t < 1 means t_e < 0 and 1 - t is exact
+        f_m = (1 << -t_e) - t_m if t_e < 0 else 0
+        if f_m <= 0:
+            return _ZERO
+        p_m, p_e = _round(p_m * f_m, p_e + t_e, up=False)
+        t_m, t_e = _round(t_m * step_m, t_e + step_e, up=True)
+    return Fraction(p_m, 1 << -p_e) if p_e < 0 else Fraction(p_m << p_e)
 
 
 # ---------------------------------------------------------------------------

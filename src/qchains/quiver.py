@@ -17,7 +17,6 @@ import json
 import random
 import threading
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -26,6 +25,7 @@ from itertools import product as iter_product
 from qchains.glchain import _SAMPLERS, ChainSampler, _common_den, _dot
 from qchains.partitions import Partition, _conjugate_parts, _partition
 from qchains.qalgebra import as_fraction, poch_table
+from qchains.record import Record, _set
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -35,28 +35,30 @@ class ConvergenceError(RuntimeError):
     """A mass diverges, or a truncated sum failed its Cauchy criterion."""
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """n vertices with symmetric edge multiplicities; loops on the diagonal."""
+class Quiver(Record):
+    """n vertices with symmetric edge multiplicities; loops on the diagonal.
 
-    n: int
-    f: tuple  # n x n symmetric tuple-of-tuples of nonnegative ints
+    f is the n x n symmetric tuple-of-tuples of nonnegative ints.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("n", "f")
+
+    def __init__(self, n: int, f: tuple):
+        if n < 1:
             raise ValueError("need at least one vertex")
-        f = tuple(tuple(int(e) for e in row) for row in self.f)
-        if len(f) != self.n or any(len(r) != self.n for r in f):
+        f = tuple(tuple(int(e) for e in row) for row in f)
+        if len(f) != n or any(len(r) != n for r in f):
             raise ValueError("multiplicity table must be n x n")
-        for i in range(self.n):
-            for j in range(self.n):
+        for i in range(n):
+            for j in range(n):
                 if f[i][j] < 0:
                     raise ValueError("multiplicities must be >= 0")
                 if f[i][j] != f[j][i]:
                     raise ValueError("multiplicity table must be symmetric")
-        object.__setattr__(self, "f", f)
-        if self.n > 1 and not self._connected():
-            warnings.warn("quiver is not connected", stacklevel=3)
+        _set(self, "n", n)
+        _set(self, "f", f)
+        if n > 1 and not self._connected():
+            warnings.warn("quiver is not connected", stacklevel=2)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Quiver":
@@ -82,38 +84,35 @@ class Quiver:
         return len(seen) == self.n
 
 
-@dataclass(frozen=True)
-class QuiverParams:
+class QuiverParams(Record):
     """q > 1 and one weight U_i in (0, 1) per vertex.
 
     Smallness of the U_i for actual convergence is the caller's problem;
     the truncated sums report their own Cauchy behaviour.
     """
 
-    q: Fraction
-    u: tuple
+    __slots__ = ("q", "u")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", as_fraction(self.q))
-        object.__setattr__(self, "u", tuple(as_fraction(v) for v in self.u))
-        if self.q <= 1:
+    def __init__(self, q: Fraction, u: tuple):
+        q = as_fraction(q)
+        u = tuple(as_fraction(v) for v in u)
+        if q <= 1:
             raise ValueError("q must be > 1")
-        for v in self.u:
+        for v in u:
             if not 0 < v < 1:
                 raise ValueError("each U_i must satisfy 0 < U_i < 1")
+        _set(self, "q", q)
+        _set(self, "u", u)
 
 
-@dataclass(frozen=True)
-class PartitionTuple:
+class PartitionTuple(Record):
     """One partition per vertex."""
 
-    components: tuple
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        comps = tuple(
-            c if isinstance(c, Partition) else Partition(c) for c in self.components
-        )
-        object.__setattr__(self, "components", comps)
+    def __init__(self, components: tuple):
+        comps = tuple(c if isinstance(c, Partition) else Partition(c) for c in components)
+        _set(self, "components", comps)
 
     def __iter__(self):
         return iter(self.components)
@@ -249,18 +248,21 @@ def _level(n: int, k: int):
 _masses = lru_cache(maxsize=_SAMPLERS)(_MassTable)  # one table per (g, p)
 
 
-@dataclass(frozen=True)
-class TruncatedSum:
+class TruncatedSum(Record):
     """A truncated-summation value with its Cauchy diagnostics.
 
     certified is always False: the stopping rule is empirical, with no
     proved tail bound for general multiplicity tables.
     """
 
-    value: Fraction
-    size_cap: int
-    last_increment: Fraction
-    certified: bool = False
+    __slots__ = ("value", "size_cap", "last_increment", "certified")
+
+    def __init__(self, value: Fraction, size_cap: int, last_increment: Fraction,
+                 certified: bool = False):
+        _set(self, "value", value)
+        _set(self, "size_cap", size_cap)
+        _set(self, "last_increment", last_increment)
+        _set(self, "certified", certified)
 
 
 def normalizer(g: Quiver, p: QuiverParams, size_cap: int = 20, eps=Fraction(1, 10**8)):

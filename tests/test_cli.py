@@ -1,20 +1,28 @@
 """Exit codes, report shapes, and byte-determinism of the command line."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qchains import cli, identities
+from qchains import cli, fristedt, glchain, identities
 from qchains.cli import main
-from qchains.glchain import ChainSample, TruncatedMatrix, build_diagonalization, kernel
+from qchains.glchain import (
+    ChainSample,
+    Diagonalization,
+    TruncatedMatrix,
+    build_diagonalization,
+    kernel,
+)
+from qchains.fristedt import FristedtParams
 from qchains.partitions import MeasureParams, Partition
 from qchains.quiver import PartitionTuple
 
@@ -623,7 +631,8 @@ def _one_entry_wrong(name):
         d = build_diagonalization(l_max, p)
         square = [list(row) for row in getattr(d, name).entries]
         square[3][0] += 1
-        return dataclasses.replace(d, **{name: TruncatedMatrix(square)})
+        fields = {field: getattr(d, field) for field in Diagonalization.__slots__}
+        return Diagonalization(**{**fields, name: TruncatedMatrix(square)})
 
     return diagonalization
 
@@ -754,6 +763,87 @@ def test_sample_line_is_the_emitted_line(seed, columns, partition, model, mode):
     with contextlib.redirect_stdout(out):
         cli._emit(s.to_json(model), mode)
     assert line == out.getvalue()
+
+
+_EPS = Fraction(1, 2**20)
+_STREAMS = [
+    ("gl", MeasureParams(u=Fraction(1, 2), q=Fraction(2)), 2000),
+    ("fristedt", FristedtParams(q=Fraction(1, 2)), 2000),
+    ("fristedt", FristedtParams(q=Fraction(4, 5)), 300),
+]
+
+
+def _stream(model, p, seed, count):
+    stream = glchain.sample_stream if model == "gl" else fristedt.f_sample_stream
+    return stream(p, seed, count, _EPS)
+
+
+def _oracle_lines(model, p, seed, count, mode):
+    """One seed's lines built draw by draw with no memo: each path straight
+    from the chain, its partition through the checking Partition(), and the
+    line as _emit formats it."""
+    chain = (glchain._sampler if model == "gl" else fristedt._sampler)(p, _EPS)
+    rng = random.Random(seed)
+    for _ in range(count):
+        path = chain.path(rng)
+        lam = Partition(path).conjugate() if model == "gl" else Partition(path)
+        yield cli._line(ChainSample(seed, path, lam).to_json(model), mode) + "\n"
+
+
+@pytest.mark.parametrize("cap", [None, 1], ids=["cap-default", "cap-1"])
+@pytest.mark.parametrize("mode", ["json", "text"])
+@pytest.mark.parametrize("model, p, count", _STREAMS,
+                         ids=["gl", "fristedt", "fristedt-large"])
+def test_streams_equal_a_memo_free_oracle(monkeypatch, model, p, count, mode, cap):
+    if cap is not None:
+        monkeypatch.setattr(glchain, "_STREAM_MEMO", cap)
+        monkeypatch.setattr(cli, "_LINE_MEMO", cap)
+    for seed in range(4):
+        lines = cli._sample_lines(_stream(model, p, seed, count), model, mode)
+        assert "".join(lines) == "".join(_oracle_lines(model, p, seed, count, mode)), seed
+
+
+def _reused_paths(samples, items):
+    """The paths whose every later draw yields the very object (sample or
+    line) of the path's first draw."""
+    first, reused, fresh = {}, set(), set()
+    for s, item in zip(samples, items):
+        if s.columns not in first:
+            first[s.columns] = item
+        elif item is first[s.columns]:
+            reused.add(s.columns)
+        else:
+            fresh.add(s.columns)
+    assert not reused & fresh  # a path is either kept or never kept
+    return reused
+
+
+@pytest.mark.parametrize("cap", [1, 4])
+@pytest.mark.parametrize("model, p, count", _STREAMS[:2], ids=["gl", "fristedt"])
+def test_memos_never_exceed_their_caps(monkeypatch, model, p, count, cap):
+    """Each memo keeps the first cap distinct paths of a stream, and only
+    those: every later path is built anew at each draw."""
+    monkeypatch.setattr(glchain, "_STREAM_MEMO", cap)
+    monkeypatch.setattr(cli, "_LINE_MEMO", cap)
+    samples = list(_stream(model, p, 0, count))
+    lines = list(cli._sample_lines(samples, model, "json"))
+    draws = Counter(s.columns for s in samples)
+    paths = list(draws)  # in the order of their first draw
+    assert len(paths) > cap
+    kept = {path for path in paths[:cap] if draws[path] > 1}
+    assert kept or cap == 1  # at cap 4 some kept path recurs
+    for items in (samples, lines):
+        assert _reused_paths(samples, items) == kept
+
+
+def test_line_memo_starts_again_for_another_seed():
+    """Lines are kept per seed: the same path under another seed gets its
+    own line."""
+    lam = Partition([2, 1])
+    samples = [ChainSample(seed, (2, 1), lam) for seed in (0, 0, 1, 1, 0)]
+    lines = list(cli._sample_lines(samples, "fristedt", "text"))
+    assert [line.endswith(f"seed={s.seed}\n") for line, s in zip(lines, samples)] == [
+        True] * 5
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,12 @@
 """Kernel, first-column law, diagonalization, closed-form powers, chain mass,
 and the exact sampler of the GL-measure chain."""
 
+import inspect
+import random
+from bisect import bisect_right
 from fractions import Fraction as F
+from itertools import accumulate
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -278,8 +283,8 @@ def test_cdf_pick_matches_fraction_definition(weights, data):
     weights and for v exactly on, just below and just above a threshold, and
     at any common scale of the integers."""
     nums = glchain._common_den(weights)[0]
-    scale = 3**40 + 1
-    cdfs = [glchain._Cdf(list(nums)), glchain._Cdf([w * scale for w in nums])]
+    scales = (1, 3**40 + 1, 3**150 + 1)  # the last takes the leading-bits route
+    cdfs = [glchain._cuts([w * scale for w in nums]) for scale in scales]
     total = sum(weights, F(0))
     candidates = {0, 2**128 - 1}
     acc = F(0)
@@ -292,22 +297,80 @@ def test_cdf_pick_matches_fraction_definition(weights, data):
         candidates.add(data.draw(st.integers(0, 2**128 - 1)))
     for v in sorted(candidates):
         want = _cdf_by_fractions(weights, v)
-        assert [cdf.pick(v) for cdf in cdfs] == [want, want], v
+        assert [bisect_right(cuts, v) for cuts in cdfs] == [want] * 3, v
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_cuts_next_to_an_integer_take_the_full_division(offset):
+    """P_0 2^128 / T = 3 + offset 2^-128 with T = 2^300: the leading bits
+    only bound it to within 2^-63, so the cut must come from the full
+    division: 3 on the integer or just below it, 4 just above."""
+    first = 3 * 2**172 + offset
+    cuts = glchain._cuts([first, 2**300 - first])
+    assert cuts == [4 if offset > 0 else 3, 2**128]
+    assert [bisect_right(cuts, v) for v in (2, 3, 4)] == [0, 1 if offset <= 0 else 0, 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(nums=st.lists(st.integers(0, 2**400), min_size=1, max_size=8).filter(any))
+def test_cuts_are_the_ceilings_of_the_scaled_prefix_sums(nums):
+    total = sum(nums)
+    want = [-(-(acc << 128) // total) for acc in accumulate(nums)]
+    assert glchain._cuts(list(nums)) == want
 
 
 def test_cdf_exact_thresholds():
-    cdf = glchain._Cdf([1, 1, 2])
-    assert [cdf.pick(v) for v in (0, 2**126 - 1, 2**126, 2**127, 2**128 - 1)] == [
-        0, 0, 1, 2, 2
-    ]
-    cdf = glchain._Cdf([0, 1, 0, 2])
-    assert [cdf.pick(v) for v in (0, 2**128 // 3, 2**128 // 3 + 1)] == [1, 1, 3]
+    cuts = glchain._cuts([1, 1, 2])
+    values = (0, 2**126 - 1, 2**126, 2**127, 2**128 - 1)
+    assert [bisect_right(cuts, v) for v in values] == [0, 0, 1, 2, 2]
+    cuts = glchain._cuts([0, 1, 0, 2])
+    assert [bisect_right(cuts, v) for v in (0, 2**128 // 3, 2**128 // 3 + 1)] == [1, 1, 3]
 
 
-def _first_step_ints(chain):
-    """The integers of a sampler's first step, from its prefix-sum CDF."""
-    bounds = chain.first[1].bounds
-    return [(hi - lo) >> 128 for lo, hi in zip([0] + bounds, bounds)]
+@pytest.mark.parametrize(
+    "sampler, p",
+    [(glchain._sampler, P12), (glchain._sampler, MeasureParams(u=F(9, 10), q=F(5, 4))),
+     (fristedt._sampler, fristedt.FristedtParams(q=F(4, 5)))],
+    ids=["gl-1/2-2", "gl-9/10-5/4", "fristedt-4/5"],
+)
+def test_no_cut_is_wider_than_129_bits(sampler, p):
+    """The first step and every row that 200 draws build keep one cut per
+    state, the last being 2^128, however long the weights' integers are."""
+    chain = sampler(p, F(1, 2**20))
+    rng = random.Random(1)
+    for _ in range(200):
+        chain.path(rng)
+    tables = [chain.first, *chain.rows.values()]
+    assert len(tables) > 2
+    for keys, cuts in tables:
+        assert len(cuts) == len(keys)
+        assert cuts[-1] == 2**128
+        assert max(c.bit_length() for c in cuts) <= 129
+
+
+def test_near_one_sampler_builds_quickly():
+    """u = 99/100, q = 101/100: the support cap's lower bound of
+    (1/q)_inf (u/q)_inf is rounded, not an exact product of ~1900 factors
+    of growing size, so three draws take seconds, not minutes."""
+    p = MeasureParams(u=F(99, 100), q=F(101, 100))
+    t0 = perf_counter()
+    draws = list(sample_stream(p, 0, 3))
+    assert perf_counter() - t0 < 10
+    for s in draws:
+        assert s.partition == Partition(s.columns).conjugate()
+
+
+def _first_step_ints(sampler, p, eps):
+    """The integers of a sampler's first step, rebuilt from the model's
+    ratios; they are the ones the sampler holds, since its cut points are
+    theirs: ceil(P_i 2^128 / T) by full division, P_i the prefix sums and
+    T the total."""
+    chain = sampler(p, eps)
+    ratio = inspect.unwrap(sampler)(p, eps)[0]
+    ints = glchain._ratio_ints(len(chain.first[0]) - 1, ratio)
+    total = sum(ints)
+    assert chain.first[1] == [-(-(acc << 128) // total) for acc in accumulate(ints)]
+    return ints
 
 
 def _proportional(ints, weights, picks):
@@ -340,7 +403,7 @@ def test_ratio_built_integers_are_proportional_to_the_weights(sampler, p, first,
     q = 9/10); the integers are built from the top down, so a wrong ratio
     shows between two checked states."""
     chain = sampler(p, F(1, 2**20))
-    ints = _first_step_ints(chain)
+    ints = _first_step_ints(sampler, p, F(1, 2**20))
     top = len(ints) - 1
     picks = sorted({*range(min(30, top + 1)), *range(0, top, 8), top})
     assert _proportional(ints, [first(b, p) for b in range(top + 1)], picks)

@@ -17,6 +17,7 @@ from qchains.qalgebra import (
     jacobi_product,
     one_minus_product,
     poch_inf,
+    poch_inf_lower,
     poch_table,
     q_binomial_check,
     theta_sum,
@@ -403,3 +404,35 @@ def test_q_binomial_at_q_zero():
     # every (0)_m is 1, and both sides are 1 + y
     for n in range(7):
         assert q_binomial_check(n, 0), n
+
+
+# ---------------------------------------------------------------------------
+# the rounded lower bound of the infinite product
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.fractions(min_value=F(11, 10), max_value=5, max_denominator=20),
+    share=st.fractions(min_value=0, max_value=F(29, 30), max_denominator=30),
+    eps_bits=st.integers(1, 30),
+)
+def test_poch_inf_lower_is_at_most_the_exact_lower_end(q, share, eps_bits):
+    """On small cases the rounded bound is at most poch_inf(...).lo, and
+    within a relative 2^-48 of it: every step loses at most 2^-63."""
+    x, eps = share * q, F(1, 2**eps_bits)
+    lo = poch_inf(x, q, eps).lo
+    low = poch_inf_lower(x, q, eps)
+    if lo <= 0:
+        assert low == 0
+    else:
+        assert 0 < low <= lo
+        assert (lo - low) / lo < F(1, 2**48)
+
+
+def test_poch_inf_lower_edge_cases():
+    assert poch_inf_lower(0, 2, F(1, 8)) == 1
+    assert poch_inf(1, 2, 4).lo <= 0 and poch_inf_lower(1, 2, 4) == 0
+    with pytest.raises(ValueError):
+        poch_inf_lower(2, 2, F(1, 8))
+    with pytest.raises(ValueError):
+        poch_inf_lower(1, 2, 0)
