@@ -26,6 +26,7 @@ from qchains.fristedt import (
 )
 from qchains.glchain import (
     TruncatedMatrix,
+    _common_den,
     build_diagonalization,
     chain_mass,
     kernel,
@@ -82,15 +83,15 @@ _INT_FLAG_MIN = {
 # largest value each size flag accepts, from measured costs (2-vCPU machine,
 # Python 3.11):
 # - L, lmax: the (L+1)^2/2 kernel entries carry about L^2 bits each, so
-#   memory grows as L^4.  `power --L N --j 0 --r 1` peaks at 25 MB at
-#   N = 120 and 38 MB at 160, and at N = 200 takes 21 s; `kernel --lmax`,
-#   which writes the entries one row at a time, peaks at 25 MB at 120 and
-#   40 MB at 160 (15.6 s).
+#   memory grows as L^4.  `power --L N --j 0 --r 1` peaks at 20 MB at
+#   N = 120 and 31 MB at 160, and at N = 200 takes 3.9 s; `kernel --lmax`,
+#   which writes the entries one row at a time, peaks at 23 MB at 120 and
+#   38 MB at 160 (16 s, most of it reducing each printed entry).
 # - r, for `power` only (`series --r` is another flag): row L of K^r takes
 #   r row-vector products whose entries grow to about r L^2 bits, so the
-#   time grows about as r^2.  `power --L 40 --j 0` took 0.6 s at r = 32 and
-#   1.5 s at r = 64; at L = 100, r = 32 took 44 s; at L = 200, r = 1, 4 and
-#   8 took 21, 42 and 112 s.
+#   time grows about as r^2.  `power --L 40 --j 0` took 0.5 s at r = 32;
+#   at L = 100, r = 32 took 42 s; at L = 200, r = 1, 4 and 8 took 3.9, 28
+#   and 95 s.
 # - size_cap: the quiver mass table takes |a| <= cap terms for a state a,
 #   over about cap^n / n! states.  The A2 quiver's first draw (in-process)
 #   took 0.012, 0.036, 0.089 and 0.46 s at caps 20, 30, 40 and 60; summing
@@ -262,9 +263,10 @@ def _power_mismatches(m, l_max, r_max):
     power = TruncatedMatrix.identity(l_max + 1)
     for r in range(1, r_max + 1):
         power = power @ mat
-        for ll in range(l_max + 1):
+        for ll, (row, den) in enumerate(zip(power.rows, power.dens)):
             for j in range(ll + 1):
-                if m.closed(ll, j, r, m.p) != power.entry(ll, j):
+                closed = m.closed(ll, j, r, m.p)  # against row[j] / den
+                if closed.numerator * den != row[j] * closed.denominator:
                     yield ll, j, r
 
 
@@ -382,9 +384,10 @@ def _case_power_battery(u, q, l_max, r_max):
 
 def _case_stochastic(model, u, q, a_max):
     m = _model(model, u, q)
-    ok = all(
-        sum(m.kernel(a, b, m.p) for b in range(a + 1)) == 1 for a in range(a_max + 1)
-    )
+    # each row's numerators over the lcm of its denominators add up to the lcm
+    rows = (_common_den(m.kernel(a, b, m.p) for b in range(a + 1))
+            for a in range(a_max + 1))
+    ok = all(sum(nums) == den for nums, den in rows)
     return {
         "suite": "stochastic",
         "model": model,

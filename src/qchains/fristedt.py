@@ -2,15 +2,22 @@
 
 Here 0 < q < 1 and every Pochhammer symbol is the ascending convention:
 (q)_n = (1-q)...(1-q^n), and (1/q)_n means the same product evaluated at
-1/q, i.e. prod_{s<=n} (1 - q^(-s)).  Conditioning the measure on a fixed
-size gives the uniform measure on partitions of that size.
+1/q, i.e. prod_{s<=n} (1 - q^(-s)).  With q = c/d both are one integer
+J_n = (d - c)(d^2 - c^2)...(d^n - c^n) over a power of d or of c (_ints),
+which is how the kernel, the diagonalization and the closed-form powers
+read them.  Conditioning the measure on a fixed size gives the uniform
+measure on partitions of that size.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
-from qchains.glchain import ChainSample, Diagonalization, TruncatedMatrix, row_chain
+from qchains.glchain import (_PARAMS, ChainSample, Diagonalization, TruncatedMatrix,
+                             row_chain)
 from qchains.partitions import Partition
-from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
+from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_ints, poch_table
 from qchains.record import Record, _set
 
 _ZERO = Fraction(0)
@@ -34,9 +41,12 @@ def uniform_mass(lam: Partition, p: FristedtParams) -> Fraction:
     return p.q**lam.size
 
 
-def _tables(q: Fraction):
-    """The tables of (q)_n and of (1/q)_n = prod_{s<=n} (1 - q^(-s))."""
-    return poch_table(q, 1 / q), poch_table(1 / q, q)
+@lru_cache(maxsize=_PARAMS)
+def _ints(p: FristedtParams):
+    """(c, d, J) for q = c/d in lowest terms, with (q)_n = J_n / d^(n(n+1)/2)
+    and (1/q)_n = (-1)^n J_n / c^(n(n+1)/2): J_n = h_1 ... h_n, h_k = d^k - c^k.
+    Keyed by the record, whose hash is kept."""
+    return p.q.numerator, p.q.denominator, poch_ints(1, 1 / p.q)
 
 
 def weight_normalizer(p: FristedtParams, eps) -> Interval:
@@ -45,71 +55,83 @@ def weight_normalizer(p: FristedtParams, eps) -> Interval:
 
 
 def f_kernel(a: int, b: int, p: FristedtParams) -> Fraction:
-    """Row-length transition probability  q^b (q)_a / (q)_b  for 0 <= b <= a."""
+    """Row-length transition probability  q^b (q)_a / (q)_b  for 0 <= b <= a,
+    that is c^b d^binom(b,2) (J_a / J_b) / d^binom(a+1,2)."""
     if a < 0:
         raise ValueError("state must be >= 0")
     if b < 0 or b > a:
         return _ZERO
-    q = p.q
-    qs, _ = _tables(q)
-    return q**b * qs[a] / qs[b]
+    c, d, js = _ints(p)
+    num = c**b * d ** (b * (b - 1) // 2) * (js[a] // js[b])
+    return Fraction(num, d ** (a * (a + 1) // 2))
 
 
 def f_diagonalization(l_max: int, p: FristedtParams) -> Diagonalization:
     """Exact diagonalization on states 0..l_max:
 
-    C(i,i) = (q)_i / q^i
+    C(i,i) = (q)_i / q^i = J_i / (c^i d^binom(i,2))
     M(i,j) = q^i for i >= j, else 0
     D(i,i) = q^i
     A(i,j) = (-1)^(i-j) / (q^binom(i-j,2) (1/q)_{i-j})
-    A^-1(i,j) = 1 / (1/q)_{i-j}
+           = d^binom(i-j,2) c^(i-j) / J_{i-j}
+    A^-1(i,j) = 1 / (1/q)_{i-j} = (-1)^(i-j) c^binom(i-j+1,2) / J_{i-j}
 
     D is stored in the slot the GL chain uses for its eigenvalue matrix.
-    M is q^i on the lower triangle and A, A^-1 are Toeplitz, so each is
-    built from per-index factors computed once.
+    Rows i of A and A^-1 are over J_i, with J_i / J_{i-j} = h_i ... h_{i-j+1}.
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    q = p.q
-    qs, iqs = _tables(q)
+    c, d, js = _ints(p)
     size = l_max + 1
-    powers = [q**i for i in range(size)]
-    a = [(-1 if k % 2 else 1) / (q ** (k * (k - 1) // 2) * iqs[k]) for k in range(size)]
-    a_inv = [1 / iqs[k] for k in range(size)]
+    h = [d**k - c**k for k in range(size)]
+    a, a_inv = [], []
+    for i in range(size):
+        pre = list(accumulate(h[i:0:-1], mul, initial=1))  # J_i / J_{i-j}
+        a.append([d ** ((i - j) * (i - j - 1) // 2) * c ** (i - j) * pj
+                  for j, pj in enumerate(pre)])
+        a_inv.append([(-1) ** (i - j) * c ** ((i - j) * (i - j + 1) // 2) * pj
+                      for j, pj in enumerate(pre)])
+    dens, powers = [js[i] for i in range(size)], [d**i for i in range(size)]
     return Diagonalization(
-        c=TruncatedMatrix.diagonal(qs[i] / powers[i] for i in range(size)),
-        m=TruncatedMatrix.build(size, lambda i, j: powers[i]),
-        a=TruncatedMatrix.build(size, lambda i, j: a[i - j]),
-        a_inv=TruncatedMatrix.build(size, lambda i, j: a_inv[i - j]),
-        e=TruncatedMatrix.diagonal(powers),
+        c=TruncatedMatrix._make([[0] * i + [js[i]] for i in range(size)],
+                                [c**i * d ** (i * (i - 1) // 2) for i in range(size)]),
+        m=TruncatedMatrix._make([[c**i] * (i + 1) for i in range(size)], powers),
+        a=TruncatedMatrix._make(a, dens),
+        a_inv=TruncatedMatrix._make(a_inv, dens),
+        e=TruncatedMatrix._make([[0] * i + [c**i] for i in range(size)], powers),
         params=p,
     )
 
 
 def f_kernel_matrix(l_max: int, p: FristedtParams) -> TruncatedMatrix:
-    """The kernel on states 0..l_max, built as (q)_a times q^b / (q)_b (the
-    factors of f_kernel())."""
-    q = p.q
-    qs, _ = _tables(q)
+    """The kernel on states 0..l_max, by rows over d^binom(a+1,2) (f_kernel()):
+    each numerator is the one above it times h_a."""
+    c, d, _ = _ints(p)
     size = l_max + 1
-    f = [q**b / qs[b] for b in range(size)]
-    return TruncatedMatrix.build(size, lambda a, b: qs[a] * f[b])
+    rows = [[]]
+    for a in range(size):
+        rows.append([n * (d**a - c**a) for n in rows[-1]]
+                    + [c**a * d ** (a * (a - 1) // 2)])
+    dens = [d ** (a * (a + 1) // 2) for a in range(size)]
+    return TruncatedMatrix._make(rows[1:], dens)
 
 
 def f_kr_closed(l: int, j: int, r: int, p: FristedtParams) -> Fraction:
     """Closed form for the r-step transition probability:
 
         q^j q^(l(r-1)) (q)_l (1/q)_{l-j+r-1} / ((q)_j (1/q)_{l-j} (1/q)_{r-1})
+
+    that is c^(jr) (J_l / J_j) [l-j+r-1; l-j] over
+    d^(j + l(r-1) + binom(l+1,2) - binom(j+1,2)), [n; k] = J_n / (J_k J_(n-k)).
     """
     if not 0 <= j <= l:
         raise ValueError("need 0 <= j <= l")
     if r < 1:
         raise ValueError("need r >= 1")
-    q = p.q
-    qs, iqs = _tables(q)
-    num = q**j * q ** (l * (r - 1)) * qs[l] * iqs[l - j + r - 1]
-    den = qs[j] * iqs[l - j] * iqs[r - 1]
-    return num / den
+    c, d, js = _ints(p)
+    binom = js[l - j + r - 1] // (js[l - j] * js[r - 1])
+    num = c ** (j * r) * (js[l] // js[j]) * binom
+    return Fraction(num, d ** (j + l * (r - 1) + (l * (l + 1) - j * (j + 1)) // 2))
 
 
 def row_law_limit(r: int, j: int, p: FristedtParams, eps) -> Interval:
@@ -117,17 +139,18 @@ def row_law_limit(r: int, j: int, p: FristedtParams, eps) -> Interval:
     if r < 1 or j < 0:
         raise ValueError("need r >= 1 and j >= 0")
     q = p.q
-    qs, _ = _tables(q)
+    qs = poch_table(q, 1 / q)
     ratio = q ** (r * j) / (qs[j] * qs[r - 1])
     return weight_normalizer(p, eps).scale(ratio)
 
 
 def first_row_unnormalized(a: int, p: FristedtParams) -> Fraction:
-    """Large-start limit of the kernel into a, without (q)_inf:  q^a / (q)_a."""
+    """Large-start limit of the kernel into a, without (q)_inf:  q^a / (q)_a,
+    from the Fraction table (c^a d^binom(a,2) / J_a needs a gcd of long ints)."""
     if a < 0:
         raise ValueError("state must be >= 0")
-    qs, _ = _tables(p.q)
-    return p.q**a / qs[a]
+    q = p.q
+    return q**a / poch_table(q, 1 / q)[a]
 
 
 def f_chain_mass(lam: Partition, p: FristedtParams) -> Fraction:

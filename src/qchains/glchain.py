@@ -1,10 +1,13 @@
 """Absorbing Markov chain on column lengths generating the GL measure.
 
-All Pochhammer symbols here are the descending convention, read from the
-(1/q)_n and (u/q)_n tables; a term whose index would go negative vanishes,
-and the formulas test that range explicitly (the matrices are built on their
-lower triangle only), except for the single analytic-extension entry noted
-in build_diagonalization.
+All Pochhammer symbols here are the descending convention, (x/q)_n =
+(1-x/q)...(1-x/q^n).  The kernel, the diagonalization and the closed-form
+powers take them as integer numerators over closed-form denominators (_ints),
+so a matrix row is built from integer products and exact quotients and
+reduced once.  A term whose index would go negative vanishes, and the
+formulas test that range explicitly (the matrices are built on their lower
+triangle only), except for the single analytic-extension entry noted in
+build_diagonalization.
 
 State 0 is absorbing; a trajectory started from the first-column law and
 run until absorption spells out the column heights of a random partition.
@@ -15,6 +18,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -24,7 +28,7 @@ from qchains.qalgebra import (
     as_fraction,
     poch_inf,
     poch_inf_lower,
-    poch_table,
+    poch_ints,
 )
 from qchains.record import Record, _set
 
@@ -32,11 +36,6 @@ TAIL_BITS = 64  # first-step support cap: certified tail below 2**-TAIL_BITS
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _tables(p: MeasureParams):
-    """The (1/q)_n and (u/q)_n tables of the descending convention."""
-    return poch_table(1 / p.q, p.q), poch_table(p.u / p.q, p.q)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +91,9 @@ class TruncatedMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedMatrix is immutable")
+
+    def __reduce__(self):
+        return TruncatedMatrix._make, (self.rows, self.dens)
 
     @classmethod
     def identity(cls, size):
@@ -267,19 +269,46 @@ class Diagonalization(Record):
         return tuple(self.e.entry(j, j) for j in range(self.size))
 
     def kernel_matrix(self) -> TruncatedMatrix:
-        """K = C M C^-1, computed entrywise from the diagonal C."""
-        cd = [self.c.entry(i, i) for i in range(self.size)]
-        return TruncatedMatrix.build(
-            self.size, lambda i, j: cd[i] * self.m.entry(i, j) / cd[j]
-        )
+        """K = C M C^-1: M(i,j) C(i,i)/C(j,j) = M(i,j) rho_{j+1} ... rho_i with
+        rho_k = C(k,k)/C(k-1,k-1), so row i of M times integers over its
+        denominator times pre[i], the denominators of rho_1 .. rho_i."""
+        c = [self.c.entry(k, k) for k in range(self.size)]
+        rho = [None] + [ck / c[k - 1] for k, ck in enumerate(c) if k]
+        pre = list(accumulate((r.denominator for r in rho[1:]), mul, initial=1))
+        rows = []
+        for i, row in enumerate(self.m.rows):
+            nums, up = [0] * (i + 1), 1  # up: the numerators of rho_{j+1} .. rho_i
+            for j in range(i, -1, -1):
+                nums[j] = row[j] * up * pre[j]
+                if j:
+                    up *= rho[j].numerator
+            rows.append(nums)
+        dens = [d * pre[i] for i, d in enumerate(self.m.dens)]
+        return TruncatedMatrix._make(rows, dens)
 
 
 # ---------------------------------------------------------------------------
 # Kernel, first-column law, diagonalization, closed-form powers
 
 
+_PARAMS = 16  # parameter sets whose integer tables are looked up by p
+
+
+@lru_cache(maxsize=_PARAMS)
+def _ints(p: MeasureParams):
+    """(un, ud, c, d, I, U) for u = un/ud, q = c/d: (1/q)_n = I_n / c^(n(n+1)/2)
+    and (u/q)_n = U_n / (ud^n c^(n(n+1)/2)), with I_n = f_1 ... f_n, f_k =
+    c^k - d^k and U_n = g_1 ... g_n, g_k = ud c^k - un d^k.  Keyed by the
+    record, whose hash is kept, so a lookup hashes no Fraction."""
+    u, q = p.u, p.q
+    return (u.numerator, u.denominator, q.numerator, q.denominator,
+            poch_ints(1, q), poch_ints(u, q))
+
+
 def kernel(a: int, b: int, p: MeasureParams) -> Fraction:
-    """One-step transition probability from column height a to b.
+    """One-step transition probability from column height a to b,
+    [a; b] G(b+1..a) un^b d^(b^2) c^binom(a-b,2) / (ud^a c^(a^2)) with the
+    exact quotients [a; b] = I_a / (I_b I_(a-b)) and G(b+1..a) = U_a / U_b.
 
     Vanishes outside 0 <= b <= a, where (1/q)_{a-b} or (1/q)_b would have a
     negative index.
@@ -288,20 +317,20 @@ def kernel(a: int, b: int, p: MeasureParams) -> Fraction:
         raise ValueError("state must be >= 0")
     if not 0 <= b <= a:
         return _ZERO
-    u, q = p.u, p.q
-    iq, uq = _tables(p)
-    return u**b * iq[a] * uq[a] / (q ** (b * b) * iq[a - b] * iq[b] * uq[b])
+    un, ud, c, d, iq, uq = _ints(p)
+    num = iq[a] // (iq[b] * iq[a - b]) * (uq[a] // uq[b]) * un**b * d ** (b * b)
+    return Fraction(num * c ** ((a - b) * (a - b - 1) // 2), ud**a * c ** (a * a))
 
 
 def first_col_unnormalized(a: int, p: MeasureParams) -> Fraction:
     """First-column mass without the infinite-product prefactor:
 
-        u^a / (q^(a^2) (1/q)_a (u/q)_a)
+        u^a / (q^(a^2) (1/q)_a (u/q)_a) = un^a d^(a^2) c^a / (I_a U_a)
     """
     if a < 0:
         raise ValueError("state must be >= 0")
-    iq, uq = _tables(p)
-    return p.u**a / (p.q ** (a * a) * iq[a] * uq[a])
+    un, _, c, d, iq, uq = _ints(p)
+    return Fraction(un**a * d ** (a * a) * c**a, iq[a] * uq[a])
 
 
 def first_col_law(a: int, p: MeasureParams, eps) -> Interval:
@@ -309,12 +338,6 @@ def first_col_law(a: int, p: MeasureParams, eps) -> Interval:
     if p.u == 1:
         raise ValueError("u = 1 is not a probability measure; use u < 1")
     return poch_inf(p.u, p.q, eps).scale(first_col_unnormalized(a, p))
-
-
-def _eigenvalues(p: MeasureParams, size: int) -> list:
-    """E(j,j) = u^j / q^(j^2) for j = 0..size-1."""
-    u, q = p.u, p.q
-    return [u**j / q ** (j * j) for j in range(size)]
 
 
 def build_diagonalization(l_max: int, p: MeasureParams) -> Diagonalization:
@@ -327,95 +350,103 @@ def build_diagonalization(l_max: int, p: MeasureParams) -> Diagonalization:
                 / (q^binom(i-j,2) (1/q)_{i-j})
     E(j,j) = u^j / q^(j^2)
 
-    Each entry is a product of per-index factors computed once: M is a
-    Toeplitz factor in i-j times E, A a Toeplitz times a Hankel (i+j)
-    factor, and A^-1 a row factor times a Hankel and a Toeplitz factor.
     Entries above the diagonal vanish: there (1/q)_{i-j} has a negative
     index.  The (0,0) entry of A^-1 takes (u/q)_{-1} = 1/(1-u) by the
     analytic extension, so (1-u)(u/q)_{-1} = 1; at u = 1 the same entry is
     its limit, 1.
+
+    Row i of M is over ud^i c^(i^2) I_i, of A over I_i U_{2i} and of A^-1
+    over ud^(2i) c^(2i^2 + i) I_i, with numerators from P_j = I_i / I_{i-j}
+    = f_i ... f_{i-j+1} and S_j = U_{2i} / U_{i+j} (see _ints).
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    u, q = p.u, p.q
-    iq, uq = _tables(p)
+    un, ud, c, d, iq, uq = _ints(p)
     size = l_max + 1
-    e = _eigenvalues(p, size)
-    t = [1 / iq[d] for d in range(size)]
-    h = [1 / uq[s] for s in range(2 * size - 1)]
-    g = [(-1 if d % 2 else 1) / (q ** (d * (d - 1) // 2) * iq[d]) for d in range(size)]
-    w = [1 - u / q ** (2 * i) for i in range(size)]  # row factor of A^-1
+    f = [c**k - d**k for k in range(size)]
+    g = [ud * c**k - un * d**k for k in range(2 * size)]
+    m, a, a_inv = [], [], [[1]]  # row 0 of A^-1 is the extended entry
+    for i in range(size):
+        pre = list(accumulate(f[i:0:-1], mul, initial=1))  # P_j
+        suf = list(accumulate(g[2 * i:i:-1], mul, initial=1))[::-1]  # S_j
+        m.append([un**j * d ** (j * j) * ud ** (i - j) * pj
+                  * c ** (i * i - j * j + (i - j) * (i - j + 1) // 2)
+                  for j, pj in enumerate(pre)])
+        a.append([ud ** (i + j) * c ** (i * i + i + j * j) * pj * sj
+                  for j, (pj, sj) in enumerate(zip(pre, suf))])
+        if i:
+            a_inv.append([(-1) ** (i - j) * g[2 * i] * uq[i + j - 1] * ud ** (i - j)
+                          * d ** ((i - j) * (i - j - 1) // 2) * pj
+                          * c ** (i - j + i * (2 * i - 1) - (i + j) * (i + j - 1) // 2)
+                          for j, pj in enumerate(pre)])
+    rows = range(size)
     return Diagonalization(
-        c=TruncatedMatrix.diagonal(iq[i] * uq[i] for i in range(size)),
-        m=TruncatedMatrix.build(size, lambda i, j: t[i - j] * e[j]),
-        a=TruncatedMatrix.build(size, lambda i, j: t[i - j] * h[i + j]),
-        a_inv=TruncatedMatrix.build(  # row 0 is the extended entry 1
-            size, lambda i, j: w[i] * uq[i + j - 1] * g[i - j] if i else _ONE
-        ),
-        e=TruncatedMatrix.diagonal(e),
+        c=TruncatedMatrix._make([[0] * i + [iq[i] * uq[i]] for i in rows],
+                                [ud**i * c ** (i * i + i) for i in rows]),
+        m=TruncatedMatrix._make(m, [ud**i * c ** (i * i) * iq[i] for i in rows]),
+        a=TruncatedMatrix._make(a, [iq[i] * uq[2 * i] for i in rows]),
+        a_inv=TruncatedMatrix._make(a_inv, [ud ** (2 * i) * c ** (2 * i * i + i) * iq[i]
+                                            if i else 1 for i in rows]),
+        e=TruncatedMatrix._make([[0] * i + [un**i * d ** (i * i)] for i in rows],
+                                [ud**i * c ** (i * i) for i in rows]),
         params=p,
     )
 
 
 def kernel_matrix(l_max: int, p: MeasureParams) -> TruncatedMatrix:
-    """The kernel on states 0..l_max, built as C T E C^-1 with the Toeplitz
-    T(i,j) = 1/(1/q)_{i-j} (the factors of kernel())."""
-    iq, uq = _tables(p)
+    """The kernel on states 0..l_max, by rows over ud^a c^(a^2) (kernel()):
+    from row a-1 to row a, [a; b] gains f_a / f_(a-b), G(b+1..a) gains g_a
+    and c^binom(a-b,2) gains c^(a-b-1), so each numerator is the one above
+    it times small integers, an exact division."""
+    un, ud, c, d, _, _ = _ints(p)
     size = l_max + 1
-    c = [iq[i] * uq[i] for i in range(size)]
-    t = [1 / iq[d] for d in range(size)]
-    f = [ej / cj for ej, cj in zip(_eigenvalues(p, size), c)]
-    return TruncatedMatrix.build(size, lambda i, j: c[i] * t[i - j] * f[j])
-
-
-_CLOSED_PARAMS = 4  # parameter sets whose factors kr_closed keeps
-_CLOSED_FACTORS = 2048  # factors of each kind kept per parameter set
-
-
-@lru_cache(maxsize=_CLOSED_PARAMS)
-def _closed_factors(p: MeasureParams):
-    """(head, tail): the two factor kinds of kr_closed at p, each a bounded
-    cache keyed by integers only, so a lookup hashes no Fraction.
-
-    head(l, n, r) = C(l) A(l,n) E(n)^r, the factor of the n-th term free of j;
-    tail(n, j) = A^-1(n,j) / C(j), the factor of the n-th term free of l, r.
-    """
-    u, q = p.u, p.q
-    iq, uq = _tables(p)
-
-    @lru_cache(maxsize=_CLOSED_FACTORS)
-    def head(l: int, n: int, r: int) -> Fraction:
-        return iq[l] * uq[l] / (iq[l - n] * uq[l + n]) * (u**n / q ** (n * n)) ** r
-
-    @lru_cache(maxsize=_CLOSED_FACTORS)
-    def tail(n: int, j: int) -> Fraction:
-        if n == 0:
-            return _ONE  # (1 - u/q^0) (u/q)_{-1} via the extension; 1 at u = 1
-        d = n - j
-        core = (1 - u / q ** (2 * n)) * uq[n + j - 1]
-        sign = -1 if d % 2 else 1
-        return sign * core / (q ** (d * (d - 1) // 2) * iq[d] * iq[j] * uq[j])
-
-    return head, tail
+    cs = [c**k for k in range(size)]
+    f = [ck - d**k for k, ck in enumerate(cs)]
+    rows = [[]]
+    for a in range(size):
+        step = f[a] * (ud * cs[a] - un * d**a)
+        rows.append([n * (step * cs[a - b - 1]) // f[a - b]
+                     for b, n in enumerate(rows[-1])] + [un**a * d ** (a * a)])
+    return TruncatedMatrix._make(rows[1:], [ud**a * c ** (a * a) for a in range(size)])
 
 
 def kr_closed(l: int, j: int, r: int, p: MeasureParams) -> Fraction:
     """Closed form for the r-step transition probability K^r(l, j).
 
-    Sums the spectral expansion K^r = C A E^r A^-1 C^-1 over eigenvalue
-    indices n = j..l; terms outside that range vanish (a Pochhammer index
-    there is negative), and the n = j = 0 term uses the same extension as
-    A^-1(0,0).  Each term is a factor free of j times a factor free of l
-    and r; both are kept in bounded per-parameter caches, and the terms are
-    summed as integers over the lcm of their denominators.
+    The spectral expansion K^r = C A E^r A^-1 C^-1 over eigenvalue indices
+    n = j..l (terms outside that range vanish, as a Pochhammer index there
+    is negative) is, in the integers of _ints,
+
+        [l; j] G(j+1..l) sum_n (-1)^(n-j) (cd)^binom(n-j,2) g_{2n} [l-j; n-j]
+                               E_n^r / G(n+j..l+n)
+
+    with E_n = u^n / q^(n^2).  The n = j = 0 term is exactly 1, by the
+    extension that sets A^-1(0,0); the others are summed as integers over
+    G(lo..2l) (ud^l c^(l^2))^r, lo = max(2j, 1), and the entry is reduced once.
     """
     if not 0 <= j <= l:
         raise ValueError("need 0 <= j <= l")
     if r < 1:
         raise ValueError("need r >= 1")
-    head, tail = _closed_factors(p)
-    terms = range(j, l + 1)
-    return _dot([head(l, n, r) for n in terms], [tail(n, j) for n in terms])
+    un, ud, c, d, iq, uq = _ints(p)
+    span, lo, first = l - j, max(2 * j, 1), max(j, 1)
+    f = [c**k - d**k for k in range(span + 1)]
+    g = [ud * c**k - un * d**k for k in range(2 * l + 1)]
+    # G(l+n+1..2l) for n = first..l
+    suf = list(accumulate(g[2 * l:l + first:-1], mul, initial=1))[::-1]
+    total, binom, pre = 0, 1, 1  # pre = G(lo..n+j-1)
+    for n in range(j, l + 1):
+        m = n - j
+        if m:
+            binom = binom * f[span - m + 1] // f[m]  # [l-j; m]
+        if n:
+            e = (un**n * d ** (n * n) * ud ** (l - n) * c ** (l * l - n * n)) ** r
+            total += ((-1) ** m * g[2 * n] * binom * (c * d) ** (m * (m - 1) // 2) * e
+                      * pre * suf[n - first])
+            pre *= g[n + j]
+    den = prod(g[lo:]) * (ud**l * c ** (l * l)) ** r
+    num = iq[l] // (iq[j] * iq[span]) * (uq[l] // uq[j]) * total
+    return Fraction(num + den if j == 0 else num, den)
 
 
 def chain_mass(lam: Partition, p: MeasureParams) -> Fraction:

@@ -35,6 +35,9 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        return _partition, (self.parts,)
+
     @property
     def size(self) -> int:
         return sum(self.parts)

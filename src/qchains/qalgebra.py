@@ -2,7 +2,9 @@
 
 Every Pochhammer value is a read of one append-only table per parameter pair:
 ``poch_table(x, q)[n]`` = (1-x)(1-x/q)...(1-x/q^(n-1)).  The ascending symbol
-(1-x)(1-x^2)...(1-x^n) is the same table at (x, 1/x).  A negative index is an
+(1-x)(1-x^2)...(1-x^n) is the same table at (x, 1/x).  ``poch_ints(x, q)``
+is the same kind of table on integers: the numerators of
+(1-x/q)...(1-x/q^n), whose denominators have a closed form.  A negative index is an
 error, and callers whose formulas let an index go negative test the range
 themselves.  As series, products of factors (1 - v^e) are built by
 ``QSeries.mul_one_minus_pow``, one factor at a time.
@@ -17,8 +19,9 @@ equality only compares up to the common order.
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, count, repeat
 from math import gcd
-from operator import add
+from operator import add, mul
 
 from qchains.record import Record, _set
 
@@ -74,41 +77,42 @@ class Interval(Record):
 # Pochhammer symbols
 
 
-_POCH_TABLES = 64  # parameter pairs whose tables are kept
+_POCH_TABLES = 64  # parameter pairs whose tables are kept, of each kind
 
 
 class PochTable:
     """Descending q-Pochhammer values t[n] = prod_{r<n} (1 - x/q^r), n >= 0,
-    for one pair (x, q).
+    for one pair (x, q); with ints, the integers t[n] = prod_{k=1..n}
+    (b c^k - a d^k) for x = a/b and q = c/d in lowest terms, which are the
+    numerators of the table at (x/q, q) over b^n c^(n(n+1)/2).
 
     The table is append-only: a read past its end extends it iteratively up
     to that index, under a lock since tables are shared.  The ascending
     (1-x)...(1-x^n) is the table at (x, 1/x).
     """
 
-    __slots__ = ("_vals", "_term", "_inv_q", "_lock")
+    __slots__ = ("_vals", "_factors", "_lock")
 
-    def __init__(self, x, q):
-        q = as_fraction(q)
+    def __init__(self, x, q, ints=False):
+        x, q = as_fraction(x), as_fraction(q)
         if q == 0:
             raise ValueError("q must be nonzero")
-        self._vals = [_ONE]
-        self._term = as_fraction(x)  # x/q^r of the next factor, r = len(_vals) - 1
-        self._inv_q = 1 / q
+        a, b, c, d = x.numerator, x.denominator, q.numerator, q.denominator
+        self._vals = [1 if ints else _ONE]
+        self._factors = ((b * c**k - a * d**k for k in count(1)) if ints else
+                         (1 - t for t in accumulate(repeat(1 / q), mul, initial=x)))
         self._lock = threading.Lock()
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int):
         vals = self._vals
         if n >= len(vals):
             with self._lock:
-                value, term, inv_q = vals[-1], self._term, self._inv_q
+                value, factors = vals[-1], self._factors
                 new = []
                 for _ in range(len(vals), n + 1):
-                    value *= 1 - term
-                    term *= inv_q
+                    value *= next(factors)
                     new.append(value)
                 vals.extend(new)
-                self._term = term
         elif n < 0:
             raise ValueError("Pochhammer index must be >= 0")
         return vals[n]
@@ -118,6 +122,16 @@ class PochTable:
 def poch_table(x, q) -> PochTable:
     """The shared table of (1-x)(1-x/q)...(1-x/q^(n-1)) over n for (x, q)."""
     return PochTable(x, q)
+
+
+@lru_cache(maxsize=_POCH_TABLES)
+def poch_ints(x, q) -> PochTable:
+    """The shared integer table of (1-x/q)(1-x/q^2)...(1-x/q^n): with
+    x = a/b and q = c/d, the numerators prod_{k=1..n} (b c^k - a d^k) over
+    b^n c^(n(n+1)/2).  So (1/q)_n has the numerator poch_ints(1, q)[n], and
+    N_n / N_m (m <= n), and for x = 1 also N_n / (N_m N_(n-m)), is an integer.
+    """
+    return PochTable(x, q, ints=True)
 
 
 def _poch_inf_cutoff(x, q, eps):
@@ -599,6 +613,7 @@ __all__ = [
     "jacobi_product",
     "one_minus_product",
     "poch_inf",
+    "poch_ints",
     "poch_table",
     "q_binomial_check",
     "theta_sum",

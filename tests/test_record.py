@@ -1,6 +1,7 @@
 """The frozen records: equality, hash, repr, validation and immutability,
 and a package import that does not load dataclasses or inspect."""
 
+import copy
 import pickle
 import subprocess
 import sys
@@ -48,9 +49,17 @@ def test_equality_and_hash_follow_the_fields(cls, args):
     else:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
-    if cls not in (PartitionTuple, Diagonalization):  # Partition and
-        # TruncatedMatrix refuse the setattr that unpickling them would use
-        assert pickle.loads(pickle.dumps(a)) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_partitions_and_matrices_pickle_and_copy():
+    values = [Partition([3, 1, 1]), Partition([]), build_diagonalization(3, P12).a_inv]
+    for value in values:
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                     copy.deepcopy(value)):
+            assert type(twin) is type(value) and twin == value
+            with pytest.raises(AttributeError):
+                twin.parts = ()
 
 
 def test_records_of_other_classes_or_fields_differ():
