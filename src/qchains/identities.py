@@ -11,10 +11,11 @@ finite rational sequences, related and stepped by the chain's matrices.
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import add
 
 from qchains.glchain import Diagonalization, build_diagonalization
 from qchains.partitions import MeasureParams
-from qchains.qalgebra import QSeries
+from qchains.qalgebra import QSeries, conv_trunc, geom_inv_mul
 from qchains.record import Record, _set
 
 
@@ -37,10 +38,11 @@ class AGSpec(Record):
 
 @lru_cache(maxsize=8)
 def _euler_inverses(order: int) -> tuple:
-    """1/((1-x)...(1-x^m)) for m = 0..isqrt(order)+1, each to the full order."""
-    out = [QSeries.one(order)]
+    """The integer coefficients of 1/((1-x)...(1-x^m)) for m = 0..isqrt(order)+1,
+    each to the full order."""
+    out = [(1,) + (0,) * order]
     for m in range(1, isqrt(order) + 2):
-        out.append(out[-1].mul_geom_inv(m))
+        out.append(tuple(geom_inv_mul(out[-1], m, order)))
     return tuple(out)
 
 
@@ -51,11 +53,12 @@ def ag_sum(spec: AGSpec) -> QSeries:
 
     nested like Horner's rule: with e_j(N) = N^2 + [j >= i] N, G_{k-1}(N) =
     x^e_{k-1}(N)/(x)_N, G_j(N) = x^e_j(N) sum_{M<=N} G_{j+1}(M)/(x)_{N-M} and
-    the sum is sum_N G_1(N).  Summands are truncated before their products."""
+    the sum is sum_N G_1(N).  Summands are truncated before their products.
+    Every term is an integer series, so the sums run on integer lists."""
     k, i, order = spec.k, spec.i, spec.order
     inv = _euler_inverses(order)
-    acc = QSeries.zero(order)
-    inner = []  # (e, body) with G_{j+1}(M) = x^e body, for M = 0, 1, ...
+    acc = [0] * (order + 1)
+    inner = []  # (e, body) with G_{j+1}(M) = x^e body, body to order - e
     for j in range(k - 1, 0, -1):
         level = []
         for n in range(len(inv)):
@@ -64,20 +67,20 @@ def ag_sum(spec: AGSpec) -> QSeries:
                 break  # positions 1..j-1 each hold at least n
             rest = order - expo
             if j == k - 1:
-                term = inv[n].truncate(rest)
+                term = inv[n][: rest + 1]
             else:
-                term = QSeries.zero(rest)
+                term = [0] * (rest + 1)
                 for m, (low, g) in enumerate(inner[: n + 1]):
                     if low > rest:
                         break
-                    g = g.truncate(rest - low)
-                    term = term + (g * inv[n - m] if m < n else g).shift(low)
+                    g = conv_trunc(g, inv[n - m], rest - low) if m < n else g
+                    term[low:] = map(add, term[low:], g)  # g may run past rest
             if j == 1:
-                acc = acc + term.shift(expo)
+                acc[expo:] = map(add, acc[expo:], term)
             else:
                 level.append((expo, term))
         inner = level
-    return acc
+    return QSeries._make(acc, 1, order, "x")
 
 
 def ag_product(spec: AGSpec) -> QSeries:
@@ -86,11 +89,11 @@ def ag_product(spec: AGSpec) -> QSeries:
     k, i, order = spec.k, spec.i, spec.order
     modulus = 2 * k + 1
     skip = {0, i % modulus, (-i) % modulus}
-    out = QSeries.one(order)
+    nums = [1] + [0] * order
     for r in range(1, order + 1):
         if r % modulus not in skip:
-            out = out.mul_geom_inv(r)
-    return out
+            nums = geom_inv_mul(nums, r, order)
+    return QSeries._make(nums, 1, order, "x")
 
 
 def verify_ag(spec: AGSpec):

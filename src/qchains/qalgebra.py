@@ -6,8 +6,10 @@ Every Pochhammer value is a read of one append-only table per parameter pair:
 is the same kind of table on integers: the numerators of
 (1-x/q)...(1-x/q^n), whose denominators have a closed form.  A negative index is an
 error, and callers whose formulas let an index go negative test the range
-themselves.  As series, products of factors (1 - v^e) are built by
-``QSeries.mul_one_minus_pow``, one factor at a time.
+themselves.  As series, a factor (1 - v^e) is one slice subtraction
+(``QSeries.mul_one_minus_pow``), a factor 1/(1 - v^r) one pass of
+out[n] = a[n] + out[n - r] (``geom_inv_mul``), and a product one Kronecker
+substitution on whole coefficient lists (``conv_trunc``).
 
 Scalars are fractions.Fraction throughout; nothing in this module rounds
 except poch_inf_lower, a lower bound rounded outward by construction.
@@ -16,12 +18,14 @@ unknown (not zero), so binary operations shrink to the smaller order and
 equality only compares up to the common order.
 """
 
+import sys
 import threading
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count, repeat
 from math import gcd
-from operator import add, mul
+from operator import add, mul, sub
 
 from qchains.record import Record, _set
 
@@ -232,17 +236,28 @@ def poch_inf_lower(x, q, eps) -> Fraction:
 #
 # Integer-coefficient primitives under QSeries.  A series keeps its
 # coefficients as integer numerators over one common denominator, so these
-# loops never build a Fraction.
+# kernels never build a Fraction.
+
+# Slot width in bytes -> (the narrowest signed array type code that wide,
+# its itemsize).  Slots are little-endian, so big-endian packs byte by byte.
+_SLOT_CODES = {} if sys.byteorder == "big" else {
+    w: next((c, array(c).itemsize) for c in "bhilq" if array(c).itemsize >= w)
+    for w in range(1, 9)
+}
 
 
 def conv_trunc(a, b, order):
     """Truncated convolution: c[n] = sum_i a[i]*b[n-i] for n = 0..order.
 
-    Kronecker substitution: each sequence is packed into one integer with a
+    Kronecker substitution: each list is packed into one integer with a
     byte-aligned slot per coefficient, the two integers are multiplied once,
     and the product's slots are the convolution.  A slot holds more than
     twice the largest possible |c[n]|, and every slot carries a bias of half
-    its range, so signed digits never borrow from their neighbours.
+    its range, so signed digits never borrow from their neighbours.  A slot of
+    at most 8 bytes is a signed array item, whose two's complement with the
+    top bit flipped is the biased slot; so a whole list is packed, and the
+    product unpacked, by a few C-level calls and one XOR with the bias.
+    Wider slots go one coefficient at a time.
     """
     a = a[: order + 1]
     b = b[: order + 1]
@@ -250,23 +265,27 @@ def conv_trunc(a, b, order):
         return [0] * (order + 1)
     bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1  # bytes per slot: 8*width - 1 > bits
+    code, width = _SLOT_CODES.get(width, (None, width))
     half = 1 << (8 * width - 1)
     slot_bias = b"\x00" * (width - 1) + b"\x80"
 
     def pack(seq):
+        bias = int.from_bytes(slot_bias * len(seq), "little")
+        if code:
+            return (int.from_bytes(array(code, seq), "little") ^ bias) - bias
         raw = b"".join([(c + half).to_bytes(width, "little") for c in seq])
-        return int.from_bytes(raw, "little") - int.from_bytes(
-            slot_bias * len(seq), "little"
-        )
+        return int.from_bytes(raw, "little") - bias
 
     slots = min(order + 1, len(a) + len(b) - 1)
     size = width * slots
-    low = pack(a) * pack(b) + int.from_bytes(slot_bias * slots, "little")
-    raw = (low & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    out = [
-        int.from_bytes(raw[i : i + width], "little") - half
-        for i in range(0, size, width)
-    ]
+    bias = int.from_bytes(slot_bias * slots, "little")
+    low = (pack(a) * pack(b) + bias) & ((1 << (8 * size)) - 1)
+    if code:
+        out = array(code, (low ^ bias).to_bytes(size, "little")).tolist()
+    else:
+        raw = low.to_bytes(size, "little")
+        out = [int.from_bytes(raw[i : i + width], "little") - half
+               for i in range(0, size, width)]
     out.extend([0] * (order + 1 - slots))
     return out
 
@@ -480,8 +499,7 @@ class QSeries:
         if e <= 0:
             raise ValueError("exponent must be positive")
         nums = list(self.nums)
-        for i in range(self.order, e - 1, -1):
-            nums[i] -= nums[i - e]
+        nums[e:] = map(sub, nums[e:], nums[: len(nums) - e])
         return QSeries._make(nums, self.den, self.order, self.var)
 
     def mul_geom_inv(self, r: int) -> "QSeries":

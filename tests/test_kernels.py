@@ -1,11 +1,16 @@
 """The series kernels in qchains.qalgebra against direct oracles: schoolbook
 convolution and exact Fraction arithmetic."""
 
+import sys
+from array import array
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchains import qalgebra
+from qchains.qalgebra import QSeries
 
 # the kernels are pure Python; the id keeps the test names stable
 KERNELS = pytest.mark.parametrize("impl", [qalgebra], ids=["python"])
@@ -46,12 +51,67 @@ def test_conv_matches_naive(impl, a, b, order):
     assert impl.conv_trunc(a, b, order) == naive_conv(a, b, order)
 
 
+def _sharp_lists(bound, sign):
+    """(a, b) with max|a| * max|b| * min(len) == bound, whose convolution
+    reaches +-bound: a holds L copies of bound / L for the largest divisor
+    L <= 128 of bound, and b holds 200 entries of magnitude 1.  sign is
+    "nonneg" (every entry >= 0), "neg" (the convolution reaches -bound) or
+    "mixed" (b ends in -1 and the convolution reaches +bound)."""
+    size = max(d for d in range(1, 129) if bound % d == 0)
+    a = [bound // size] * size
+    b = {"nonneg": [1] * 200, "neg": [-1] * 200, "mixed": [1] * 199 + [-1]}[sign]
+    return a, b
+
+
+@KERNELS
+@pytest.mark.parametrize("sign", ["nonneg", "neg", "mixed"])
+@pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
+@pytest.mark.parametrize("width", range(1, 10))
+def test_conv_at_every_slot_width(impl, width, offset, sign):
+    # a bound of 2^(8w-1) - 1 fits a slot of w bytes; 2^(8w-1) needs w + 1
+    a, b = _sharp_lists(2 ** (8 * width - 1) + offset, sign)
+    for order in (len(a) + len(b) - 2, len(a) + len(b), 150):
+        assert impl.conv_trunc(a, b, order) == naive_conv(a, b, order)
+        assert impl.conv_trunc(b, a, order) == naive_conv(b, a, order)
+
+
+def test_slot_codes_are_the_narrowest_wide_enough():
+    # on a big-endian machine every slot is packed byte by byte
+    if sys.byteorder != "little":
+        assert qalgebra._SLOT_CODES == {}
+        return
+    assert sorted(qalgebra._SLOT_CODES) == list(range(1, 9))
+    for width, (code, size) in qalgebra._SLOT_CODES.items():
+        assert size == array(code).itemsize >= width
+        assert not any(width <= array(c).itemsize < size for c in "bhilq")
+
+
+long_lists = st.lists(ints, min_size=1, max_size=201)
+
+
 @KERNELS
 @settings(max_examples=60, deadline=None)
-@given(a=coeff_lists, r=st.integers(min_value=1, max_value=6), order=orders)
+@given(a=long_lists, r=st.integers(min_value=1, max_value=40),
+       order=st.integers(min_value=0, max_value=200))
+@example(a=list(range(-100, 101)), r=7, order=200)
 def test_geom_inv_mul_matches_conv(impl, a, r, order):
     geom = [1 if n % r == 0 else 0 for n in range(order + 1)]
     assert impl.geom_inv_mul(a, r, order) == naive_conv(a, geom, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.fractions(max_denominator=50), min_size=1, max_size=12),
+       offset=st.sampled_from([0, 1, 5]))
+def test_mul_one_minus_pow_matches_fraction_oracle(coeffs, offset):
+    # e = order, and e > order where the product is the series itself
+    order = len(coeffs) - 1
+    e = max(order + offset, 1)
+    factor = [F(1)] + [F(0)] * (e - 1) + [F(-1)]
+    expected = [
+        sum(coeffs[i] * factor[n - i] for i in range(n + 1) if n - i < len(factor))
+        for n in range(order + 1)
+    ]
+    assert QSeries(coeffs).mul_one_minus_pow(e).coeffs == tuple(expected)
 
 
 def test_geom_inv_mul_rejects_bad_stride():
