@@ -103,8 +103,12 @@ _INT_FLAG_MIN = {
 #   and 4000 (23, 28 and 44 MB), and `verify --suite ag` took 5.7 s at 1000.
 #   `verify --suite rr` holds about N^1.5 coefficients: 21, 25 and 34 MB at
 #   N = 1000, 2000 and 4000.  The series-deep benchmark runs rr at 1000.
-_INT_FLAG_MAX = {"L": 200, "lmax": 200, "order": 1000, "r": 32, "size_cap": 40,
-                 "steps": 32}
+# - n: `verify --suite qbinomial` checks n = 0..N for each q, in time about
+#   N^4.7 (in-process): with the three default q it took 0.39, 1.7, 5.9 and
+#   16.5 s at N = 40, 60, 80 and 100; with `--q 1/2` alone, 1.2, 2.6 and
+#   24 s at N = 80, 100 and 160.
+_INT_FLAG_MAX = {"L": 200, "lmax": 200, "n": 100, "order": 1000, "r": 32,
+                 "size_cap": 40, "steps": 32}
 _INT_FLAG_COMMAND = {"r": "power"}  # flags bounded on one command only
 
 # largest q that `sample --model fristedt` accepts: the first step's support
@@ -686,7 +690,7 @@ def cmd_sample(args) -> int:
         raise ValueError("quiver model requires --quiver FILE")
     try:
         g, qp = load_quiver(args.quiver)
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad quiver file: {exc}") from exc
     size_cap = 20 if args.size_cap is None else args.size_cap
     seeds = range(args.seed, args.seed + args.count)

@@ -30,7 +30,7 @@ from qchains.qalgebra import (
     poch_inf_lower,
     poch_ints,
 )
-from qchains.record import Record, _set
+from qchains.record import Frozen, Record, _set
 
 TAIL_BITS = 64  # first-step support cap: certified tail below 2**-TAIL_BITS
 
@@ -42,7 +42,7 @@ _ONE = Fraction(1)
 # Exact matrices on a truncation
 
 
-class TruncatedMatrix:
+class TruncatedMatrix(Frozen):
     """A lower-triangular matrix of exact rationals on the states 0..size-1.
 
     Row i is stored as integer numerators rows[i] = (n_i0, ..., n_ii) over
@@ -64,14 +64,14 @@ class TruncatedMatrix:
             raise ValueError("matrix must be square")
         if any(row[j] for i, row in enumerate(square) for j in range(i + 1, size)):
             raise ValueError("matrix must be lower triangular")
-        self._set(*_int_rows(row[: i + 1] for i, row in enumerate(square)))
+        self._fill(*_int_rows(row[: i + 1] for i, row in enumerate(square)))
 
-    def _set(self, rows, dens):
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "dens", tuple(dens))
-        object.__setattr__(self, "size", len(self.rows))
-        object.__setattr__(self, "_cols", None)
-        object.__setattr__(self, "_entries", None)
+    def _fill(self, rows, dens):
+        _set(self, "rows", tuple(rows))
+        _set(self, "dens", tuple(dens))
+        _set(self, "size", len(self.rows))
+        _set(self, "_cols", None)
+        _set(self, "_entries", None)
 
     @classmethod
     def _make(cls, rows, dens):
@@ -86,11 +86,8 @@ class TruncatedMatrix:
             out_rows.append(tuple(row))
             out_dens.append(den)
         self = object.__new__(cls)
-        self._set(out_rows, out_dens)
+        self._fill(out_rows, out_dens)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedMatrix is immutable")
 
     def __reduce__(self):
         return TruncatedMatrix._make, (self.rows, self.dens)
@@ -102,19 +99,13 @@ class TruncatedMatrix:
     @classmethod
     def diagonal(cls, values):
         values = [Fraction(v) for v in values]
-        self = object.__new__(cls)
-        self._set(
-            [(0,) * i + (v.numerator,) for i, v in enumerate(values)],
-            [v.denominator for v in values],
-        )
-        return self
+        return cls._make([(0,) * i + (v.numerator,) for i, v in enumerate(values)],
+                         [v.denominator for v in values])
 
     @classmethod
     def build(cls, size, fn):
         """The matrix with entries fn(i, j) for 0 <= j <= i < size."""
-        self = object.__new__(cls)
-        self._set(*_int_rows([fn(i, j) for j in range(i + 1)] for i in range(size)))
-        return self
+        return cls._make(*_int_rows([fn(i, j) for j in range(i + 1)] for i in range(size)))
 
     def _columns(self):
         """cols[j] = (n_jj, n_j+1,j, ..., n_size-1,j): the numerators of
@@ -125,7 +116,7 @@ class TruncatedMatrix:
                 tuple(rows[k][j] for k in range(j, self.size))
                 for j in range(self.size)
             )
-            object.__setattr__(self, "_cols", cols)
+            _set(self, "_cols", cols)
         return self._cols
 
     def entry(self, i, j) -> Fraction:
@@ -144,7 +135,7 @@ class TruncatedMatrix:
                 tuple(Fraction(c, den) for c in row) + (_ZERO,) * (n - 1 - i)
                 for i, (row, den) in enumerate(zip(self.rows, self.dens))
             )
-            object.__setattr__(self, "_entries", square)
+            _set(self, "_entries", square)
         return self._entries
 
     def __matmul__(self, other):

@@ -15,7 +15,7 @@ from qchains.record import Record, _set
 ENUMERATION_CAP = 40
 
 
-class Partition:
+class Partition(Record):
     """A weakly decreasing tuple of positive integers."""
 
     __slots__ = ("parts",)
@@ -30,13 +30,7 @@ class Partition:
                     raise ValueError("parts must be positive")
                 if i and parts[i - 1] < p:
                     raise ValueError("parts must be weakly decreasing")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __reduce__(self):
-        return _partition, (self.parts,)
+        _set(self, "parts", parts)
 
     @property
     def size(self) -> int:
@@ -51,14 +45,8 @@ class Partition:
     def __iter__(self):
         return iter(self.parts)
 
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
     def __lt__(self, other):
         return self.parts < other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __repr__(self):
         return f"Partition({list(self.parts)})"
@@ -88,7 +76,7 @@ def _partition(parts: tuple) -> Partition:
     """The Partition of a tuple of ints that is weakly decreasing and
     positive by construction, built without the checks of Partition()."""
     lam = object.__new__(Partition)
-    object.__setattr__(lam, "parts", parts)
+    _set(lam, "parts", parts)
     return lam
 
 

@@ -27,7 +27,7 @@ from itertools import accumulate, count, repeat
 from math import gcd
 from operator import add, mul, sub
 
-from qchains.record import Record, _set
+from qchains.record import Frozen, Record, _set
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -305,7 +305,7 @@ def geom_inv_mul(a, r, order):
 # Truncated power series
 
 
-class QSeries:
+class QSeries(Frozen):
     """Truncated formal power series with exact rational coefficients.
 
     Coefficients of exponents > order are unknown, not zero.  The variable
@@ -339,14 +339,14 @@ class QSeries:
         nums = [c.numerator * (den // c.denominator) for c in coeffs]
         nums.extend([0] * (order + 1 - len(nums)))
         # den is the lcm of reduced denominators, so the form is canonical
-        self._set(nums, den, order, var)
+        self._fill(nums, den, order, var)
 
-    def _set(self, nums, den, order, var):
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "_coeffs", None)
+    def _fill(self, nums, den, order, var):
+        _set(self, "nums", tuple(nums))
+        _set(self, "den", den)
+        _set(self, "order", order)
+        _set(self, "var", var)
+        _set(self, "_coeffs", None)
 
     @classmethod
     def _make(cls, nums, den, order, var):
@@ -360,11 +360,11 @@ class QSeries:
                 den //= g
                 nums = [c // g for c in nums]
         self = object.__new__(cls)
-        self._set(nums, den, order, var)
+        self._fill(nums, den, order, var)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
+    def __reduce__(self):
+        return QSeries._make, (self.nums, self.den, self.order, self.var)
 
     # -- constructors
 
@@ -473,7 +473,7 @@ class QSeries:
                 coeffs = tuple(map(Fraction, self.nums))
             else:
                 coeffs = tuple(Fraction(c, den) for c in self.nums)
-            object.__setattr__(self, "_coeffs", coeffs)
+            _set(self, "_coeffs", coeffs)
         return self._coeffs
 
     def coefficient(self, e: int) -> Fraction:

@@ -128,6 +128,10 @@ def load_quiver(source):
     """Read {"n", "edges", "U", "q"} from a dict or a JSON file path.
 
     Vertices in the edge list are 1-indexed; loops are entries with i = j.
+    n and the (i, j, multiplicity) triples must be integers, and q and the
+    list U (one value per vertex) integers or "p/q" strings, as the CLI
+    flags take them: a JSON float names a binary fraction, not the decimal
+    written.  Any other value raises ValueError.
     Returns (Quiver, QuiverParams).
     """
     if isinstance(source, (str, bytes)):
@@ -135,11 +139,22 @@ def load_quiver(source):
             data = json.load(fh)
     else:
         data = source
-    g = Quiver.from_edges(int(data["n"]), data["edges"])
-    p = QuiverParams(q=Fraction(data["q"]), u=tuple(Fraction(v) for v in data["U"]))
-    if len(p.u) != g.n:
+    if not isinstance(data, dict):
+        raise ValueError("the top level must be an object")
+    n, edges, us, q = data["n"], data["edges"], data["U"], data["q"]
+    if type(n) is not int:
+        raise ValueError(f'"n" must be an integer, not {n!r}')
+    if not isinstance(edges, list):
+        raise ValueError(f'"edges" must be a list, not {edges!r}')
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 3 and all(type(v) is int for v in e)):
+            raise ValueError(f"an edge must be 3 integers [i, j, multiplicity], not {e!r}")
+    if not isinstance(us, list) or len(us) != n:
         raise ValueError("need one U value per vertex")
-    return g, p
+    for v in us + [q]:
+        if type(v) is not int and not isinstance(v, str):
+            raise ValueError(f'U and q must be integers or "p/q" strings, not {v!r}')
+    return Quiver.from_edges(n, edges), QuiverParams(q=q, u=us)
 
 
 # ---------------------------------------------------------------------------

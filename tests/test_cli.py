@@ -265,6 +265,15 @@ def test_qbinomial_at_q_zero(capsys):
     assert "5/5 checks passed" in err
 
 
+def test_qbinomial_n_at_the_bound_runs(capsys):
+    bound = cli._INT_FLAG_MAX["n"]
+    code, out, err = run(capsys, ["verify", "--suite", "qbinomial", "--q", "0",
+                                  "--n", str(bound)])
+    assert code == 0
+    assert [r["n"] for r in json_lines(out)] == list(range(bound + 1))
+    assert f"{bound + 1}/{bound + 1} checks passed" in err
+
+
 def test_quiver_case_checks_the_chain_measure(monkeypatch):
     weight = cli.tuple_weight
 
@@ -386,6 +395,40 @@ def test_sample_quiver_bad_file_exits_2(capsys):
     assert "bad quiver file" in err
 
 
+_A2 = {"n": 2, "edges": [[1, 2, 1]], "U": ["1/4", "1/4"], "q": "2"}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {**_A2, "U": [0.1, "1/4"]},
+        {**_A2, "q": 2.0},
+        {**_A2, "n": 2.7},
+        {**_A2, "n": True},
+        {**_A2, "edges": [[1, 2, 1.9]]},
+        {**_A2, "edges": [[1, 2, True]]},
+        {**_A2, "edges": [[1, 2]]},
+        {**_A2, "edges": 5},
+        {**_A2, "U": "1/4"},
+        {**_A2, "U": ["1/4", None]},
+        {**_A2, "q": "1/0"},
+        {**_A2, "q": "junk"},
+        [_A2],
+        "A2",
+    ],
+    ids=["float-U", "float-q", "float-n", "bool-n", "float-multiplicity",
+         "bool-multiplicity", "pair-edge", "int-edges", "string-U", "null-U",
+         "zero-denominator-q", "junk-q", "list-top-level", "string-top-level"],
+)
+def test_sample_quiver_malformed_file_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["sample", "--model", "quiver", "--quiver", str(path),
+                                  "--count", "1", "--size-cap", "8"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad quiver file: ") and err.count("\n") == 1
+
+
 def test_sample_quiver_requires_file(capsys):
     code, _, err = run(capsys, ["sample", "--model", "quiver"])
     assert code == 2
@@ -434,9 +477,10 @@ def test_power_invalid_indices(capsys):
         (["power", "--model", "gl", "--L", "3", "--j", "0", "--r"], "r"),
         (["sample", "--model", "quiver", "--size-cap"], "size_cap"),
         (["bailey", "--steps"], "steps"),
+        (["verify", "--suite", "qbinomial", "--n"], "n"),
     ],
     ids=["gl", "fristedt", "kernel", "bailey", "verify-diag", "power-r",
-         "sample-size-cap", "bailey-steps"],
+         "sample-size-cap", "bailey-steps", "verify-qbinomial-n"],
 )
 def test_power_l_above_the_bound_exits_2_at_once(capsys, monkeypatch, argv, flag):
     def unreachable(*args):
@@ -444,7 +488,7 @@ def test_power_l_above_the_bound_exits_2_at_once(capsys, monkeypatch, argv, flag
 
     for name in ("kernel_matrix", "f_kernel_matrix", "kr_closed", "f_kr_closed",
                  "build_diagonalization", "f_diagonalization", "unit_bailey_pair",
-                 "load_quiver", "quiver_sample"):
+                 "load_quiver", "quiver_sample", "q_binomial_check"):
         monkeypatch.setattr(cli, name, unreachable)
     bound = cli._INT_FLAG_MAX[flag]
     code, out, err = run(capsys, argv + [str(bound + 1)])

@@ -12,10 +12,10 @@ import pytest
 
 import qchains
 from qchains.fristedt import FristedtParams
-from qchains.glchain import Diagonalization, build_diagonalization
+from qchains.glchain import ChainSample, Diagonalization, build_diagonalization
 from qchains.identities import AGSpec, BaileyPair
 from qchains.partitions import MeasureParams, Partition
-from qchains.qalgebra import Interval
+from qchains.qalgebra import Interval, QSeries
 from qchains.quiver import PartitionTuple, Quiver, QuiverParams, TruncatedSum
 
 P12 = MeasureParams(u=F(1, 2), q=F(2))
@@ -23,6 +23,7 @@ P12 = MeasureParams(u=F(1, 2), q=F(2))
 # one record of each class, with its constructor's arguments in field order
 RECORDS = [
     (Interval, (F(1, 3), F(1, 2))),
+    (Partition, ((3, 1, 1),)),
     (MeasureParams, (F(1, 2), F(2))),
     (FristedtParams, (F(1, 2),)),
     (AGSpec, (3, 2, 40)),
@@ -53,13 +54,30 @@ def test_equality_and_hash_follow_the_fields(cls, args):
 
 
 def test_partitions_and_matrices_pickle_and_copy():
-    values = [Partition([3, 1, 1]), Partition([]), build_diagonalization(3, P12).a_inv]
-    for value in values:
+    """Every value type, with one of its fields: a pickled, copied or
+    deep-copied value is an equal value of the same type, and refuses
+    assignment and deletion of that field."""
+    diag = build_diagonalization(3, P12)
+    values = [
+        (QSeries([F(1, 2), F(-2, 3), 5], order=6), "nums"),
+        (QSeries([1, 0, F(3, 4)], var="y"), "den"),
+        (diag.a_inv, "rows"),
+        (Partition([3, 1, 1]), "parts"),
+        (Partition([]), "parts"),
+        (PartitionTuple(([2, 1], [])), "components"),
+        (diag, "a"),
+        (ChainSample(7, (2, 1), Partition([2, 1])), "partition"),
+    ]
+    for value, name in values:
         for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
                      copy.deepcopy(value)):
             assert type(twin) is type(value) and twin == value
+            assert getattr(twin, "order", None) == getattr(value, "order", None)
             with pytest.raises(AttributeError):
-                twin.parts = ()
+                setattr(twin, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(twin, name)
+            assert twin == value
 
 
 def test_records_of_other_classes_or_fields_differ():
