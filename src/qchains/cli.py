@@ -98,11 +98,15 @@ _INT_FLAG_MIN = {
 #   each state's whole box, as before, took 0.067, 0.35, 1.2 and 9.5 s.
 # - steps: the entries grow with each step; `bailey --lmax 15` took 0.27, 0.97
 #   and 19.8 s at 32, 64 and 200 steps.  `--alpha` takes <= lmax + 1 values.
-# - order (verify and series): `verify --suite pipeline`, the costliest
-#   suite, grows about as N^3: it took 1.7, 12 and 113 s at N = 1000, 2000
-#   and 4000 (23, 28 and 44 MB), and `verify --suite ag` took 5.7 s at 1000.
-#   `verify --suite rr` holds about N^1.5 coefficients: 21, 25 and 34 MB at
-#   N = 1000, 2000 and 4000.  The series-deep benchmark runs rr at 1000.
+# - order (verify and series): at N = 1000 `verify --suite ag` is the
+#   costliest suite: 8.3 s and 23.9 MB (whole process, median of 3), where
+#   chained geometric recurrences and no Euler-pair cache took 12.3 s and
+#   19.4 MB; the cache holds about 5 MB of pairs at this order.  `verify
+#   --suite rr` took 0.125 s there (0.16 s before; 18.1 MB both), and holds
+#   about N^1.5 coefficients: 21, 25 and 34 MB at N = 1000, 2000 and 4000.
+#   `verify --suite pipeline` grows about as N^3: 1.7, 12 and 113 s at
+#   N = 1000, 2000 and 4000 (23, 28 and 44 MB).  The series-deep benchmark
+#   runs rr at 1000.
 # - n: `verify --suite qbinomial` checks n = 0..N for each q, in time about
 #   N^4.7 (in-process): with the three default q it took 0.39, 1.7, 5.9 and
 #   16.5 s at N = 40, 60, 80 and 100; with `--q 1/2` alone, 1.2, 2.6 and
@@ -118,6 +122,13 @@ _INT_FLAG_COMMAND = {"r": "power"}  # flags bounded on one command only
 # (in-process) and peaked at 17, 23, 33 and 234 MB (whole process) at
 # q = 4/5, 7/8, 9/10 and 19/20, with support caps 206, 347, 442 and 923.
 _FRISTEDT_SAMPLE_Q_MAX = Fraction(9, 10)
+
+# smallest q that `sample --model gl` accepts: the support cap and its tail
+# bound are exact in q, and near q = 1 both grow fast.  `--count 1` took
+# (whole process) 0.39, 3.2 and 51 s at q = 101/100, 201/200 and 401/400
+# with u = 1/2, and was stopped after 30 s at q = 1001/1000; with
+# u = 99/100 it took 1.3 and 16 s at q = 101/100 and 201/200.
+_GL_SAMPLE_Q_MIN = Fraction(101, 100)
 
 
 def _flag(name) -> str:
@@ -683,6 +694,8 @@ def cmd_sample(args) -> int:
         if args.model == "fristedt" and m.p.q > _FRISTEDT_SAMPLE_Q_MAX:
             raise ValueError(f"--q must be <= {_FRISTEDT_SAMPLE_Q_MAX} "
                              "for --model fristedt")
+        if args.model == "gl" and m.p.q < _GL_SAMPLE_Q_MIN:
+            raise ValueError(f"--q must be >= {_GL_SAMPLE_Q_MIN} for --model gl")
         samples = m.stream(m.p, args.seed, args.count, eps)
         sys.stdout.writelines(_sample_lines(samples, args.model, args.format))
         return 0

@@ -6,6 +6,12 @@ The series here are formal in x with exact rational coefficients; the chain
 parameters enter through the substitution u = x^delta, x = 1/q (delta is 0
 or 1; those are the only two values the pipeline needs).  Bailey pairs are
 finite rational sequences, related and stepped by the chain's matrices.
+
+Two bounded caches serve the Andrews-Gordon sum side: the Euler inverses
+1/(x)_m of one order (_euler_inverses), and their pair products
+1/((x)_a (x)_b) (_euler_pair), keyed by (order, a, b) with a <= b and kept
+only as far as ag_sum reads them.  Every identity of one order, at every k
+and i, shares them, so each pair is multiplied once per order.
 """
 
 from fractions import Fraction
@@ -15,7 +21,7 @@ from operator import add
 
 from qchains.glchain import Diagonalization, build_diagonalization
 from qchains.partitions import MeasureParams
-from qchains.qalgebra import QSeries, conv_trunc, geom_inv_mul
+from qchains.qalgebra import QSeries, conv_trunc, geom_inv_mul, geom_inv_prod
 from qchains.record import Record, _set
 
 
@@ -46,6 +52,18 @@ def _euler_inverses(order: int) -> tuple:
     return tuple(out)
 
 
+_PAIRS = 512  # Euler-pair products kept, over all orders
+
+
+@lru_cache(maxsize=_PAIRS)
+def _euler_pair(order: int, a: int, b: int) -> tuple:
+    """The integer coefficients of 1/((x)_a (x)_b) for a <= b, to
+    order - (a+b)^2 - a^2: ag_sum reads the pair of (M, N - M) at a shift of
+    at least N^2 + M^2, so never past that."""
+    inv = _euler_inverses(order)
+    return tuple(conv_trunc(inv[a], inv[b], order - (a + b) ** 2 - a * a))
+
+
 def ag_sum(spec: AGSpec) -> QSeries:
     """Sum side: over tails N_1 >= ... >= N_{k-1} >= N_k = 0, with (x)_n ascending,
 
@@ -54,7 +72,9 @@ def ag_sum(spec: AGSpec) -> QSeries:
     nested like Horner's rule: with e_j(N) = N^2 + [j >= i] N, G_{k-1}(N) =
     x^e_{k-1}(N)/(x)_N, G_j(N) = x^e_j(N) sum_{M<=N} G_{j+1}(M)/(x)_{N-M} and
     the sum is sum_N G_1(N).  Summands are truncated before their products.
-    Every term is an integer series, so the sums run on integer lists."""
+    Every term is an integer series, so the sums run on integer lists.  At
+    level k-2 the products are 1/((x)_M (x)_(N-M)), the same for every i
+    and k at one order, so they come from the _euler_pair cache."""
     k, i, order = spec.k, spec.i, spec.order
     inv = _euler_inverses(order)
     acc = [0] * (order + 1)
@@ -73,7 +93,9 @@ def ag_sum(spec: AGSpec) -> QSeries:
                 for m, (low, g) in enumerate(inner[: n + 1]):
                     if low > rest:
                         break
-                    g = conv_trunc(g, inv[n - m], rest - low) if m < n else g
+                    if m < n:  # g = G_(j+1)(M) / x^low, times 1/(x)_(n-m)
+                        g = (_euler_pair(order, *sorted((m, n - m))) if j == k - 2
+                             else conv_trunc(g, inv[n - m], rest - low))
                     term[low:] = map(add, term[low:], g)  # g may run past rest
             if j == 1:
                 acc[expo:] = map(add, acc[expo:], term)
@@ -89,11 +111,8 @@ def ag_product(spec: AGSpec) -> QSeries:
     k, i, order = spec.k, spec.i, spec.order
     modulus = 2 * k + 1
     skip = {0, i % modulus, (-i) % modulus}
-    nums = [1] + [0] * order
-    for r in range(1, order + 1):
-        if r % modulus not in skip:
-            nums = geom_inv_mul(nums, r, order)
-    return QSeries._make(nums, 1, order, "x")
+    strides = [r for r in range(1, order + 1) if r % modulus not in skip]
+    return QSeries._make(geom_inv_prod([1], strides, order), 1, order, "x")
 
 
 def verify_ag(spec: AGSpec):

@@ -8,8 +8,11 @@ is the same kind of table on integers: the numerators of
 error, and callers whose formulas let an index go negative test the range
 themselves.  As series, a factor (1 - v^e) is one slice subtraction
 (``QSeries.mul_one_minus_pow``), a factor 1/(1 - v^r) one pass of
-out[n] = a[n] + out[n - r] (``geom_inv_mul``), and a product one Kronecker
-substitution on whole coefficient lists (``conv_trunc``).
+out[n] = a[n] + out[n - r] (``geom_inv_mul``), a product of such factors
+over distinct strides a few shift-adds per factor on one packed integer
+(``geom_inv_prod``, its slots sized by p(n) < exp(pi sqrt(2n/3))), and a
+product one Kronecker substitution on whole coefficient lists
+(``conv_trunc``).
 
 Scalars are fractions.Fraction throughout; nothing in this module rounds
 except poch_inf_lower, a lower bound rounded outward by construction.
@@ -24,7 +27,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count, repeat
-from math import gcd
+from math import gcd, isqrt
 from operator import add, mul, sub
 
 from qchains.record import Frozen, Record, _set
@@ -236,7 +239,8 @@ def poch_inf_lower(x, q, eps) -> Fraction:
 #
 # Integer-coefficient primitives under QSeries.  A series keeps its
 # coefficients as integer numerators over one common denominator, so these
-# kernels never build a Fraction.
+# kernels never build a Fraction.  conv_trunc and geom_inv_prod pack a list
+# into one integer of byte-aligned slots, each biased by half its range.
 
 # Slot width in bytes -> (the narrowest signed array type code that wide,
 # its itemsize).  Slots are little-endian, so big-endian packs byte by byte.
@@ -244,6 +248,34 @@ _SLOT_CODES = {} if sys.byteorder == "big" else {
     w: next((c, array(c).itemsize) for c in "bhilq" if array(c).itemsize >= w)
     for w in range(1, 9)
 }
+
+
+def _slot_bias(width, slots):
+    """Half of a slot's range, 2^(8 width - 1), in each of the given slots."""
+    return int.from_bytes((b"\x00" * (width - 1) + b"\x80") * slots, "little")
+
+
+def _pack(seq, code, width):
+    """The integer sum_n seq[n] 2^(8 width n) of signed coefficients that
+    fit a slot of width bytes; code is its array type code, or None."""
+    bias = _slot_bias(width, len(seq))
+    if code:
+        return (int.from_bytes(array(code, seq), "little") ^ bias) - bias
+    half = 1 << (8 * width - 1)
+    raw = b"".join([(c + half).to_bytes(width, "little") for c in seq])
+    return int.from_bytes(raw, "little") - bias
+
+
+def _unpack(biased, code, width, slots, bias):
+    """The coefficients c_n of an integer whose slots hold c_n + half; bias
+    is _slot_bias(width, slots)."""
+    size = width * slots
+    if code:
+        return array(code, (biased ^ bias).to_bytes(size, "little")).tolist()
+    half = 1 << (8 * width - 1)
+    raw = biased.to_bytes(size, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half
+            for i in range(0, size, width)]
 
 
 def conv_trunc(a, b, order):
@@ -266,26 +298,11 @@ def conv_trunc(a, b, order):
     bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1  # bytes per slot: 8*width - 1 > bits
     code, width = _SLOT_CODES.get(width, (None, width))
-    half = 1 << (8 * width - 1)
-    slot_bias = b"\x00" * (width - 1) + b"\x80"
-
-    def pack(seq):
-        bias = int.from_bytes(slot_bias * len(seq), "little")
-        if code:
-            return (int.from_bytes(array(code, seq), "little") ^ bias) - bias
-        raw = b"".join([(c + half).to_bytes(width, "little") for c in seq])
-        return int.from_bytes(raw, "little") - bias
-
     slots = min(order + 1, len(a) + len(b) - 1)
-    size = width * slots
-    bias = int.from_bytes(slot_bias * slots, "little")
-    low = (pack(a) * pack(b) + bias) & ((1 << (8 * size)) - 1)
-    if code:
-        out = array(code, (low ^ bias).to_bytes(size, "little")).tolist()
-    else:
-        raw = low.to_bytes(size, "little")
-        out = [int.from_bytes(raw[i : i + width], "little") - half
-               for i in range(0, size, width)]
+    bias = _slot_bias(width, slots)
+    product = _pack(a, code, width) * _pack(b, code, width)
+    low = (product + bias) & ((1 << (8 * width * slots)) - 1)
+    out = _unpack(low, code, width, slots, bias)
     out.extend([0] * (order + 1 - slots))
     return out
 
@@ -298,6 +315,61 @@ def geom_inv_mul(a, r, order):
     out.extend([0] * (order + 1 - len(out)))
     for n in range(r, order + 1):
         out[n] += out[n - r]
+    return out
+
+
+def geom_inv_prod(a, strides, order):
+    """Multiply coefficients a by prod_r 1/(1 - x^r) over distinct positive
+    strides r, to the order, in one packed integer.
+
+    The list is packed highest exponent first, so the shift x^s is a right
+    shift by s slots, and the shift drops exactly the coefficients that would
+    land past the order.  Truncated, 1/(1 - x^r) is (1 + x^r)(1 + x^2r)...
+    (1 + x^(2^j r)) with 2^j r <= order, so a stride costs
+    floor(log2(order / r)) + 1 shift-adds, and the list is packed and
+    unpacked once for the whole product.
+
+    Slot width: the coefficient of x^n in prod 1/(1 - x^r) over distinct r
+    counts some of the partitions of n, so it is at most p(n), and no
+    partial product on the way has larger coefficients.  So each
+    slot stays within sum|a| p(order) in absolute value, and p(n) <
+    exp(pi sqrt(2n/3)) < 2^(3.701 (isqrt(n) + 1)) (Apostol, Introduction to
+    Analytic Number Theory, Thm 14.5).  A repeated stride breaks that bound,
+    so it is refused.  Signed input carries conv_trunc's half-range bias in
+    every slot, so each right shift floors onto whole slots; the bias that
+    a shift moves down is taken out again.
+    """
+    strides = list(strides)
+    if strides and min(strides) <= 0:
+        raise ValueError("strides must be positive")
+    if len(set(strides)) != len(strides):
+        raise ValueError("strides must be distinct")
+    out = list(a[: order + 1])
+    out.extend([0] * (order + 1 - len(out)))
+    strides = [r for r in strides if r <= order]
+    if not (strides and any(out)):
+        return out
+    bits = sum(map(abs, out)).bit_length() + 3701 * (isqrt(order) + 1) // 1000 + 1
+    width = bits // 8 + 1
+    code, width = _SLOT_CODES.get(width, (None, width))
+    bias = _slot_bias(width, order + 1)
+    out.reverse()
+    packed = _pack(out, code, width)
+    signed = min(out) < 0
+    if signed:
+        packed += bias
+    for r in strides:
+        s = r
+        while s <= order:
+            shift = 8 * width * s
+            packed += packed >> shift
+            if signed:
+                packed -= bias >> shift
+            s += s
+    if not signed:
+        packed += bias
+    out = _unpack(packed, code, width, order + 1, bias)
+    out.reverse()
     return out
 
 

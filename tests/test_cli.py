@@ -1028,3 +1028,23 @@ def test_cli_exit_contract(a2_file, case):
     assert "Traceback" not in err.getvalue()
     if code != 2:  # exit 1 if and only if a printed check failed
         assert (code == 1) == bool(_FAILED.search(out.getvalue())), argv
+
+
+def test_gl_q_bound_is_checked_before_any_sampler(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("built a sampler below the q bound")
+
+    monkeypatch.setattr(glchain, "_sampler", unreachable)
+    below = cli._GL_SAMPLE_Q_MIN - Fraction(1, 10**6)
+    code, out, err = run(capsys, ["sample", "--model", "gl", "--q", str(below),
+                                  "--count", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: --q must be >= 101/100 for --model gl\n"
+
+
+def test_gl_q_bound_is_inclusive(capsys):
+    assert cli._GL_SAMPLE_Q_MIN == Fraction(101, 100)
+    code, out, _ = run(capsys, ["sample", "--model", "gl", "--q", "101/100",
+                                "--count", "1"])
+    assert code == 0
+    assert json_lines(out)[0]["model"] == "gl"

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qchains import identities
 from qchains.glchain import build_diagonalization
 from qchains.identities import (
     AGSpec,
@@ -22,6 +23,7 @@ from qchains.identities import (
 from qchains.partitions import MeasureParams, enumerate_partitions
 from qchains.qalgebra import (
     QSeries,
+    conv_trunc,
     jacobi_product,
     one_minus_product,
     poch_table,
@@ -286,3 +288,34 @@ def test_bailey_json():
     data = pair.to_json()
     assert data["beta"] == ["1", "0", "0", "0"]
     assert data["u"] == "1/2" and data["q"] == "2"
+
+
+def test_euler_pairs_are_products_of_two_inverses():
+    # every pair ag_sum can read, to exactly its truncation
+    order = 90
+    inv = identities._euler_inverses(order)
+    for n in range(len(inv)):
+        for a in range(n // 2 + 1):
+            limit = order - n * n - a * a
+            if limit < 0:
+                break
+            pair = identities._euler_pair(order, a, n - a)
+            assert pair == tuple(conv_trunc(inv[a], inv[n - a], limit)), (a, n)
+
+
+def test_ag_sum_is_the_same_with_cold_and_warm_caches():
+    specs = [AGSpec(k, i, 40) for k in range(2, 6) for i in range(1, k + 1)]
+
+    def clear():
+        identities._euler_inverses.cache_clear()
+        identities._euler_pair.cache_clear()
+
+    clear()
+    cold = [ag_sum(s).nums for s in specs]
+    clear()
+    for order in (12, 60):  # warm at other orders first
+        for s in specs:
+            ag_sum(AGSpec(s.k, s.i, order))
+    assert [ag_sum(s).nums for s in specs] == cold
+    assert [ag_sum(s).nums for s in specs] == cold  # warm at this order
+    assert identities._euler_pair.cache_info().hits > 0

@@ -4,6 +4,7 @@ convolution and exact Fraction arithmetic."""
 import sys
 from array import array
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -117,3 +118,68 @@ def test_mul_one_minus_pow_matches_fraction_oracle(coeffs, offset):
 def test_geom_inv_mul_rejects_bad_stride():
     with pytest.raises(ValueError):
         qalgebra.geom_inv_mul([1], 0, 3)
+
+
+def chained(a, strides, order):
+    out = list(a[: order + 1]) + [0] * (order + 1 - len(a))
+    for r in strides:
+        out = qalgebra.geom_inv_mul(out, r, order)
+    return out
+
+
+def partition_numbers(top):
+    """p(0..top) by Euler's pentagonal recurrence."""
+    p = [1] + [0] * top
+    for n in range(1, top + 1):
+        k, total = 1, 0
+        while True:
+            g1, g2 = k * (3 * k - 1) // 2, k * (3 * k + 1) // 2
+            if g1 > n:
+                break
+            sign = 1 if k % 2 else -1
+            total += sign * (p[n - g1] + (p[n - g2] if g2 <= n else 0))
+            k += 1
+        p[n] = total
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.lists(ints, max_size=45),
+       strides=st.lists(st.integers(min_value=1, max_value=45), unique=True,
+                        max_size=12),
+       order=st.integers(min_value=0, max_value=40))
+@example(a=[BIG, -BIG, 1], strides=[], order=5)  # no strides
+@example(a=[-1] * 9, strides=[3, 50], order=8)  # a stride above the order
+@example(a=[-BIG, 7], strides=[1, 2], order=0)  # order 0
+@example(a=[1, -1] * 20, strides=list(range(1, 13)), order=3)  # longer than order+1
+@example(a=[-1], strides=[1, 2, 3], order=40)  # shorter than order+1
+@example(a=[0, 0, 0], strides=[1], order=4)
+def test_geom_inv_prod_matches_chained_geom_inv_mul(a, strides, order):
+    assert qalgebra.geom_inv_prod(a, strides, order) == chained(a, strides, order)
+
+
+@pytest.mark.parametrize("top", [1, 2, 50, 1000])
+@pytest.mark.parametrize("bits", [1, 7, 8, 63, 64, 200])
+def test_geom_inv_prod_at_the_slot_bound(top, bits):
+    # every stride 1..N on a single coefficient: the product is c p(n), the
+    # largest a coefficient of this kernel can be
+    p = partition_numbers(top)
+    for c in (2**bits - 1, -(2**bits - 1)):
+        got = qalgebra.geom_inv_prod([c], range(1, top + 1), top)
+        assert got == [c * v for v in p]
+
+
+def test_partition_bound_premise():
+    # p(n) < exp(pi sqrt(2n/3)) < 2^(3.701 (isqrt(n) + 1)), the slot bound of
+    # geom_inv_prod, checked on exact p(n)
+    p = partition_numbers(1000)
+    assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15]
+    assert p[100] == 190569292
+    for n, v in enumerate(p):
+        assert v < 2 ** (3701 * (isqrt(n) + 1) // 1000 + 1), n
+
+
+@pytest.mark.parametrize("strides", [[1, 1], [2, 5, 2], [0], [3, -1], [-4]])
+def test_geom_inv_prod_rejects_repeated_or_nonpositive_strides(strides):
+    with pytest.raises(ValueError):
+        qalgebra.geom_inv_prod([1, 2, 3], strides, 10)
