@@ -23,7 +23,6 @@ from qchains.partitions import (
     gl_order,
     mass_v1,
     mass_v2,
-    measure_normalizer,
 )
 from qchains.glchain import (
     ChainSample,
@@ -35,7 +34,6 @@ from qchains.glchain import (
     kernel,
     kernel_matrix,
     kr_closed,
-    sample,
     sample_stream,
 )
 from qchains.identities import (
@@ -48,7 +46,6 @@ from qchains.identities import (
     bailey_pair_from_alpha,
     bailey_step,
     unit_bailey_pair,
-    verify_ag,
 )
 from qchains.fristedt import (
     FristedtParams,
@@ -57,10 +54,8 @@ from qchains.fristedt import (
     f_kernel,
     f_kernel_matrix,
     f_kr_closed,
-    f_sample,
     f_sample_stream,
     row_law_limit,
-    uniform_mass,
     weight_normalizer,
 )
 from qchains.quiver import (

@@ -14,8 +14,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from qchains.glchain import (_PARAMS, ChainSample, Diagonalization, TruncatedMatrix,
-                             row_chain)
+from qchains.glchain import _PARAMS, Diagonalization, TruncatedMatrix, row_chain
 from qchains.partitions import Partition
 from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_ints, poch_table
 from qchains.record import Record, _set
@@ -34,11 +33,6 @@ class FristedtParams(Record):
         if not 0 < q < 1:
             raise ValueError("q must satisfy 0 < q < 1")
         _set(self, "q", q)
-
-
-def uniform_mass(lam: Partition, p: FristedtParams) -> Fraction:
-    """Unnormalized mass q^|lam|; partitions of equal size are equally likely."""
-    return p.q**lam.size
 
 
 @lru_cache(maxsize=_PARAMS)
@@ -195,11 +189,6 @@ def _sampler(p: FristedtParams, eps: Fraction):
     )
 
 
-def f_sample(p: FristedtParams, seed: int, eps=Fraction(1, 2**20)) -> ChainSample:
-    """Draw one partition: the first item of the seed's stream."""
-    return next(f_sample_stream(p, seed, 1, eps))
-
-
 def f_sample_stream(p: FristedtParams, seed: int, count: int, eps=Fraction(1, 2**20)):
     """Yield count samples from a single seeded stream; the chain states are
     row lengths, and each sampled partition is the state sequence itself."""
@@ -215,10 +204,8 @@ __all__ = [
     "f_kernel",
     "f_kernel_matrix",
     "f_kr_closed",
-    "f_sample",
     "f_sample_stream",
     "first_row_unnormalized",
     "row_law_limit",
-    "uniform_mass",
     "weight_normalizer",
 ]

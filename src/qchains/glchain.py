@@ -255,10 +255,6 @@ class Diagonalization(Record):
     def size(self):
         return self.c.size
 
-    @property
-    def eigenvalues(self):
-        return tuple(self.e.entry(j, j) for j in range(self.size))
-
     def kernel_matrix(self) -> TruncatedMatrix:
         """K = C M C^-1: M(i,j) C(i,i)/C(j,j) = M(i,j) rho_{j+1} ... rho_i with
         rho_k = C(k,k)/C(k-1,k-1), so row i of M times integers over its
@@ -641,11 +637,6 @@ def _sampler(p: MeasureParams, eps: Fraction):
     )
 
 
-def sample(p: MeasureParams, seed: int, eps=Fraction(1, 2**20)) -> ChainSample:
-    """Draw one partition from the chain: the first item of the seed's stream."""
-    return next(sample_stream(p, seed, 1, eps))
-
-
 def sample_stream(p: MeasureParams, seed: int, count: int, eps=Fraction(1, 2**20)):
     """Yield count samples from a single seeded stream."""
     if p.u >= 1:
@@ -667,6 +658,5 @@ __all__ = [
     "kernel",
     "kernel_matrix",
     "kr_closed",
-    "sample",
     "sample_stream",
 ]

@@ -115,16 +115,6 @@ def ag_product(spec: AGSpec) -> QSeries:
     return QSeries._make(geom_inv_prod([1], strides, order), 1, order, "x")
 
 
-def verify_ag(spec: AGSpec):
-    """Compare the two sides coefficientwise.
-
-    Returns (True, None) on agreement up to the order, else (False, e) with
-    e the smallest mismatching exponent.
-    """
-    mismatch = ag_sum(spec).first_mismatch(ag_product(spec))
-    return mismatch is None, mismatch
-
-
 def absorption_limit_series(r: int, delta: int, order: int) -> QSeries:
     """Large-start limit of the r-step absorption probability, as a series.
 
@@ -262,5 +252,4 @@ __all__ = [
     "bailey_pair_from_alpha",
     "bailey_step",
     "unit_bailey_pair",
-    "verify_ag",
 ]

@@ -2,14 +2,14 @@
 
 The measure on all partitions is evaluated here by its two finite formulas
 (mass_v1, mass_v2); both return the mass *without* the infinite-product
-prefactor, which is irrational in general and only available as a certified
-interval (measure_normalizer).
+prefactor prod_{r>=1} (1 - u/q^r), which is irrational in general and only
+available as a certified interval, qalgebra.poch_inf(u, q, eps).
 """
 
 from fractions import Fraction
 from operator import lt
 
-from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_table
+from qchains.qalgebra import as_fraction, poch_table
 from qchains.record import Record, _set
 
 ENUMERATION_CAP = 40
@@ -51,12 +51,6 @@ class Partition(Record):
     def __repr__(self):
         return f"Partition({list(self.parts)})"
 
-    def part(self, i: int) -> int:
-        """The i-th part (1-indexed), 0 beyond the last row."""
-        if i < 1:
-            raise ValueError("parts are 1-indexed")
-        return self.parts[i - 1] if i <= len(self.parts) else 0
-
     def conjugate(self) -> "Partition":
         """Column lengths of the diagram: lambda'_j = #{i : lambda_i >= j}."""
         return _partition(_conjugate_parts(self.parts))
@@ -66,10 +60,6 @@ class Partition(Record):
         for p in self.parts:
             out[p] = out.get(p, 0) + 1
         return out
-
-    def n_stat(self) -> int:
-        """sum_i (i-1) * lambda_i."""
-        return sum(i * p for i, p in enumerate(self.parts))
 
 
 def _partition(parts: tuple) -> Partition:
@@ -180,11 +170,6 @@ def mass_v2(lam: Partition, p: MeasureParams) -> Fraction:
     return p.u**lam.size / denom
 
 
-def measure_normalizer(p: MeasureParams, eps) -> Interval:
-    """Certified interval for the prefactor prod_{r>=1} (1 - u/q^r)."""
-    return poch_inf(p.u, p.q, eps)
-
-
 __all__ = [
     "ENUMERATION_CAP",
     "MeasureParams",
@@ -193,5 +178,4 @@ __all__ = [
     "gl_order",
     "mass_v1",
     "mass_v2",
-    "measure_normalizer",
 ]

@@ -4,9 +4,10 @@ Every Pochhammer value is a read of one append-only table per parameter pair:
 ``poch_table(x, q)[n]`` = (1-x)(1-x/q)...(1-x/q^(n-1)).  The ascending symbol
 (1-x)(1-x^2)...(1-x^n) is the same table at (x, 1/x).  ``poch_ints(x, q)``
 is the same kind of table on integers: the numerators of
-(1-x/q)...(1-x/q^n), whose denominators have a closed form.  A negative index is an
-error, and callers whose formulas let an index go negative test the range
-themselves.  As series, a factor (1 - v^e) is one slice subtraction
+(1-x/q)...(1-x/q^n), whose denominators have a closed form; only
+q_binomial_check forms its own, since it takes q = 0.  A negative index is
+an error, and callers whose formulas let an index go negative test the
+range themselves.  As series, a factor (1 - v^e) is one slice subtraction
 (``QSeries.mul_one_minus_pow``), a factor 1/(1 - v^r) one pass of
 out[n] = a[n] + out[n - r] (``geom_inv_mul``), a product of such factors
 over distinct strides a few shift-adds per factor on one packed integer
@@ -64,14 +65,6 @@ class Interval(Record):
             raise ValueError("empty interval")
         _set(self, "lo", lo)
         _set(self, "hi", hi)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def scale(self, c: Fraction) -> "Interval":
         c = as_fraction(c)
@@ -441,10 +434,6 @@ class QSeries(Frozen):
     # -- constructors
 
     @classmethod
-    def zero(cls, order, var="x"):
-        return cls([], order=order, var=var)
-
-    @classmethod
     def one(cls, order, var="x"):
         return cls([_ONE], order=order, var=var)
 
@@ -548,11 +537,6 @@ class QSeries(Frozen):
             _set(self, "_coeffs", coeffs)
         return self._coeffs
 
-    def coefficient(self, e: int) -> Fraction:
-        if not 0 <= e <= self.order:
-            raise IndexError(f"exponent {e} outside known range 0..{self.order}")
-        return Fraction(self.nums[e], self.den)
-
     def truncate(self, order: int) -> "QSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
@@ -587,16 +571,6 @@ class QSeries(Frozen):
         nums[::2] = self.nums
         # odd y-exponents of an x-series are identically zero, hence known
         return QSeries._make(nums, self.den, 2 * self.order + 1, "y")
-
-    def to_x(self) -> "QSeries":
-        """Convert a y-series back to x; every odd coefficient must vanish."""
-        if self.var != "y":
-            raise ValueError("to_x applies to y-series")
-        odd = self.nums[1::2]
-        if any(odd):
-            i = 2 * next(j for j, c in enumerate(odd) if c) + 1
-            raise ValueError(f"odd y-coefficient at exponent {i} is nonzero")
-        return QSeries._make(self.nums[::2], self.den, self.order // 2, "x")
 
     # -- io
 
@@ -665,33 +639,36 @@ def jacobi_product(v_exp: int, w_exp: int, order: int) -> QSeries:
     return one_minus_product(exps, order, "y")
 
 
-def q_binomial_check(n: int, q, order: int | None = None) -> bool:
+def q_binomial_check(n: int, q) -> bool:
     """Check the q-binomial theorem as a polynomial identity in y:
 
         sum_m y^m q^((m^2+m)/2) (q)_n / ((q)_m (q)_{n-m})
             = (1+yq)(1+yq^2)...(1+yq^n)
 
     with (q)_m the ascending symbol.  The sum runs m = 0..n (the symbol with
-    a negative index would vanish).  Exact rational coefficients.
+    a negative index would vanish).  With q = c/d in lowest terms, (q)_m =
+    J_m / d^(m(m+1)/2), J_m = (d - c)(d^2 - c^2)...(d^m - c^m), so the y^m
+    coefficient is c^t [n; m] over d^(t + m(n-m)), t = m(m+1)/2, with the
+    exact integer quotient [n; m] = J_n / (J_m J_(n-m)).
     """
     if n < 0:
         raise ValueError("needs n >= 0")
     q = as_fraction(q)
-    qs = poch_table(q, 1 / q) if q else [_ONE] * (n + 1)  # (0)_m = 1
-    top = qs[n]
-    if top == 0:  # (q)_n = 0 iff some (q)_m with m <= n is 0
+    c, d = q.numerator, q.denominator
+    js = list(accumulate((d**k - c**k for k in range(1, n + 1)), mul, initial=1))
+    if js[n] == 0:  # (q)_n = 0 iff some (q)_m with m <= n is 0
         raise ValueError("degenerate q: (q)_m vanishes")
-    deg = n if order is None else min(n, order)
-    lhs = QSeries(
-        [q ** ((m * m + m) // 2) * top / (qs[m] * qs[n - m]) for m in range(deg + 1)],
-        order=deg,
-        var="y",
-    )
-    rhs = QSeries.one(deg, "y")
-    if deg:
-        y = QSeries.gen(deg, "y")
+    top = n * (n + 1) // 2  # the largest t + m(n-m), at m = n
+    nums = []
+    for m in range(n + 1):
+        t = m * (m + 1) // 2
+        nums.append(c**t * (js[n] // (js[m] * js[n - m])) * d ** (top - t - m * (n - m)))
+    lhs = QSeries._make(nums, d**top, n, "y")
+    rhs = QSeries.one(n, "y")
+    if n:
+        y = QSeries.gen(n, "y")
         for s in range(1, n + 1):
-            rhs = rhs * (QSeries.one(deg, "y") + (q**s) * y)
+            rhs = rhs * (QSeries.one(n, "y") + (q**s) * y)
     return lhs == rhs
 
 

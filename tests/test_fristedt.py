@@ -12,15 +12,13 @@ from qchains.fristedt import (
     f_kernel,
     f_kernel_matrix,
     f_kr_closed,
-    f_sample,
     f_sample_stream,
     first_row_unnormalized,
     row_law_limit,
-    uniform_mass,
     weight_normalizer,
 )
 from qchains.glchain import TruncatedMatrix
-from qchains.partitions import Partition, enumerate_partitions
+from qchains.partitions import enumerate_partitions
 from qchains.qalgebra import QSeries, poch_table
 
 Q12 = FristedtParams(q=F(1, 2))
@@ -41,13 +39,6 @@ def test_params_validation():
         FristedtParams(q=F(2))
     with pytest.raises(ValueError):
         FristedtParams(q=F(0))
-
-
-def test_uniform_mass_depends_only_on_size():
-    assert uniform_mass(Partition([]), Q12) == 1
-    for n in range(8):
-        masses = {uniform_mass(lam, Q12) for lam in enumerate_partitions(n)}
-        assert masses == {Q12.q**n}
 
 
 def test_uniform_mass_normalization():
@@ -85,7 +76,7 @@ def test_diagonalization_hand_expansions():
     assert d.a_inv.entry(1, 0) == 1 / (1 - 1 / q)
     assert (d.a @ d.a_inv).entry(1, 0) == 0
     assert (d.m @ d.a).entry(1, 0) == (d.a @ d.e).entry(1, 0) == -1 / (1 - 1 / q)
-    assert d.eigenvalues == tuple(q**j for j in range(6))
+    assert tuple(d.e.entry(j, j) for j in range(6)) == tuple(q**j for j in range(6))
 
 
 @pytest.mark.parametrize("p", [Q12, Q13], ids=["q=1/2", "q=1/3"])
@@ -167,7 +158,7 @@ def test_row_law_against_enumeration():
         for lam in enumerate_partitions(n):
             partial += q**n
             for r in (1, 2, 3):
-                j = lam.part(r)
+                j = lam[r - 1] if r <= len(lam) else 0
                 if j <= 3:
                     sums[r, j] = sums.get((r, j), F(0)) + q**n
     # total weight of all partitions is 1/(q)_inf; the cap tail bounds errors
@@ -192,7 +183,8 @@ def test_row_law_square_decomposition():
     for n in range(order + 1):
         for lam in enumerate_partitions(n):
             for r in (1, 2, 3):
-                counts.setdefault((r, lam.part(r)), [0] * (order + 1))[n] += 1
+                j = lam[r - 1] if r <= len(lam) else 0
+                counts.setdefault((r, j), [0] * (order + 1))[n] += 1
     for r in (1, 2, 3):
         for j in range(4):
             got = QSeries(counts.get((r, j), [0] * (order + 1)), order=order)
@@ -221,8 +213,8 @@ def test_first_row_matches_row_law():
 
 
 def test_sampler_determinism_and_rows():
-    s1 = f_sample(Q12, 11)
-    s2 = f_sample(Q12, 11)
+    s1 = next(f_sample_stream(Q12, 11, 1))
+    s2 = next(f_sample_stream(Q12, 11, 1))
     assert s1 == s2
     for s in f_sample_stream(Q12, 42, 200):
         rows = s.columns

@@ -22,7 +22,6 @@ from qchains.glchain import (
     kernel,
     kernel_matrix,
     kr_closed,
-    sample,
     sample_stream,
 )
 from qchains.partitions import (
@@ -30,7 +29,6 @@ from qchains.partitions import (
     Partition,
     enumerate_partitions,
     mass_v1,
-    measure_normalizer,
 )
 from qchains.qalgebra import poch_inf, poch_table
 
@@ -71,7 +69,7 @@ def test_first_col_values():
 
 
 def test_first_col_sums_to_one():
-    z = measure_normalizer(P12, F(1, 10**14))
+    z = poch_inf(P12.u, P12.q, F(1, 10**14))
     s = sum(first_col_unnormalized(a, P12) for a in range(31))
     tol = F(1, 10**10)
     assert 1 - s * z.lo < tol
@@ -97,8 +95,9 @@ def test_diagonalization_entries_and_eigenvalues():
     d = build_diagonalization(6, P12)
     assert d.a_inv.entry(0, 0) == 1
     u, q = P12.u, P12.q
-    assert d.eigenvalues == tuple(u**j / q ** (j * j) for j in range(7))
-    assert d.eigenvalues[0] == 1  # absorbing eigenvalue
+    eigenvalues = tuple(d.e.entry(j, j) for j in range(7))
+    assert eigenvalues == tuple(u**j / q ** (j * j) for j in range(7))
+    assert eigenvalues[0] == 1  # absorbing eigenvalue
     for mat in (d.m, d.a, d.a_inv):
         assert all(mat.entry(i, j) == 0 for i in range(7) for j in range(i + 1, 7))
     for mat in (d.c, d.e):
@@ -196,7 +195,7 @@ def test_markov_consistency_against_enumeration():
     kernel within a certified truncation tail."""
     p = P12
     cap = 14
-    z = measure_normalizer(p, F(1, 10**14))
+    z = poch_inf(p.u, p.q, F(1, 10**14))
     partial = F(0)
     num = {}
     den = {}
@@ -223,8 +222,8 @@ def test_markov_consistency_against_enumeration():
 
 
 def test_sampler_determinism_and_shape():
-    s1 = sample(P12, 7)
-    s2 = sample(P12, 7)
+    s1 = next(sample_stream(P12, 7, 1))
+    s2 = next(sample_stream(P12, 7, 1))
     assert s1 == s2
     for s in sample_stream(P12, 99, 200):
         cols = s.columns
@@ -232,11 +231,11 @@ def test_sampler_determinism_and_shape():
         assert all(c > 0 for c in cols)
         assert s.partition.conjugate().parts == cols
     with pytest.raises(ValueError):
-        sample(MeasureParams(u=F(1), q=F(2)), 1)
+        next(sample_stream(MeasureParams(u=F(1), q=F(2)), 1, 1))
 
 
 def test_sampler_stream_distinct_from_single():
-    singles = [sample(P12, 5).columns for _ in range(3)]
+    singles = [next(sample_stream(P12, 5, 1)).columns for _ in range(3)]
     assert singles[0] == singles[1] == singles[2]
     chain = [s.columns for s in sample_stream(P12, 5, 3)]
     assert chain[0] == singles[0]
@@ -245,8 +244,9 @@ def test_sampler_stream_distinct_from_single():
 @pytest.mark.parametrize(
     "module, draw",
     [
-        (glchain, lambda k: sample(MeasureParams(u=F(1, k), q=F(2)), 0)),
-        (fristedt, lambda k: fristedt.f_sample(fristedt.FristedtParams(q=F(1, k)), 0)),
+        (glchain, lambda k: next(sample_stream(MeasureParams(u=F(1, k), q=F(2)), 0, 1))),
+        (fristedt, lambda k: next(fristedt.f_sample_stream(fristedt.FristedtParams(q=F(1, k)),
+                                                           0, 1))),
     ],
     ids=["gl", "fristedt"],
 )
@@ -414,7 +414,7 @@ def test_ratio_built_integers_are_proportional_to_the_weights(sampler, p, first,
 
 
 def test_sample_json():
-    s = sample(P12, 3)
+    s = next(sample_stream(P12, 3, 1))
     data = s.to_json(model="gl")
     assert set(data) == {"model", "seed", "columns", "partition"}
     assert data["seed"] == 3

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
@@ -18,7 +19,6 @@ from qchains.identities import (
     bailey_pair_from_alpha,
     bailey_step,
     unit_bailey_pair,
-    verify_ag,
 )
 from qchains.partitions import MeasureParams, enumerate_partitions
 from qchains.qalgebra import (
@@ -136,21 +136,28 @@ def test_ag_sum_at_small_orders_for_large_k(k):
 
 
 def test_ag_sum_products_per_level(monkeypatch):
-    # k = 2 truncates and shifts only; each further level makes at most one
-    # product per pair M < N <= isqrt(order)
+    # k = 2 truncates and shifts only.  Level j takes the N with j N^2 <=
+    # order and makes at most one product per pair M < N; at level k - 2 the
+    # product is the Euler pair of (M, N - M), made once per order for all i.
+    order = 160
     products = []
-    mul = QSeries.__mul__
 
-    def counted(a, b):
-        products.append(b)
-        return mul(a, b)
+    def counted(a, b, n):
+        products.append(n)
+        return conv_trunc(a, b, n)
 
-    monkeypatch.setattr(QSeries, "__mul__", counted)
+    monkeypatch.setattr(identities, "conv_trunc", counted)
     for k in (2, 3, 4):
+        identities._euler_pair.cache_clear()  # warm pairs would count 0
+        identities._euler_inverses.cache_clear()
         products.clear()
         for i in range(1, k + 1):
-            ag_sum(AGSpec(k, i, 160))
-        assert len(products) <= k * (k - 2) * 12 * 13 // 2, k
+            ag_sum(AGSpec(k, i, order))
+        tops = [isqrt(order // j) for j in range(1, k - 1)]  # largest N, levels 1..k-2
+        per_call = sum(n * (n + 1) // 2 for n in tops[:-1])
+        pairs = sum(n // 2 + 1 for n in range(1, tops[-1] + 1)) if tops else 0
+        assert len(products) <= k * per_call + pairs, k
+        assert (len(products) > 0) == (k >= 3), k
 
 
 def test_ag_product_counts_residue_partitions():
@@ -165,12 +172,13 @@ def test_ag_product_counts_residue_partitions():
 
 
 def test_verify_ag_rogers_ramanujan():
-    assert verify_ag(AGSpec(2, 2, 60)) == (True, None)
-    assert verify_ag(AGSpec(2, 1, 60)) == (True, None)
+    for spec in (AGSpec(2, 2, 60), AGSpec(2, 1, 60)):
+        assert ag_sum(spec).first_mismatch(ag_product(spec)) is None
 
 
 def test_verify_ag_engine_case():
-    assert verify_ag(AGSpec(3, 2, 40)) == (True, None)
+    spec = AGSpec(3, 2, 40)
+    assert ag_sum(spec).first_mismatch(ag_product(spec)) is None
 
 
 def test_verify_ag_reports_first_mismatch():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import itertools
+import pathlib
 import pkgutil
 from fractions import Fraction as F
 
@@ -19,8 +20,8 @@ from qchains.partitions import (
     gl_order,
     mass_v1,
     mass_v2,
-    measure_normalizer,
 )
+from qchains.qalgebra import poch_inf
 
 
 @st.composite
@@ -73,13 +74,6 @@ def test_multiplicities_consistent(lam):
     assert sum(i * m for i, m in lam.multiplicities().items()) == lam.size
     if lam.parts:
         assert lam.conjugate().parts[0] == len(lam)
-
-
-def test_n_stat():
-    assert Partition([]).n_stat() == 0
-    assert Partition([2, 2, 1]).n_stat() == 4
-    for k in (1, 3, 9):
-        assert Partition([k]).n_stat() == 0
 
 
 def test_enumeration_counts():
@@ -135,6 +129,33 @@ def test_no_module_keeps_an_unbounded_cache():
         assert not found, f"qchains.{name}: unbounded cache at lines {found}"
 
 
+def test_every_export_is_read_inside_the_package():
+    # a name in a module's __all__ is read (as a Name or an Attribute)
+    # somewhere in qchains outside its own definition, __init__ and the
+    # __all__ lists.  The two laws stated by the paper wait for a verify
+    # suite that reads them.
+    waiting = {"first_col_law", "row_law_limit"}
+    exported, read = {}, set()
+    for path in pathlib.Path(qchains.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and "__all__" in [
+                getattr(t, "id", None) for t in node.targets
+            ]:
+                exported.update(dict.fromkeys(ast.literal_eval(node.value), path.stem))
+                continue
+            own = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                ref = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if ref is not None and ref != own:
+                    read.add(ref)
+    assert waiting <= exported.keys()
+    unread = {f"{exported[name]}.{name}" for name in exported.keys() - read - waiting}
+    assert not unread, f"exported but never read: {sorted(unread)}"
+    assert not waiting & read, "a waiting law is read now; take it off the list"
+
+
 def test_enumeration_cap():
     with pytest.raises(ValueError, match="cap"):
         enumerate_partitions(41)
@@ -183,7 +204,7 @@ def test_mass_formulas_agree(u, q):
 
 def test_normalization_partial_sums():
     p = MeasureParams(u=F(1, 2), q=F(2))
-    z = measure_normalizer(p, F(1, 10**14))
+    z = poch_inf(p.u, p.q, F(1, 10**14))
     total = F(0)
     prev = F(0)
     for n in range(31):

@@ -420,7 +420,7 @@ def test_sample_single_point_matches_gl_statistics():
         gl_counts[a] = gl_counts.get(a, 0) + 1
     z = poch_inf(F(1, 2), F(2), F(1, 10**10))
     for a in range(3):
-        p_exact = float(first_col_unnormalized(a, mp)) * float(z.mid)
+        p_exact = float(first_col_unnormalized(a, mp)) * float((z.lo + z.hi) / 2)
         se = (p_exact * (1 - p_exact) / runs) ** 0.5
         assert abs(quiver_counts.get(a, 0) / runs - p_exact) < 4 * se, a
         assert abs(gl_counts.get(a, 0) / runs - p_exact) < 4 * se, a
