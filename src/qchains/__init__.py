@@ -2,9 +2,9 @@
 partition diagrams, and a q-series engine that verifies the identities those
 chains prove.
 
-Series are stored as integer numerators over one common denominator, and
-their products use one Kronecker-substitution big-integer multiply; see the
-series kernels in qchains.qalgebra.
+Series have integer coefficients, and their products use one
+Kronecker-substitution big-integer multiply; see the series kernels in
+qchains.qalgebra.
 """
 
 from qchains.qalgebra import (

@@ -46,9 +46,9 @@ class TruncatedMatrix(Frozen):
     """A lower-triangular matrix of exact rationals on the states 0..size-1.
 
     Row i is stored as integer numerators rows[i] = (n_i0, ..., n_ii) over
-    one positive denominator dens[i], kept canonical as QSeries keeps its
-    coefficients: gcd(dens[i], *rows[i]) == 1, so equal matrices have equal
-    rows and dens.  Entries above the diagonal are zero by construction.
+    one positive denominator dens[i], kept canonical: gcd(dens[i], *rows[i])
+    == 1, so equal matrices have equal rows and dens.  Entries above the
+    diagonal are zero by construction.
     Products, matrix-vector products and equality run on these ints; the
     entries appear as Fractions only at the edges: entry(), power_entry(),
     the mul_vector() result, entry_rows() and the entries view.

@@ -2,7 +2,7 @@
 the absorption-limit series that proves them probabilistically, and Bailey
 pairs with the Bailey step.
 
-The series here are formal in x with exact rational coefficients; the chain
+The series here are formal in x with integer coefficients; the chain
 parameters enter through the substitution u = x^delta, x = 1/q (delta is 0
 or 1; those are the only two values the pipeline needs).  Bailey pairs are
 finite rational sequences, related and stepped by the chain's matrices.
@@ -102,7 +102,7 @@ def ag_sum(spec: AGSpec) -> QSeries:
             else:
                 level.append((expo, term))
         inner = level
-    return QSeries._make(acc, 1, order, "x")
+    return QSeries._make(acc, order, "x")
 
 
 def ag_product(spec: AGSpec) -> QSeries:
@@ -112,7 +112,7 @@ def ag_product(spec: AGSpec) -> QSeries:
     modulus = 2 * k + 1
     skip = {0, i % modulus, (-i) % modulus}
     strides = [r for r in range(1, order + 1) if r % modulus not in skip]
-    return QSeries._make(geom_inv_prod([1], strides, order), 1, order, "x")
+    return QSeries._make(geom_inv_prod([1], strides, order), order, "x")
 
 
 def absorption_limit_series(r: int, delta: int, order: int) -> QSeries:

@@ -15,11 +15,12 @@ over distinct strides a few shift-adds per factor on one packed integer
 product one Kronecker substitution on whole coefficient lists
 (``conv_trunc``).
 
-Scalars are fractions.Fraction throughout; nothing in this module rounds
-except poch_inf_lower, a lower bound rounded outward by construction.
-Series are truncated at a known order: coefficients beyond the order are
-unknown (not zero), so binary operations shrink to the smaller order and
-equality only compares up to the common order.
+Scalars are fractions.Fraction; nothing in this module rounds except
+poch_inf_lower, a lower bound rounded outward by construction.  Series have
+int coefficients, since every series of the identities is integral, and are
+truncated at a known order: coefficients beyond the order are unknown (not
+zero), so binary operations shrink to the smaller order and equality only
+compares up to the common order.
 """
 
 import sys
@@ -28,7 +29,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count, repeat
-from math import gcd, isqrt
+from math import isqrt
 from operator import add, mul, sub
 
 from qchains.record import Frozen, Record, _set
@@ -230,10 +231,9 @@ def poch_inf_lower(x, q, eps) -> Fraction:
 # ---------------------------------------------------------------------------
 # Series kernels
 #
-# Integer-coefficient primitives under QSeries.  A series keeps its
-# coefficients as integer numerators over one common denominator, so these
-# kernels never build a Fraction.  conv_trunc and geom_inv_prod pack a list
-# into one integer of byte-aligned slots, each biased by half its range.
+# Primitives on the int coefficient lists of QSeries.  conv_trunc and
+# geom_inv_prod pack a list into one integer of byte-aligned slots, each
+# biased by half its range.
 
 # Slot width in bytes -> (the narrowest signed array type code that wide,
 # its itemsize).  Slots are little-endian, so big-endian packs byte by byte.
@@ -370,23 +370,26 @@ def geom_inv_prod(a, strides, order):
 # Truncated power series
 
 
+def _as_int(value) -> int:
+    """An int from an int, a Fraction or a "p/q" string of integer value."""
+    if isinstance(value, (int, Fraction, str)) and Fraction(value).denominator == 1:
+        return int(Fraction(value))
+    raise ValueError(f"not an integer coefficient: {value!r}")
+
+
 class QSeries(Frozen):
-    """Truncated formal power series with exact rational coefficients.
+    """Truncated formal power series with integer coefficients.
 
     Coefficients of exponents > order are unknown, not zero.  The variable
     tag is "x" or "y" with y^2 = x; the y carrier exists so theta sums with
-    half-integer x-exponents stay integral.
-
-    The coefficients are stored as integer numerators ``nums`` (one per
-    exponent 0..order) over one common denominator ``den``, kept canonical:
-    den > 0 and gcd(den, *nums) == 1.  Arithmetic runs on these ints;
-    ``coeffs`` gives the coefficients as Fractions.
+    half-integer x-exponents stay integral.  ``coeffs`` holds one int per
+    exponent 0..order, and arithmetic takes series and int scalars.
     """
 
-    __slots__ = ("nums", "den", "order", "var", "_coeffs")
+    __slots__ = ("coeffs", "order", "var")
 
     def __init__(self, coeffs, order=None, var="x"):
-        coeffs = [as_fraction(c) for c in coeffs]
+        coeffs = [_as_int(c) for c in coeffs]
         if order is None:
             if not coeffs:
                 raise ValueError("order is required for empty coefficients")
@@ -397,56 +400,36 @@ class QSeries(Frozen):
             raise ValueError("more coefficients than order+1; truncate explicitly")
         if var not in ("x", "y"):
             raise ValueError("variable tag must be 'x' or 'y'")
-        den = 1
-        for c in coeffs:
-            d = c.denominator
-            den = den // gcd(den, d) * d
-        nums = [c.numerator * (den // c.denominator) for c in coeffs]
-        nums.extend([0] * (order + 1 - len(nums)))
-        # den is the lcm of reduced denominators, so the form is canonical
-        self._fill(nums, den, order, var)
+        coeffs.extend([0] * (order + 1 - len(coeffs)))
+        self._fill(coeffs, order, var)
 
-    def _fill(self, nums, den, order, var):
-        _set(self, "nums", tuple(nums))
-        _set(self, "den", den)
+    def _fill(self, coeffs, order, var):
+        _set(self, "coeffs", tuple(coeffs))
         _set(self, "order", order)
         _set(self, "var", var)
-        _set(self, "_coeffs", None)
 
     @classmethod
-    def _make(cls, nums, den, order, var):
-        """The series sum_n nums[n]/den var^n; len(nums) must be order+1."""
-        if den != 1:
-            if den < 0:
-                den = -den
-                nums = [-c for c in nums]
-            g = gcd(den, *nums)
-            if g != 1:
-                den //= g
-                nums = [c // g for c in nums]
+    def _make(cls, coeffs, order, var):
+        """The series sum_n coeffs[n] var^n; len(coeffs) must be order+1."""
         self = object.__new__(cls)
-        self._fill(nums, den, order, var)
+        self._fill(coeffs, order, var)
         return self
 
     def __reduce__(self):
-        return QSeries._make, (self.nums, self.den, self.order, self.var)
+        return QSeries._make, (self.coeffs, self.order, self.var)
 
     # -- constructors
 
     @classmethod
     def one(cls, order, var="x"):
-        return cls([_ONE], order=order, var=var)
-
-    @classmethod
-    def constant(cls, value, order, var="x"):
-        return cls([as_fraction(value)], order=order, var=var)
+        return cls([1], order=order, var=var)
 
     @classmethod
     def gen(cls, order, var="x"):
         """The series of the variable itself."""
         if order < 1:
             raise ValueError("generator needs order >= 1")
-        return cls([_ZERO, _ONE], order=order, var=var)
+        return cls([0, 1], order=order, var=var)
 
     # -- internals
 
@@ -457,46 +440,35 @@ class QSeries(Frozen):
     # -- ring operations
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries.constant(other, self.order, self.var)
+        if isinstance(other, int):
+            other = QSeries([other], self.order, self.var)
+        elif not isinstance(other, QSeries):
+            return NotImplemented
         self._check_var(other)
         n = min(self.order, other.order)
-        da, db = self.den, other.den
-        if da == db:
-            nums = list(map(add, self.nums, other.nums))
-        else:
-            g = gcd(da, db)
-            sa, sb = db // g, da // g
-            nums = [x * sa + y * sb for x, y in zip(self.nums, other.nums)]
-            da *= sa
-        return QSeries._make(nums, da, n, self.var)
+        return QSeries._make(list(map(add, self.coeffs, other.coeffs)), n, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries._make([-c for c in self.nums], self.den, self.order, self.var)
+        return QSeries._make([-c for c in self.coeffs], self.order, self.var)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries.constant(other, self.order, self.var)
-        return self + (-other)
+        if isinstance(other, (int, QSeries)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return QSeries._make(
-                [c.numerator * a for a in self.nums],
-                self.den * c.denominator,
-                self.order,
-                self.var,
-            )
+        if isinstance(other, int):
+            return QSeries._make([other * a for a in self.coeffs], self.order, self.var)
+        if not isinstance(other, QSeries):
+            return NotImplemented
         self._check_var(other)
         n = min(self.order, other.order)
-        nums = conv_trunc(self.nums, other.nums, n)
-        return QSeries._make(nums, self.den * other.den, n, self.var)
+        return QSeries._make(conv_trunc(self.coeffs, other.coeffs, n), n, self.var)
 
     __rmul__ = __mul__
 
@@ -504,14 +476,8 @@ class QSeries(Frozen):
         """Smallest exponent up to the common order where the coefficients
         differ, or None when the two series agree that far."""
         self._check_var(other)
-        n = min(self.order, other.order) + 1
-        a, b = self.nums[:n], other.nums[:n]
-        if self.den != other.den:
-            a = [c * other.den for c in a]
-            b = [c * self.den for c in b]
-        if a == b:
-            return None
-        return next(e for e in range(n) if a[e] != b[e])
+        pairs = enumerate(zip(self.coeffs, other.coeffs))
+        return next((e for e, (a, b) in pairs if a != b), None)
 
     def __eq__(self, other):
         """Equality up to the common truncation order."""
@@ -525,52 +491,38 @@ class QSeries(Frozen):
 
     # -- structure
 
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients as Fractions; built on first use, then kept."""
-        if self._coeffs is None:
-            den = self.den
-            if den == 1:
-                coeffs = tuple(map(Fraction, self.nums))
-            else:
-                coeffs = tuple(Fraction(c, den) for c in self.nums)
-            _set(self, "_coeffs", coeffs)
-        return self._coeffs
-
     def truncate(self, order: int) -> "QSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return QSeries._make(self.nums[: order + 1], self.den, order, self.var)
+        return QSeries._make(self.coeffs[: order + 1], order, self.var)
 
     def shift(self, e: int) -> "QSeries":
         """Multiply by var^e; the result is known to order+e."""
         if e < 0:
             raise ValueError("negative shift")
-        return QSeries._make(
-            (0,) * e + self.nums, self.den, self.order + e, self.var
-        )
+        return QSeries._make((0,) * e + self.coeffs, self.order + e, self.var)
 
     def mul_one_minus_pow(self, e: int) -> "QSeries":
         """Multiply by (1 - var^e) in O(order) coefficient operations."""
         if e <= 0:
             raise ValueError("exponent must be positive")
-        nums = list(self.nums)
-        nums[e:] = map(sub, nums[e:], nums[: len(nums) - e])
-        return QSeries._make(nums, self.den, self.order, self.var)
+        coeffs = list(self.coeffs)
+        coeffs[e:] = map(sub, coeffs[e:], coeffs[: len(coeffs) - e])
+        return QSeries._make(coeffs, self.order, self.var)
 
     def mul_geom_inv(self, r: int) -> "QSeries":
         """Multiply by 1/(1 - var^r) in O(order) coefficient operations."""
-        nums = geom_inv_mul(self.nums, r, self.order)
-        return QSeries._make(nums, self.den, self.order, self.var)
+        coeffs = geom_inv_mul(self.coeffs, r, self.order)
+        return QSeries._make(coeffs, self.order, self.var)
 
     def to_y(self) -> "QSeries":
         """Reinterpret an x-series in y with y^2 = x (exponents double)."""
         if self.var != "x":
             raise ValueError("to_y applies to x-series")
-        nums = [0] * (2 * self.order + 2)
-        nums[::2] = self.nums
+        coeffs = [0] * (2 * self.order + 2)
+        coeffs[::2] = self.coeffs
         # odd y-exponents of an x-series are identically zero, hence known
-        return QSeries._make(nums, self.den, 2 * self.order + 1, "y")
+        return QSeries._make(coeffs, 2 * self.order + 1, "y")
 
     # -- io
 
@@ -582,7 +534,7 @@ class QSeries(Frozen):
         }
 
     def __repr__(self):
-        shown = ", ".join(str(Fraction(c, self.den)) for c in self.nums[:8])
+        shown = ", ".join(map(str, self.coeffs[:8]))
         if self.order >= 8:
             shown += ", ..."
         return f"QSeries([{shown}], order={self.order}, var={self.var!r})"
@@ -620,7 +572,7 @@ def theta_sum(a: int, b: int, order: int) -> QSeries:
         if not hit and a * n * n - b * n > order:
             break
         n += 1
-    return QSeries._make(coeffs, 1, order, "y")
+    return QSeries._make(coeffs, order, "y")
 
 
 def jacobi_product(v_exp: int, w_exp: int, order: int) -> QSeries:
@@ -647,9 +599,11 @@ def q_binomial_check(n: int, q) -> bool:
 
     with (q)_m the ascending symbol.  The sum runs m = 0..n (the symbol with
     a negative index would vanish).  With q = c/d in lowest terms, (q)_m =
-    J_m / d^(m(m+1)/2), J_m = (d - c)(d^2 - c^2)...(d^m - c^m), so the y^m
-    coefficient is c^t [n; m] over d^(t + m(n-m)), t = m(m+1)/2, with the
-    exact integer quotient [n; m] = J_n / (J_m J_(n-m)).
+    J_m / d^t(m), t(m) = m(m+1)/2, J_m = (d - c)(d^2 - c^2)...(d^m - c^m), so
+    over d^t(n) the y^m coefficient is c^t(m) [n; m] d^t(n-m), with the exact
+    integer quotient [n; m] = J_n / (J_m J_(n-m)).  The product is
+    prod_s (d^s + c^s y) over the same d^t(n), so the check compares two
+    integer polynomials.
     """
     if n < 0:
         raise ValueError("needs n >= 0")
@@ -658,17 +612,13 @@ def q_binomial_check(n: int, q) -> bool:
     js = list(accumulate((d**k - c**k for k in range(1, n + 1)), mul, initial=1))
     if js[n] == 0:  # (q)_n = 0 iff some (q)_m with m <= n is 0
         raise ValueError("degenerate q: (q)_m vanishes")
-    top = n * (n + 1) // 2  # the largest t + m(n-m), at m = n
-    nums = []
-    for m in range(n + 1):
-        t = m * (m + 1) // 2
-        nums.append(c**t * (js[n] // (js[m] * js[n - m])) * d ** (top - t - m * (n - m)))
-    lhs = QSeries._make(nums, d**top, n, "y")
-    rhs = QSeries.one(n, "y")
-    if n:
-        y = QSeries.gen(n, "y")
-        for s in range(1, n + 1):
-            rhs = rhs * (QSeries.one(n, "y") + (q**s) * y)
+    t = [m * (m + 1) // 2 for m in range(n + 1)]
+    lhs = [c ** t[m] * (js[n] // (js[m] * js[n - m])) * d ** t[n - m]
+           for m in range(n + 1)]
+    rhs = [1]
+    for s in range(1, n + 1):  # times d^s + c^s y: new[j] = d^s old[j] + c^s old[j-1]
+        ds, cs = d**s, c**s
+        rhs = [ds * b + cs * a for a, b in zip([0] + rhs, rhs + [0])]
     return lhs == rhs
 
 

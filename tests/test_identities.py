@@ -319,11 +319,11 @@ def test_ag_sum_is_the_same_with_cold_and_warm_caches():
         identities._euler_pair.cache_clear()
 
     clear()
-    cold = [ag_sum(s).nums for s in specs]
+    cold = [ag_sum(s).coeffs for s in specs]
     clear()
     for order in (12, 60):  # warm at other orders first
         for s in specs:
             ag_sum(AGSpec(s.k, s.i, order))
-    assert [ag_sum(s).nums for s in specs] == cold
-    assert [ag_sum(s).nums for s in specs] == cold  # warm at this order
+    assert [ag_sum(s).coeffs for s in specs] == cold
+    assert [ag_sum(s).coeffs for s in specs] == cold  # warm at this order
     assert identities._euler_pair.cache_info().hits > 0

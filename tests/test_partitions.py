@@ -122,8 +122,6 @@ def test_no_module_keeps_an_unbounded_cache():
     names = [m.name for m in pkgutil.iter_modules(qchains.__path__)]
     assert "partitions" in names
     for name in names:
-        if name == "__main__":
-            continue
         source = inspect.getsource(importlib.import_module(f"qchains.{name}"))
         found = [n.lineno for n in ast.walk(ast.parse(source)) if unbounded(n)]
         assert not found, f"qchains.{name}: unbounded cache at lines {found}"
