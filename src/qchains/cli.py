@@ -10,6 +10,7 @@ error: one "error:" line, never a traceback).
 import argparse
 import itertools
 import json
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -102,18 +103,23 @@ _INT_FLAG_MIN = {
 #   costliest suite: 8.3 s and 23.9 MB (whole process, median of 3), where
 #   chained geometric recurrences and no Euler-pair cache took 12.3 s and
 #   19.4 MB; the cache holds about 5 MB of pairs at this order.  `verify
-#   --suite rr` took 0.125 s there (0.16 s before; 18.1 MB both), and holds
-#   about N^1.5 coefficients: 21, 25 and 34 MB at N = 1000, 2000 and 4000.
-#   `verify --suite pipeline` grows about as N^3: 1.7, 12 and 113 s at
-#   N = 1000, 2000 and 4000 (23, 28 and 44 MB).  The series-deep benchmark
-#   runs rr at 1000.
+#   --suite rr` took 0.125 s there (0.16 s before).  Its sum side streams
+#   the Euler inverses, one row of at most N + 1 coefficients at a time, so
+#   it holds O(N) coefficients: at N = 1000 it peaked at 17.6 MB against
+#   17.5 MB at N = 0 (whole process, min of 3), where a table of N^1.5
+#   coefficients peaked at 18.7 MB.  `verify --suite pipeline` grows about
+#   as N^3: 1.7, 12 and 113 s at N = 1000, 2000 and 4000 (23, 28 and
+#   44 MB).  The series-deep benchmark runs rr at 1000.
 # - n: `verify --suite qbinomial` checks n = 0..N for each q, in time about
 #   N^3.8 (in-process): with the three default q it took 0.03, 0.12, 0.42
 #   and 1.0 s at N = 40, 60, 80 and 100; with `--q 1/2` alone, 0.07 and
 #   0.18 s at N = 80 and 100.  A long q costs more: `--q 123456789/987654321`
 #   took 0.4, 3.5 and 67 s at N = 40, 60 and 100.
-_INT_FLAG_MAX = {"L": 200, "lmax": 200, "n": 100, "order": 1000, "r": 32,
-                 "size_cap": 40, "steps": 32}
+# - jobs: `verify` starts min(jobs, cases) worker processes at once (303
+#   cases at `qbinomial --n 100`), each an interpreter of about 17 MB, and
+#   CPU-bound cases gain nothing from more workers than cores.
+_INT_FLAG_MAX = {"L": 200, "jobs": 32, "lmax": 200, "n": 100, "order": 1000,
+                 "r": 32, "size_cap": 40, "steps": 32}
 _INT_FLAG_COMMAND = {"r": "power"}  # flags bounded on one command only
 
 # largest q that `sample --model fristedt` accepts: the first step's support
@@ -783,8 +789,20 @@ def cmd_series(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a word of a dash and a digit, such as
+    "-3/4" or "-1,2", as the value of the option before it, as
+    `--q=-3/4` does; argparse alone takes only "-3" and "-0.5" so, and reads
+    the rest as unknown options.  No option here starts with a digit.  The
+    subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qchains",
         description=(
             "Exact verification of partition-measure Markov chains and the "

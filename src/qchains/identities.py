@@ -7,11 +7,14 @@ parameters enter through the substitution u = x^delta, x = 1/q (delta is 0
 or 1; those are the only two values the pipeline needs).  Bailey pairs are
 finite rational sequences, related and stepped by the chain's matrices.
 
-Two bounded caches serve the Andrews-Gordon sum side: the Euler inverses
-1/(x)_m of one order (_euler_inverses), and their pair products
-1/((x)_a (x)_b) (_euler_pair), keyed by (order, a, b) with a <= b and kept
-only as far as ag_sum reads them.  Every identity of one order, at every k
-and i, shares them, so each pair is multiplied once per order.
+The Andrews-Gordon sum side reads the Euler inverses 1/(x)_m of one order,
+each row m only to order - m^2 (_inverse_rows).  At k = 2 it reads each row
+once, in order, so it streams them and keeps none.  At k >= 3 two bounded
+caches serve it: the rows of one order as a table (_euler_inverses), and
+their pair products 1/((x)_a (x)_b) (_euler_pair), keyed by (order, a, b)
+with a <= b and kept only as far as ag_sum reads them.  Every identity of one
+order, at every k >= 3 and i, shares them, so each row is made and each pair
+multiplied once per order.
 """
 
 from fractions import Fraction
@@ -42,14 +45,22 @@ class AGSpec(Record):
         _set(self, "order", order)
 
 
+def _inverse_rows(order: int):
+    """Yield the integer coefficients of 1/((1-x)...(1-x^m)) for m = 0..isqrt(order)+1,
+    row m to max(order - m^2, 0): ag_sum shifts row m by at least m^2 (see
+    ag_sum and _euler_pair), so it never reads further."""
+    row = (1,) + (0,) * order
+    yield row
+    for m in range(1, isqrt(order) + 2):
+        row = tuple(geom_inv_mul(row, m, max(order - m * m, 0)))
+        yield row
+
+
 @lru_cache(maxsize=8)
 def _euler_inverses(order: int) -> tuple:
-    """The integer coefficients of 1/((1-x)...(1-x^m)) for m = 0..isqrt(order)+1,
-    each to the full order."""
-    out = [(1,) + (0,) * order]
-    for m in range(1, isqrt(order) + 2):
-        out.append(tuple(geom_inv_mul(out[-1], m, order)))
-    return tuple(out)
+    """The rows of _inverse_rows(order) as one table, for the readers that
+    need them at random (ag_sum at k >= 3 and _euler_pair)."""
+    return tuple(_inverse_rows(order))
 
 
 _PAIRS = 512  # Euler-pair products kept, over all orders
@@ -74,20 +85,22 @@ def ag_sum(spec: AGSpec) -> QSeries:
     the sum is sum_N G_1(N).  Summands are truncated before their products.
     Every term is an integer series, so the sums run on integer lists.  At
     level k-2 the products are 1/((x)_M (x)_(N-M)), the same for every i
-    and k at one order, so they come from the _euler_pair cache."""
+    and k at one order, so they come from the _euler_pair cache.  Level k-1
+    reads row N of the Euler inverses to order - e_(k-1)(N), and a lower
+    level reads row N - M to at most order - N^2 - M^2."""
     k, i, order = spec.k, spec.i, spec.order
-    inv = _euler_inverses(order)
+    inv = _euler_inverses(order) if k > 2 else None  # k = 2 reads each row once
     acc = [0] * (order + 1)
     inner = []  # (e, body) with G_{j+1}(M) = x^e body, body to order - e
     for j in range(k - 1, 0, -1):
         level = []
-        for n in range(len(inv)):
+        for n, row in enumerate(_inverse_rows(order) if inv is None else inv):
             expo = n * n + (n if j >= i else 0)
             if expo + (j - 1) * n * n > order:
                 break  # positions 1..j-1 each hold at least n
             rest = order - expo
             if j == k - 1:
-                term = inv[n][: rest + 1]
+                term = row[: rest + 1]
             else:
                 term = [0] * (rest + 1)
                 for m, (low, g) in enumerate(inner[: n + 1]):

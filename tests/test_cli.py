@@ -497,6 +497,46 @@ def test_power_l_above_the_bound_exits_2_at_once(capsys, monkeypatch, argv, flag
     assert err == f"error: --{flag.replace('_', '-')} must be <= {bound}\n"
 
 
+def test_verify_jobs_above_the_bound_exits_2_before_any_worker(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("started a pool past the jobs bound")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", unreachable)
+    monkeypatch.setattr(cli, "run_case", unreachable)
+    bound = cli._INT_FLAG_MAX["jobs"]
+    code, out, err = run(capsys, ["verify", "--suite", "qbinomial", "--n", "100",
+                                  "--jobs", str(bound + 1)])
+    assert (code, out) == (2, "")
+    assert err == f"error: --jobs must be <= {bound}\n"
+
+
+def _without_elapsed(out):
+    return [{k: v for k, v in r.items() if k != "elapsed"} for r in json_lines(out)]
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["verify", "--suite", "qbinomial", "--q", "-3/4", "--n", "12"],
+         ["verify", "--suite", "qbinomial", "--q=-3/4", "--n", "12"]),
+        (["bailey", "--alpha", "-1,2"], ["bailey", "--alpha=-1,2"]),
+    ],
+    ids=["qbinomial-q", "bailey-alpha"],
+)
+def test_negative_rational_values_parse_like_their_equals_form(capsys, spaced, joined):
+    code, out, _ = run(capsys, spaced)
+    joined_code, joined_out, _ = run(capsys, joined)
+    assert code == joined_code == 0
+    assert _without_elapsed(out) == _without_elapsed(joined_out) != []
+
+
+def test_negative_u_reaches_the_model_check(capsys):
+    code, out, err = run(capsys, ["power", "--L", "3", "--j", "0", "--r", "2",
+                                  "--u", "-1/2"])
+    assert (code, out) == (2, "")
+    assert err == "error: u must satisfy 0 < u <= 1\n"
+
+
 def test_bailey_alpha_longer_than_the_lmax_bound_exits_2_at_once(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("built a pair past the size bound")

@@ -1,6 +1,7 @@
 """Sum and product sides, the absorption-limit pipeline, and Bailey pairs."""
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from math import isqrt
@@ -327,3 +328,30 @@ def test_ag_sum_is_the_same_with_cold_and_warm_caches():
     assert [ag_sum(s).coeffs for s in specs] == cold
     assert [ag_sum(s).coeffs for s in specs] == cold  # warm at this order
     assert identities._euler_pair.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("order", [0, 1, 17, 90])
+def test_euler_inverse_rows_stop_where_ag_sum_stops_reading(order):
+    # row m counts the partitions into parts <= m, to order - m^2 only
+    rows = identities._euler_inverses(order)
+    assert len(rows) == isqrt(order) + 2
+    counts = [1] + [0] * order  # parts <= 0: only the empty partition
+    for m, row in enumerate(rows):
+        for n in range(m, order + 1) if m else ():
+            counts[n] += counts[n - m]  # a largest part of m, or none
+        assert row == tuple(counts[: max(order - m * m, 0) + 1]), m
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_rogers_ramanujan_sum_side_keeps_no_euler_table(i):
+    identities._euler_inverses.cache_clear()
+    identities._euler_pair.cache_clear()
+    tracemalloc.start()
+    try:
+        ag_sum(AGSpec(2, i, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert identities._euler_inverses.cache_info().currsize == 0
+    assert identities._euler_pair.cache_info().currsize == 0
+    assert peak < 500_000  # a table of all 33 rows to order 1000 peaks at 1.44 MB
