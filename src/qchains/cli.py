@@ -14,10 +14,13 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from time import perf_counter
 
 from qchains.fristedt import (
     FristedtParams,
+    _f_diag_rows,
     f_chain_mass,
     f_diagonalization,
     f_kernel,
@@ -28,6 +31,7 @@ from qchains.fristedt import (
 from qchains.glchain import (
     TruncatedMatrix,
     _common_den,
+    _diag_rows,
     build_diagonalization,
     chain_mass,
     kernel,
@@ -88,6 +92,9 @@ _INT_FLAG_MIN = {
 #   N = 120 and 31 MB at 160, and at N = 200 takes 3.9 s; `kernel --lmax`,
 #   which writes the entries one row at a time, peaks at 23 MB at 120 and
 #   38 MB at 160 (16 s, most of it reducing each printed entry).
+#   `verify --suite diag --lmax 60` checks the diagonalization row by row
+#   and holds only A: it peaks at 19.7 MB (whole process, perfbench/child.py;
+#   15.5 MB for `verify --suite rr --order 0`) and takes about 9 s.
 # - r, for `power` only (`series --r` is another flag): row L of K^r takes
 #   r row-vector products whose entries grow to about r L^2 bits, so the
 #   time grows about as r^2.  `power --L 40 --j 0` took 0.5 s at r = 32;
@@ -123,11 +130,14 @@ _INT_FLAG_MAX = {"L": 200, "jobs": 32, "lmax": 200, "n": 100, "order": 1000,
 _INT_FLAG_COMMAND = {"r": "power"}  # flags bounded on one command only
 
 # largest q that `sample --model fristedt` accepts: the first step's support
-# cap A grows as 1/(1 - q), and its A + 1 integers, held while its cut points
-# are made, have about A^2 log2(D) / 2 bits each (q = N/D), so memory grows
-# about as (1 - q)^-3.  `--count 1` took 0.03, 0.14, 0.40 and 9.4 s
-# (in-process) and peaked at 17, 23, 33 and 234 MB (whole process) at
-# q = 4/5, 7/8, 9/10 and 19/20, with support caps 206, 347, 442 and 923.
+# cap A grows as 1/(1 - q), and the integers its cut points come from have
+# about A^2 log2(D) / 2 bits each (q = N/D).  They are made one at a time
+# and not kept, so time, not memory, sets the bound: `--count 1` took 0.03,
+# 0.17, 0.49 and 13.1 s (in-process) at q = 4/5, 7/8, 9/10 and 19/20, with
+# support caps 206, 347, 442 and 923, and peaked at 15.6, 15.7 and 15.9 MB
+# at the first three (whole process, perfbench/child.py; 15.5 MB for
+# `verify --suite rr --order 0`); one draw from f_sample_stream peaked
+# 1.8 MB higher at 19/20 than at 9/10.
 _FRISTEDT_SAMPLE_Q_MAX = Fraction(9, 10)
 
 # smallest q that `sample --model gl` accepts: the support cap and its tail
@@ -292,15 +302,58 @@ def _power_mismatches(m, l_max, r_max):
                     yield ll, j, r
 
 
-def _eigen_failures(d, e_name):
-    """Labels of the failed A*Ainv and M*A=A*E checks of a diagonalization,
-    with E written as e_name."""
-    failures = []
-    if d.a @ d.a_inv != TruncatedMatrix.identity(d.size):
-        failures.append("A*Ainv")
-    if d.m @ d.a != d.a @ d.e:
-        failures.append(f"M*A=A*{e_name}")
-    return failures
+def _times_cols(x, scale, cols):
+    """The numerators of the row x, each x_k scaled by scale[k], times the
+    lower-triangular matrix whose column j from the diagonal down is
+    cols[j]."""
+    xs = [v * s for v, s in zip(x, scale)]
+    return [sum(map(mul, xs[j:], col)) for j, col in enumerate(cols)]
+
+
+def _eigen_failures(rows, e_name, kernel=None):
+    """Labels of the failed checks of a diagonalization read row by row from
+    rows, a model's row generator (glchain._diag_rows), with E written as
+    e_name; with the entry oracle kernel(a, b), K = C M C^-1 is checked too.
+
+    Only A is held, by columns.  Row i of X A, for X = M and A^-1, is its
+    numerators over X's row denominator times the lcm of A's first i + 1
+    row denominators, and each identity is compared on cross-multiplied
+    integers, so no product is built or reduced:
+    - A^-1 A = I, which on a square triangular truncation is A A^-1 = I;
+    - M A = A E, where A E is row i of A scaled by the diagonal of E;
+    - K(i,j) = M(i,j) C(i,i) / C(j,j) against kernel(i, j).
+    A label's check stops at its first failed row.
+    """
+    eigen = f"M*A=A*{e_name}"
+    labels = ["A*Ainv", eigen] + (["K=CMC^-1"] if kernel else [])
+    failed = set()
+    cols, dens, cs, es, a_lcm = [], [], [], [], 1
+    for i, ((m, m_den), (a, a_den), (a_inv, inv_den), ci, ei) in enumerate(rows):
+        for col, v in zip(cols, a):
+            col.append(v)
+        cols.append([a[i]])
+        dens.append(a_den)
+        cs.append(ci)
+        es.append(ei)
+        a_lcm = lcm(a_lcm, a_den)
+        scale = [a_lcm // d for d in dens]
+        if ("A*Ainv" not in failed
+                and _times_cols(a_inv, scale, cols) != [0] * i + [inv_den * a_lcm]):
+            failed.add("A*Ainv")
+        if eigen not in failed:
+            den = m_den * a_lcm
+            if any(n * a_den * ej.denominator != aj * ej.numerator * den
+                   for n, aj, ej in zip(_times_cols(m, scale, cols), a, es)):
+                failed.add(eigen)
+        if kernel and "K=CMC^-1" not in failed:
+            den = m_den * ci.denominator
+            for j, (mj, cj) in enumerate(zip(m, cs)):
+                kij = kernel(i, j)
+                if (mj * ci.numerator * cj.denominator * kij.denominator
+                        != kij.numerator * den * cj.numerator):
+                    failed.add("K=CMC^-1")
+                    break
+    return [label for label in labels if label in failed]
 
 
 def _case_ag(k, i, order, inject=False):
@@ -373,12 +426,10 @@ def _case_jacobi(a, b, order):
 
 def _case_diag(u, q, l_max):
     p = MeasureParams(u=Fraction(u), q=Fraction(q))
-    d = build_diagonalization(l_max, p)
-    failures = _eigen_failures(d, "E")
-    # against the chain's entry formula, not the factor lists d is built from
-    k = TruncatedMatrix.build(l_max + 1, lambda a, b: kernel(a, b, p))
-    if d.kernel_matrix() != k:
-        failures.append("K=CMC^-1")
+    # K against the chain's entry formula, not the factor lists C and M
+    # are built from
+    failures = _eigen_failures(_diag_rows(l_max, p), "E",
+                               lambda a, b: kernel(a, b, p))
     return {
         "suite": "diag",
         "u": u,
@@ -485,7 +536,7 @@ def _case_fristedt(q, l_max, r_max, size):
     m = _model("fristedt", None, q)
     mismatches = _power_mismatches(m, l_max, r_max)
     failures = [f"power({ll},{j},{r})" for ll, j, r in mismatches]
-    failures += _eigen_failures(m.diagonalization(l_max, m.p), "D")
+    failures += _eigen_failures(_f_diag_rows(l_max, m.p), "D")
     for n in range(size + 1):
         for lam in enumerate_partitions(n):
             if f_chain_mass(lam, m.p) != m.p.q**n:

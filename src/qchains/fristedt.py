@@ -14,7 +14,13 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from qchains.glchain import _PARAMS, Diagonalization, TruncatedMatrix, row_chain
+from qchains.glchain import (
+    _PARAMS,
+    Diagonalization,
+    TruncatedMatrix,
+    _reduced,
+    row_chain,
+)
 from qchains.partitions import Partition
 from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_ints, poch_table
 from qchains.record import Record, _set
@@ -61,7 +67,7 @@ def f_kernel(a: int, b: int, p: FristedtParams) -> Fraction:
 
 
 def f_diagonalization(l_max: int, p: FristedtParams) -> Diagonalization:
-    """Exact diagonalization on states 0..l_max:
+    """Exact diagonalization on states 0..l_max, collected from _f_diag_rows:
 
     C(i,i) = (q)_i / q^i = J_i / (c^i d^binom(i,2))
     M(i,j) = q^i for i >= j, else 0
@@ -71,30 +77,28 @@ def f_diagonalization(l_max: int, p: FristedtParams) -> Diagonalization:
     A^-1(i,j) = 1 / (1/q)_{i-j} = (-1)^(i-j) c^binom(i-j+1,2) / J_{i-j}
 
     D is stored in the slot the GL chain uses for its eigenvalue matrix.
-    Rows i of A and A^-1 are over J_i, with J_i / J_{i-j} = h_i ... h_{i-j+1}.
     """
+    return Diagonalization._collect(_f_diag_rows(l_max, p), p)
+
+
+def _f_diag_rows(l_max: int, p: FristedtParams):
+    """Yield row i = 0..l_max of f_diagonalization's matrices as
+    (M_i, A_i, A^-1_i, C(i,i), D(i,i)), in the layout of
+    glchain._diag_rows.  Rows i of A and A^-1 are over J_i, with
+    J_i / J_{i-j} = h_i ... h_{i-j+1}; each row is reduced once."""
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     c, d, js = _ints(p)
-    size = l_max + 1
-    h = [d**k - c**k for k in range(size)]
-    a, a_inv = [], []
-    for i in range(size):
+    h = [d**k - c**k for k in range(l_max + 1)]
+    for i in range(l_max + 1):
         pre = list(accumulate(h[i:0:-1], mul, initial=1))  # J_i / J_{i-j}
-        a.append([d ** ((i - j) * (i - j - 1) // 2) * c ** (i - j) * pj
-                  for j, pj in enumerate(pre)])
-        a_inv.append([(-1) ** (i - j) * c ** ((i - j) * (i - j + 1) // 2) * pj
-                      for j, pj in enumerate(pre)])
-    dens, powers = [js[i] for i in range(size)], [d**i for i in range(size)]
-    return Diagonalization(
-        c=TruncatedMatrix._make([[0] * i + [js[i]] for i in range(size)],
-                                [c**i * d ** (i * (i - 1) // 2) for i in range(size)]),
-        m=TruncatedMatrix._make([[c**i] * (i + 1) for i in range(size)], powers),
-        a=TruncatedMatrix._make(a, dens),
-        a_inv=TruncatedMatrix._make(a_inv, dens),
-        e=TruncatedMatrix._make([[0] * i + [c**i] for i in range(size)], powers),
-        params=p,
-    )
+        a = [d ** ((i - j) * (i - j - 1) // 2) * c ** (i - j) * pj
+             for j, pj in enumerate(pre)]
+        a_inv = [(-1) ** (i - j) * c ** ((i - j) * (i - j + 1) // 2) * pj
+                 for j, pj in enumerate(pre)]
+        yield (_reduced([c**i] * (i + 1), d**i), _reduced(a, js[i]),
+               _reduced(a_inv, js[i]), Fraction(js[i], c**i * d ** (i * (i - 1) // 2)),
+               Fraction(c**i, d**i))
 
 
 def f_kernel_matrix(l_max: int, p: FristedtParams) -> TruncatedMatrix:

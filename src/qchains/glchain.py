@@ -77,16 +77,14 @@ class TruncatedMatrix(Frozen):
     def _make(cls, rows, dens):
         """The matrix with entries rows[i][j] / dens[i], dens > 0; each row
         is reduced to the canonical form."""
-        out_rows, out_dens = [], []
-        for row, den in zip(rows, dens):
-            g = gcd(den, *row)
-            if g != 1:
-                den //= g
-                row = [c // g for c in row]
-            out_rows.append(tuple(row))
-            out_dens.append(den)
+        return cls._canonical(map(_reduced, rows, dens))
+
+    @classmethod
+    def _canonical(cls, pairs):
+        """The matrix of canonical (row, den) pairs, taken as they are."""
+        pairs = list(pairs)
         self = object.__new__(cls)
-        self._fill(out_rows, out_dens)
+        self._fill([row for row, _ in pairs], [den for _, den in pairs])
         return self
 
     def __reduce__(self):
@@ -98,9 +96,9 @@ class TruncatedMatrix(Frozen):
 
     @classmethod
     def diagonal(cls, values):
-        values = [Fraction(v) for v in values]
-        return cls._make([(0,) * i + (v.numerator,) for i, v in enumerate(values)],
-                         [v.denominator for v in values])
+        """The diagonal matrix of values; a Fraction is already canonical."""
+        return cls._canonical(((0,) * i + (v.numerator,), v.denominator)
+                              for i, v in enumerate(map(Fraction, values)))
 
     @classmethod
     def build(cls, size, fn):
@@ -208,6 +206,14 @@ class TruncatedMatrix(Frozen):
             yield [str(Fraction(c, den)) for c in row] + ["0"] * (n - 1 - i)
 
 
+def _reduced(row, den):
+    """(row, den) with both divided by gcd(den, *row), row as a tuple."""
+    g = gcd(den, *row)
+    if g != 1:
+        return tuple(c // g for c in row), den // g
+    return tuple(row), den
+
+
 def _common_den(values):
     """(nums, den): the exact rationals values as nums[k] / den, den their lcm."""
     values = [as_fraction(v) for v in values]
@@ -237,7 +243,10 @@ class Diagonalization(Record):
     """The factorization K = C M C^-1 with M A = A E, on a truncation.
 
     c and e are diagonal; m, a, a_inv are lower triangular, so truncation
-    commutes with every product appearing in the identities.
+    commutes with every product appearing in the identities.  Each model
+    yields it one row at a time (glchain._diag_rows, fristedt._f_diag_rows):
+    the record collects those rows for the Bailey lemma and the matrix
+    dumps, while the verify checks read the rows as they come.
     """
 
     __slots__ = ("c", "m", "a", "a_inv", "e", "params")
@@ -250,6 +259,16 @@ class Diagonalization(Record):
         _set(self, "a_inv", a_inv)
         _set(self, "e", e)
         _set(self, "params", params)
+
+    @classmethod
+    def _collect(cls, rows, params):
+        """The record of a model's rows (M_i, A_i, A^-1_i, C(i,i), E(i,i)),
+        the matrix rows already canonical."""
+        m, a, a_inv, c, e = zip(*rows)
+        return cls(c=TruncatedMatrix.diagonal(c), m=TruncatedMatrix._canonical(m),
+                   a=TruncatedMatrix._canonical(a),
+                   a_inv=TruncatedMatrix._canonical(a_inv),
+                   e=TruncatedMatrix.diagonal(e), params=params)
 
     @property
     def size(self):
@@ -328,7 +347,8 @@ def first_col_law(a: int, p: MeasureParams, eps) -> Interval:
 
 
 def build_diagonalization(l_max: int, p: MeasureParams) -> Diagonalization:
-    """Exact diagonalization data on states 0..l_max.
+    """Exact diagonalization data on states 0..l_max, collected from
+    _diag_rows.
 
     C(i,i) = (1/q)_i (u/q)_i
     M(i,j) = u^j / (q^(j^2) (1/q)_{i-j})
@@ -341,10 +361,19 @@ def build_diagonalization(l_max: int, p: MeasureParams) -> Diagonalization:
     index.  The (0,0) entry of A^-1 takes (u/q)_{-1} = 1/(1-u) by the
     analytic extension, so (1-u)(u/q)_{-1} = 1; at u = 1 the same entry is
     its limit, 1.
+    """
+    return Diagonalization._collect(_diag_rows(l_max, p), p)
+
+
+def _diag_rows(l_max: int, p: MeasureParams):
+    """Yield row i = 0..l_max of build_diagonalization's matrices as
+    (M_i, A_i, A^-1_i, C(i,i), E(i,i)): each matrix row its canonical
+    (numerators, denominator), each diagonal entry a Fraction.
 
     Row i of M is over ud^i c^(i^2) I_i, of A over I_i U_{2i} and of A^-1
     over ud^(2i) c^(2i^2 + i) I_i, with numerators from P_j = I_i / I_{i-j}
-    = f_i ... f_{i-j+1} and S_j = U_{2i} / U_{i+j} (see _ints).
+    = f_i ... f_{i-j+1} and S_j = U_{2i} / U_{i+j} (see _ints); each row is
+    reduced once.
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
@@ -352,32 +381,27 @@ def build_diagonalization(l_max: int, p: MeasureParams) -> Diagonalization:
     size = l_max + 1
     f = [c**k - d**k for k in range(size)]
     g = [ud * c**k - un * d**k for k in range(2 * size)]
-    m, a, a_inv = [], [], [[1]]  # row 0 of A^-1 is the extended entry
     for i in range(size):
         pre = list(accumulate(f[i:0:-1], mul, initial=1))  # P_j
         suf = list(accumulate(g[2 * i:i:-1], mul, initial=1))[::-1]  # S_j
-        m.append([un**j * d ** (j * j) * ud ** (i - j) * pj
-                  * c ** (i * i - j * j + (i - j) * (i - j + 1) // 2)
-                  for j, pj in enumerate(pre)])
-        a.append([ud ** (i + j) * c ** (i * i + i + j * j) * pj * sj
-                  for j, (pj, sj) in enumerate(zip(pre, suf))])
+        m = [un**j * d ** (j * j) * ud ** (i - j) * pj
+             * c ** (i * i - j * j + (i - j) * (i - j + 1) // 2)
+             for j, pj in enumerate(pre)]
+        a = [ud ** (i + j) * c ** (i * i + i + j * j) * pj * sj
+             for j, (pj, sj) in enumerate(zip(pre, suf))]
         if i:
-            a_inv.append([(-1) ** (i - j) * g[2 * i] * uq[i + j - 1] * ud ** (i - j)
-                          * d ** ((i - j) * (i - j - 1) // 2) * pj
-                          * c ** (i - j + i * (2 * i - 1) - (i + j) * (i + j - 1) // 2)
-                          for j, pj in enumerate(pre)])
-    rows = range(size)
-    return Diagonalization(
-        c=TruncatedMatrix._make([[0] * i + [iq[i] * uq[i]] for i in rows],
-                                [ud**i * c ** (i * i + i) for i in rows]),
-        m=TruncatedMatrix._make(m, [ud**i * c ** (i * i) * iq[i] for i in rows]),
-        a=TruncatedMatrix._make(a, [iq[i] * uq[2 * i] for i in rows]),
-        a_inv=TruncatedMatrix._make(a_inv, [ud ** (2 * i) * c ** (2 * i * i + i) * iq[i]
-                                            if i else 1 for i in rows]),
-        e=TruncatedMatrix._make([[0] * i + [un**i * d ** (i * i)] for i in rows],
-                                [ud**i * c ** (i * i) for i in rows]),
-        params=p,
-    )
+            a_inv = [(-1) ** (i - j) * g[2 * i] * uq[i + j - 1] * ud ** (i - j)
+                     * d ** ((i - j) * (i - j - 1) // 2) * pj
+                     * c ** (i - j + i * (2 * i - 1) - (i + j) * (i + j - 1) // 2)
+                     for j, pj in enumerate(pre)]
+            inv_den = ud ** (2 * i) * c ** (2 * i * i + i) * iq[i]
+        else:
+            a_inv, inv_den = [1], 1  # the extended entry
+        yield (_reduced(m, ud**i * c ** (i * i) * iq[i]),
+               _reduced(a, iq[i] * uq[2 * i]),
+               _reduced(a_inv, inv_den),
+               Fraction(iq[i] * uq[i], ud**i * c ** (i * i + i)),
+               Fraction(un**i * d ** (i * i), ud**i * c ** (i * i)))
 
 
 def kernel_matrix(l_max: int, p: MeasureParams) -> TruncatedMatrix:
@@ -473,9 +497,33 @@ class ChainSample(namedtuple("ChainSample", "seed columns partition")):
         }
 
 
-def _cuts(nums: list) -> list:
-    """Inverse-CDF cut points of integers proportional to the weights, at any
-    common scale; the list is overwritten with them and returned.
+_HEAD_BITS = 192  # leading bits of a sum that a cut point is first made from
+
+
+def _cut(p, k, t, shift):
+    """The cut ceil(P 2^128 / T) of a prefix sum P of weights with total T,
+    from p = P >> k and t = T >> shift, k <= shift, or None when these bits
+    do not decide it.
+
+    At shift = 0 they are P and T, and the cut is the full division.  Else
+    P 2^128 / T lies between p 2^(128+k) / ((t+1) 2^shift) and
+    (p+1) 2^(128+k) / (t 2^shift) (p itself at k = 0, where P = p), and at
+    most 2^128, as P <= T.  With p and t of _HEAD_BITS bits the two ends
+    are less than 2^-62 apart, so when their ceilings agree, the upper one
+    taken at most 2^128, that is the cut.  They disagree about once in
+    2^62, and whenever P 2^128 / T is an integer below 2^128.
+    """
+    if not shift:
+        return -((-p << 128) // t)
+    e = shift - k
+    low = -((-p << 128) // ((t + 1) << e))
+    high = -((-(p + (k > 0)) << 128) // (t << e))
+    return low if low == min(high, 1 << 128) else None
+
+
+def _cut_points(weights) -> list:
+    """Inverse-CDF cut points c_0..c_top of integers w_0..w_top proportional
+    to the weights, which weights() yields in that order.
 
     With P_i the prefix sums and T the total, c_i = ceil(P_i 2^128 / T).
     For an integer V, V/2^128 < P_i/T holds exactly when V < c_i, so
@@ -483,26 +531,54 @@ def _cuts(nums: list) -> list:
     cut is 2^128, so every V < 2^128 picks a state, and no cut is wider
     than 129 bits however long the weights are.
 
-    A long total is not divided into: with a and b the sums' leading bits
-    from bit k up (b of 192 bits), P_i 2^128 / T lies strictly between
-    a 2^128 / (b+1) and (a+1) 2^128 / b, less than 2^-62 apart, so when
-    their ceilings agree that is c_i.  Otherwise, about once in 2^62 or
-    when c_i is hit exactly, c_i is the full division.
+    The total is known only at the end, so one pass keeps the leading
+    _HEAD_BITS bits of each prefix sum, and c_i comes from them and the
+    total's (_cut).  A cut they leave open is made by a second pass of
+    weights(), from the exact sums.  So a pass holds the running sum and
+    the current weight, and no list of long integers.
     """
-    total = sum(nums)
-    k = max(0, total.bit_length() - 192)
-    b = total >> k
-    acc = 0
-    for i, w in enumerate(nums):
+    heads, acc = [], 0
+    for w in weights():
         acc += w
-        if k:
-            a = acc >> k
-            cut = -((-a << 128) // (b + 1))
-            if cut == -((-(a + 1) << 128) // b):
-                nums[i] = cut
-                continue
-        nums[i] = -((-acc << 128) // total)
-    return nums
+        k = max(0, acc.bit_length() - _HEAD_BITS)
+        heads.append((acc >> k, k))
+    shift = max(0, acc.bit_length() - _HEAD_BITS)
+    t = acc >> shift
+    cuts = [_cut(p, k, t, shift) for p, k in heads]
+    if None in cuts:
+        total, acc = acc, 0
+        for i, w in enumerate(weights()):
+            acc += w
+            if cuts[i] is None:
+                cuts[i] = _cut(acc, 0, total, 0)
+    return cuts
+
+
+def _cuts(nums) -> list:
+    """The cut points (_cut_points) of a list of integers proportional to
+    the weights, at any common scale."""
+    return _cut_points(lambda: nums)
+
+
+def _ratio_cuts(top: int, ratio) -> list:
+    """The cut points (_cut_points) of a positive f(0..top), from the exact
+    ratios ratio(b) = f(b-1)/f(b), b = 1..top.
+
+    The integers are w_0, the product of the ratios' numerators, and going
+    up w_b = w_(b-1) / ratio(b), an exact integer division since w_(b-1)
+    holds the numerators of ratio(b..top).  They are made one at a time,
+    and once more if a cut needs the exact sums.
+    """
+    ratios = [ratio(b) for b in range(1, top + 1)]
+
+    def weights():
+        w = prod(r.numerator for r in ratios)
+        yield w
+        for r in ratios:
+            w = w * r.denominator // r.numerator
+            yield w
+
+    return _cut_points(weights)
 
 
 _STREAM_MEMO = 1024  # distinct paths whose sample one stream keeps
@@ -512,16 +588,16 @@ class ChainSampler:
     """Inverse-CDF driver of one absorbing chain.
 
     A path draws its first state from the first-step law, given as keys and
-    integers proportional to their weights, then steps with
-    row(state) -> (keys, integers) until the absorbing state.  Each law is
-    kept as its keys and cut points (_cuts).  Every row built is kept:
-    states only decrease, so the table is bounded by the first-step support.
+    their cut points (_cut_points), then steps with row(state) -> (keys,
+    cut points) until the absorbing state.  Every row built is kept: states
+    only decrease, so the table is bounded by the first-step support, and
+    it holds cut points of at most 129 bits, not the weights' integers.
     """
 
     __slots__ = ("first", "row", "absorbing", "rows")
 
-    def __init__(self, keys, nums, row, absorbing):
-        self.first = (tuple(keys), _cuts(nums))
+    def __init__(self, keys, cuts, row, absorbing):
+        self.first = (tuple(keys), cuts)
         self.row = row
         self.absorbing = absorbing
         self.rows = {}
@@ -539,8 +615,8 @@ class ChainSampler:
             states.append(state)
             table = rows.get(state)
             if table is None:
-                row_keys, nums = self.row(state)
-                table = rows[state] = (tuple(row_keys), _cuts(nums))
+                row_keys, cuts = self.row(state)
+                table = rows[state] = (tuple(row_keys), cuts)
             keys, cuts = table
 
     def stream(self, seed: int, count: int, parts):
@@ -566,24 +642,6 @@ class ChainSampler:
 _SAMPLERS = 16  # per-parameter samplers kept by each model
 
 
-def _ratio_ints(top: int, ratio) -> list:
-    """Integers w_0..w_top proportional to a positive f(0..top), from the
-    exact ratios ratio(b) = f(b-1)/f(b), b = 1..top.
-
-    w_top is the product of the ratios' denominators; going down, w_b holds
-    the denominators of ratio(1..b), so each step w_{b-1} = w_b ratio(b) is
-    an exact integer division.
-    """
-    ratios = [ratio(b) for b in range(1, top + 1)]
-    w = prod(r.denominator for r in ratios)
-    out = [w]
-    for r in reversed(ratios):
-        w = w * r.numerator // r.denominator
-        out.append(w)
-    out.reverse()
-    return out
-
-
 def row_chain(describe):
     """Decorator: describe(p, eps) -> (ratio, step_ratio, tail) becomes a
     bounded cache of ChainSamplers keyed by (p, eps).
@@ -592,10 +650,11 @@ def row_chain(describe):
     steps from s to b <= s with probability step(s, b) and is absorbed at 0;
     all these weights are positive.  The model gives them by their small
     exact ratios ratio(b) = first(b-1)/first(b) and
-    step_ratio(s, b) = step(s, b-1)/step(s, b), and the first step and each
-    row are integers built from the top state down (_ratio_ints).  The first
-    step is cut to 0..A, A the least state whose certified tail(A), a bound
-    on the relative first-step mass above A, is below 2**-TAIL_BITS.
+    step_ratio(s, b) = step(s, b-1)/step(s, b), and the cut points of the
+    first step and of each row come straight from those ratios
+    (_ratio_cuts).  The first step is cut to 0..A, A the least state whose
+    certified tail(A), a bound on the relative first-step mass above A, is
+    below 2**-TAIL_BITS.
     """
 
     @lru_cache(maxsize=_SAMPLERS)
@@ -608,9 +667,9 @@ def row_chain(describe):
             top += 1
 
         def row(s):
-            return range(s + 1), _ratio_ints(s, lambda b: step_ratio(s, b))
+            return range(s + 1), _ratio_cuts(s, lambda b: step_ratio(s, b))
 
-        return ChainSampler(range(top + 1), _ratio_ints(top, ratio), row, 0)
+        return ChainSampler(range(top + 1), _ratio_cuts(top, ratio), row, 0)
 
     return sampler
 

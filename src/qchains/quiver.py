@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from itertools import product as iter_product
 
-from qchains.glchain import _SAMPLERS, ChainSampler, _common_den, _dot
+from qchains.glchain import _SAMPLERS, ChainSampler, _common_den, _cuts, _dot
 from qchains.partitions import Partition, _conjugate_parts, _partition
 from qchains.qalgebra import as_fraction, poch_table
 from qchains.record import Record, _set
@@ -382,9 +382,10 @@ def _sampler(g: Quiver, p: QuiverParams, size_cap: int, eps) -> ChainSampler:
     def row(a):
         support = tuple(iter_product(*(range(v + 1) for v in a)))
         weights = [quiver_kernel(a, b, g, p, size_cap) for b in support]
-        return support, _common_den(weights)[0]
+        return support, _cuts(_common_den(weights)[0])
 
-    return ChainSampler(keys, _common_den(mass[k] for k in keys)[0], row, (0,) * g.n)
+    return ChainSampler(keys, _cuts(_common_den(mass[k] for k in keys)[0]), row,
+                        (0,) * g.n)
 
 
 def quiver_sample(

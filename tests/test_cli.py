@@ -6,6 +6,7 @@ import io
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -255,6 +256,50 @@ def test_diag_case_checks_k_against_the_entry_formula(monkeypatch):
     assert report["failures"] == ["K=CMC^-1"]
 
 
+def _rows_one_entry_off(rows_of, slot):
+    """rows_of, a model's diagonalization rows, with one entry of row 3 off
+    by one: entry (3, 1) of A^-1 at slot 2, the diagonal entry at slot 4."""
+    def rows(l_max, p):
+        for i, row in enumerate(rows_of(l_max, p)):
+            if i == 3:
+                row = list(row)
+                if slot == 4:
+                    row[4] += 1
+                else:
+                    nums, den = row[slot]
+                    row[slot] = (nums[:1] + (nums[1] + den,) + nums[2:], den)
+            yield tuple(row)
+
+    return rows
+
+
+@pytest.mark.parametrize(
+    "slot, gl_label, fristedt_label",
+    [(2, "A*Ainv", "A*Ainv"), (4, "M*A=A*E", "M*A=A*D")],
+    ids=["a-inverse-entry", "eigenvalue"],
+)
+def test_eigen_checks_see_a_wrong_row_entry(monkeypatch, slot, gl_label, fristedt_label):
+    monkeypatch.setattr(cli, "_diag_rows", _rows_one_entry_off(cli._diag_rows, slot))
+    report = cli._case_diag("1/2", "2", 6)
+    assert (report["status"], report["failures"]) == ("fail", [gl_label])
+    monkeypatch.setattr(cli, "_f_diag_rows", _rows_one_entry_off(cli._f_diag_rows, slot))
+    report = cli._case_fristedt("1/2", 6, 4, 0)
+    assert (report["status"], report["failures"]) == ("fail", [fristedt_label])
+
+
+def test_diag_case_holds_one_triangular_matrix():
+    """The diag case reads the diagonalization row by row and keeps only A:
+    holding M, A, A^-1, E and three products peaked at 1.1 MB here."""
+    tracemalloc.start()
+    try:
+        report = cli._case_diag("2/5", "5/2", 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["status"] == "pass"
+    assert peak < 600_000
+
+
 def test_qbinomial_at_q_zero(capsys):
     code, out, err = run(capsys, ["verify", "--suite", "qbinomial", "--q", "0",
                                   "--n", "4"])
@@ -487,8 +532,9 @@ def test_power_l_above_the_bound_exits_2_at_once(capsys, monkeypatch, argv, flag
         raise AssertionError("built a matrix past the size bound")
 
     for name in ("kernel_matrix", "f_kernel_matrix", "kr_closed", "f_kr_closed",
-                 "build_diagonalization", "f_diagonalization", "unit_bailey_pair",
-                 "load_quiver", "quiver_sample", "q_binomial_check"):
+                 "build_diagonalization", "f_diagonalization", "_diag_rows",
+                 "_f_diag_rows", "unit_bailey_pair", "load_quiver", "quiver_sample",
+                 "q_binomial_check"):
         monkeypatch.setattr(cli, name, unreachable)
     bound = cli._INT_FLAG_MAX[flag]
     code, out, err = run(capsys, argv + [str(bound + 1)])

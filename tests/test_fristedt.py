@@ -1,10 +1,12 @@
 """Geometric-weight chain: kernel, diagonalization, closed-form powers, the
 limiting row law against an enumeration oracle, and conditional uniformity."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
+from qchains import fristedt
 from qchains.fristedt import (
     FristedtParams,
     f_chain_mass,
@@ -222,3 +224,19 @@ def test_sampler_determinism_and_rows():
         assert s.partition.parts == rows
     data = s1.to_json(model="fristedt")
     assert data["model"] == "fristedt"
+
+
+@pytest.mark.parametrize("q, most", [("4/5", 300_000), ("9/10", 1_500_000)])
+def test_sampler_build_holds_no_table_of_weights(q, most):
+    """A cold sampler build holds the first step's cut points and a few long
+    integers, not the integers behind them: about 200 of up to 50k bits at
+    q = 4/5 and 440 of up to 300k bits at q = 9/10, which peaked at 1.4
+    and 19 MB."""
+    fristedt._sampler.cache_clear()
+    tracemalloc.start()
+    try:
+        fristedt._sampler(FristedtParams(q=F(q)), F(1, 2**20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < most

@@ -6,6 +6,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import accumulate
+from math import prod
 from time import perf_counter
 
 import pytest
@@ -311,6 +312,28 @@ def test_cuts_next_to_an_integer_take_the_full_division(offset):
     assert [bisect_right(cuts, v) for v in (2, 3, 4)] == [0, 1 if offset <= 0 else 0, 1]
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_ratio_cuts_next_to_an_integer_take_the_exact_pass(monkeypatch, offset):
+    """Weights (3M + offset, 2^128 M - 3M - offset - 1, 1) with M = 3^172
+    total 2^128 M, so P_0 2^128 / T = 3 + offset / M, within 2^-272 of 3.
+    Given by their ratios, they are rebuilt times the reduced denominator
+    of w_0/w_1, about 2^400, so the sums are long, their leading 192 bits
+    leave that cut open, and the exact second pass makes it: 3 on the
+    integer or just below it, 4 just above."""
+    m = 3**172
+    w = [3 * m + offset, 2**128 * m - 3 * m - offset - 1, 1]
+    cut, exact = glchain._cut, []
+
+    def spy(p, k, t, shift):
+        exact.append(shift == 0 and t.bit_length() > 192)
+        return cut(p, k, t, shift)
+
+    monkeypatch.setattr(glchain, "_cut", spy)
+    cuts = glchain._ratio_cuts(2, lambda b: F(w[b - 1], w[b]))
+    assert cuts == [4 if offset > 0 else 3, 2**128, 2**128]
+    assert any(exact)
+
+
 @settings(max_examples=100, deadline=None)
 @given(nums=st.lists(st.integers(0, 2**400), min_size=1, max_size=8).filter(any))
 def test_cuts_are_the_ceilings_of_the_scaled_prefix_sums(nums):
@@ -360,16 +383,27 @@ def test_near_one_sampler_builds_quickly():
         assert s.partition == Partition(s.columns).conjugate()
 
 
-def _first_step_ints(sampler, p, eps):
-    """The integers of a sampler's first step, rebuilt from the model's
-    ratios; they are the ones the sampler holds, since its cut points are
-    theirs: ceil(P_i 2^128 / T) by full division, P_i the prefix sums and
-    T the total."""
-    chain = sampler(p, eps)
-    ratio = inspect.unwrap(sampler)(p, eps)[0]
-    ints = glchain._ratio_ints(len(chain.first[0]) - 1, ratio)
+def _ratio_ints(top, ratio):
+    """Integers w_0..w_top proportional to a positive f(0..top), from the
+    exact ratios ratio(b) = f(b-1)/f(b): w_top is the product of the ratios'
+    denominators, and going down w_(b-1) = w_b ratio(b) exactly."""
+    ratios = [ratio(b) for b in range(1, top + 1)]
+    w = prod(r.denominator for r in ratios)
+    out = [w]
+    for r in reversed(ratios):
+        w = w * r.numerator // r.denominator
+        out.append(w)
+    return out[::-1]
+
+
+def _law_ints(cuts, ratio):
+    """The integers of a law, rebuilt from its ratios; they are the ones the
+    sampler's cut points come from, since each cut is theirs:
+    ceil(P_i 2^128 / T) by full division, P_i the prefix sums and T the
+    total."""
+    ints = _ratio_ints(len(cuts) - 1, ratio)
     total = sum(ints)
-    assert chain.first[1] == [-(-(acc << 128) // total) for acc in accumulate(ints)]
+    assert cuts == [-(-(acc << 128) // total) for acc in accumulate(ints)]
     return ints
 
 
@@ -401,15 +435,19 @@ def test_ratio_built_integers_are_proportional_to_the_weights(sampler, p, first,
     of each row s < 30 to step(s, b), b <= s.  The first step is checked at
     every b < 30, every 8th b and the top (some 450 states of 300k bits at
     q = 9/10); the integers are built from the top down, so a wrong ratio
-    shows between two checked states."""
+    shows between two checked states.  The sampler's cut points of the
+    first step and of each of those rows are the full-division ones of
+    these integers."""
     chain = sampler(p, F(1, 2**20))
-    ints = _first_step_ints(sampler, p, F(1, 2**20))
+    ratio, step_ratio, _ = inspect.unwrap(sampler)(p, F(1, 2**20))
+    ints = _law_ints(chain.first[1], ratio)
     top = len(ints) - 1
     picks = sorted({*range(min(30, top + 1)), *range(0, top, 8), top})
     assert _proportional(ints, [first(b, p) for b in range(top + 1)], picks)
     for s in range(30):
-        keys, nums = chain.row(s)
+        keys, cuts = chain.row(s)
         assert list(keys) == list(range(s + 1))
+        nums = _law_ints(cuts, lambda b: step_ratio(s, b))
         assert _proportional(nums, [step(s, b, p) for b in keys], keys), s
 
 
