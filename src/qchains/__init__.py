@@ -26,13 +26,11 @@ from qchains.partitions import (
 )
 from qchains.glchain import (
     ChainSample,
-    Diagonalization,
-    TruncatedMatrix,
-    build_diagonalization,
     chain_mass,
+    diag_rows,
     first_col_law,
     kernel,
-    kernel_matrix,
+    kernel_rows,
     kr_closed,
     sample_stream,
 )
@@ -50,9 +48,9 @@ from qchains.identities import (
 from qchains.fristedt import (
     FristedtParams,
     f_chain_mass,
-    f_diagonalization,
+    f_diag_rows,
     f_kernel,
-    f_kernel_matrix,
+    f_kernel_rows,
     f_kr_closed,
     f_sample_stream,
     row_law_limit,

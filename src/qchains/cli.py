@@ -15,27 +15,28 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from time import perf_counter
 
 from qchains.fristedt import (
     FristedtParams,
-    _f_diag_rows,
     f_chain_mass,
-    f_diagonalization,
+    f_diag_rows,
     f_kernel,
-    f_kernel_matrix,
+    f_kernel_rows,
     f_kr_closed,
     f_sample_stream,
 )
 from qchains.glchain import (
-    TruncatedMatrix,
+    _columns,
     _common_den,
-    _diag_rows,
-    build_diagonalization,
+    _power_entry,
+    _reduced,
+    _times,
+    _times_cols,
     chain_mass,
+    diag_rows,
     kernel,
-    kernel_matrix,
+    kernel_rows,
     kr_closed,
     sample_stream,
 )
@@ -88,10 +89,11 @@ _INT_FLAG_MIN = {
 # largest value each size flag accepts, from measured costs (2-vCPU machine,
 # Python 3.11):
 # - L, lmax: the (L+1)^2/2 kernel entries carry about L^2 bits each, so
-#   memory grows as L^4.  `power --L N --j 0 --r 1` peaks at 20 MB at
-#   N = 120 and 31 MB at 160, and at N = 200 takes 3.9 s; `kernel --lmax`,
-#   which writes the entries one row at a time, peaks at 23 MB at 120 and
-#   38 MB at 160 (16 s, most of it reducing each printed entry).
+#   memory grows as L^4.  `power --L N --j 0 --r 1`, which holds the
+#   kernel's rows, peaks at 21 MB at N = 120 and 31 MB at 160, and at N =
+#   200 takes 2.3 s; `kernel --lmax` streams the kernel's rows and writes
+#   each as it comes: it peaks at 19 MB at 120 and 24 MB at 160 (8.5 s,
+#   nearly all of it reducing each printed entry and writing its digits).
 #   `verify --suite diag --lmax 60` checks the diagonalization row by row
 #   and holds only A: it peaks at 19.7 MB (whole process, perfbench/child.py;
 #   15.5 MB for `verify --suite rr --order 0`) and takes about 9 s.
@@ -173,7 +175,7 @@ def _check_int_flags(args):
 
 
 # A row-length chain: its parameters, their "p/q" strings, its builders.
-_Model = namedtuple("_Model", "p params kernel matrix diagonalization closed stream")
+_Model = namedtuple("_Model", "p params kernel rows diag_rows closed stream")
 
 
 # the options each model reads (the quiver file sets the quiver's U and q)
@@ -203,11 +205,11 @@ def _model(name, u, q) -> _Model:
     q = "2" if q is None else q
     if name == "gl":
         p = MeasureParams(u=Fraction(u), q=Fraction(q))
-        return _Model(p, {"u": str(p.u), "q": str(p.q)}, kernel, kernel_matrix,
-                      build_diagonalization, kr_closed, sample_stream)
+        return _Model(p, {"u": str(p.u), "q": str(p.q)}, kernel, kernel_rows,
+                      diag_rows, kr_closed, sample_stream)
     p = FristedtParams(q=Fraction(q))
-    return _Model(p, {"q": str(p.q)}, f_kernel, f_kernel_matrix,
-                  f_diagonalization, f_kr_closed, f_sample_stream)
+    return _Model(p, {"q": str(p.q)}, f_kernel, f_kernel_rows,
+                  f_diag_rows, f_kr_closed, f_sample_stream)
 
 
 def _line(obj, mode="json") -> str:
@@ -290,29 +292,26 @@ def _quiver_lines(draws, mode="json"):
 
 def _power_mismatches(m, l_max, r_max):
     """Yield each (l, j, r), r = 1..r_max, where the r-th power of model m's
-    kernel matrix on 0..l_max differs from its closed form."""
-    mat = m.matrix(l_max, m.p)
-    power = TruncatedMatrix.identity(l_max + 1)
+    kernel matrix on 0..l_max differs from its closed form.  The power is
+    kept as its canonical rows, row l of K^r the row-vector product of row
+    l of K^(r-1) and K (glchain._times), reduced once."""
+    rows = list(m.rows(l_max, m.p))
+    cols = _columns(rows)
+    power = [((0,) * ll + (1,), 1) for ll in range(l_max + 1)]
     for r in range(1, r_max + 1):
-        power = power @ mat
-        for ll, (row, den) in enumerate(zip(power.rows, power.dens)):
+        for ll, (row, den) in enumerate(power):
+            nums, d = _times(row, rows, cols)
+            row, den = _reduced(nums, den * d)
+            power[ll] = row, den
             for j in range(ll + 1):
                 closed = m.closed(ll, j, r, m.p)  # against row[j] / den
                 if closed.numerator * den != row[j] * closed.denominator:
                     yield ll, j, r
 
 
-def _times_cols(x, scale, cols):
-    """The numerators of the row x, each x_k scaled by scale[k], times the
-    lower-triangular matrix whose column j from the diagonal down is
-    cols[j]."""
-    xs = [v * s for v, s in zip(x, scale)]
-    return [sum(map(mul, xs[j:], col)) for j, col in enumerate(cols)]
-
-
 def _eigen_failures(rows, e_name, kernel=None):
     """Labels of the failed checks of a diagonalization read row by row from
-    rows, a model's row generator (glchain._diag_rows), with E written as
+    rows, a model's row generator (glchain.diag_rows), with E written as
     e_name; with the entry oracle kernel(a, b), K = C M C^-1 is checked too.
 
     Only A is held, by columns.  Row i of X A, for X = M and A^-1, is its
@@ -428,7 +427,7 @@ def _case_diag(u, q, l_max):
     p = MeasureParams(u=Fraction(u), q=Fraction(q))
     # K against the chain's entry formula, not the factor lists C and M
     # are built from
-    failures = _eigen_failures(_diag_rows(l_max, p), "E",
+    failures = _eigen_failures(diag_rows(l_max, p), "E",
                                lambda a, b: kernel(a, b, p))
     return {
         "suite": "diag",
@@ -536,7 +535,8 @@ def _case_fristedt(q, l_max, r_max, size):
     m = _model("fristedt", None, q)
     mismatches = _power_mismatches(m, l_max, r_max)
     failures = [f"power({ll},{j},{r})" for ll, j, r in mismatches]
-    failures += _eigen_failures(_f_diag_rows(l_max, m.p), "D")
+    failures += _eigen_failures(m.diag_rows(l_max, m.p), "D",
+                                lambda a, b: m.kernel(a, b, m.p))
     for n in range(size + 1):
         for lam in enumerate_partitions(n):
             if f_chain_mass(lam, m.p) != m.p.q**n:
@@ -774,7 +774,7 @@ def cmd_power(args) -> int:
         raise ValueError("need 0 <= j <= L")
     m = _model(args.model, args.u, args.q)
     closed = m.closed(ll, j, r, m.p)
-    power = m.matrix(ll, m.p).power_entry(ll, j, r)
+    power = _power_entry(list(m.rows(ll, m.p)), ll, j, r)
     equal = closed == power
     _emit(
         {
@@ -793,14 +793,21 @@ def cmd_power(args) -> int:
 
 def cmd_kernel(args) -> int:
     m = _model(args.model, args.u, args.q)
+    size = args.lmax + 1
     if args.matrix == "K":
-        mat = m.matrix(args.lmax, m.p)
+        rows = m.rows(args.lmax, m.p)
     else:
-        d = m.diagonalization(args.lmax, m.p)
-        mat = {"C": d.c, "M": d.m, "A": d.a, "Ainv": d.a_inv, "E": d.e}[args.matrix]
-    info = {"size": mat.size, "model": args.model, "name": args.matrix,
+        slot = ("M", "A", "Ainv", "C", "E").index(args.matrix)
+        rows = (row[slot] for row in m.diag_rows(args.lmax, m.p))
+        if args.matrix in ("C", "E"):  # a diagonal entry, as its row
+            rows = (((0,) * i + (v.numerator,), v.denominator)
+                    for i, v in enumerate(rows))
+    info = {"size": size, "model": args.model, "name": args.matrix,
             "params": m.params}
-    _emit_list(info, "entries", mat.entry_rows(), args.format)
+    # each row as its entries' "p/q" strings, converted one row at a time
+    entries = ([str(Fraction(c, den)) for c in row] + ["0"] * (size - len(row))
+               for row, den in rows)
+    _emit_list(info, "entries", entries, args.format)
     return 0
 
 

@@ -5,7 +5,8 @@ Here 0 < q < 1 and every Pochhammer symbol is the ascending convention:
 1/q, i.e. prod_{s<=n} (1 - q^(-s)).  With q = c/d both are one integer
 J_n = (d - c)(d^2 - c^2)...(d^n - c^n) over a power of d or of c (_ints),
 which is how the kernel, the diagonalization and the closed-form powers
-read them.  Conditioning the measure on a fixed size gives the uniform
+read them; the matrices are yielded one canonical row at a time, as in
+qchains.glchain.  Conditioning the measure on a fixed size gives the uniform
 measure on partitions of that size.
 """
 
@@ -14,13 +15,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from qchains.glchain import (
-    _PARAMS,
-    Diagonalization,
-    TruncatedMatrix,
-    _reduced,
-    row_chain,
-)
+from qchains.glchain import _PARAMS, _reduced, row_chain
 from qchains.partitions import Partition
 from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_ints, poch_table
 from qchains.record import Record, _set
@@ -66,8 +61,10 @@ def f_kernel(a: int, b: int, p: FristedtParams) -> Fraction:
     return Fraction(num, d ** (a * (a + 1) // 2))
 
 
-def f_diagonalization(l_max: int, p: FristedtParams) -> Diagonalization:
-    """Exact diagonalization on states 0..l_max, collected from _f_diag_rows:
+def f_diag_rows(l_max: int, p: FristedtParams):
+    """Yield row i = 0..l_max of the factorization K = C M C^-1 with
+    M A = A D as (M_i, A_i, A^-1_i, C(i,i), D(i,i)), in the layout of
+    glchain.diag_rows (D takes the slot of the GL chain's E):
 
     C(i,i) = (q)_i / q^i = J_i / (c^i d^binom(i,2))
     M(i,j) = q^i for i >= j, else 0
@@ -76,16 +73,8 @@ def f_diagonalization(l_max: int, p: FristedtParams) -> Diagonalization:
            = d^binom(i-j,2) c^(i-j) / J_{i-j}
     A^-1(i,j) = 1 / (1/q)_{i-j} = (-1)^(i-j) c^binom(i-j+1,2) / J_{i-j}
 
-    D is stored in the slot the GL chain uses for its eigenvalue matrix.
-    """
-    return Diagonalization._collect(_f_diag_rows(l_max, p), p)
-
-
-def _f_diag_rows(l_max: int, p: FristedtParams):
-    """Yield row i = 0..l_max of f_diagonalization's matrices as
-    (M_i, A_i, A^-1_i, C(i,i), D(i,i)), in the layout of
-    glchain._diag_rows.  Rows i of A and A^-1 are over J_i, with
-    J_i / J_{i-j} = h_i ... h_{i-j+1}; each row is reduced once."""
+    Rows i of A and A^-1 are over J_i, with J_i / J_{i-j} = h_i ...
+    h_{i-j+1}; each row is reduced once."""
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     c, d, js = _ints(p)
@@ -101,17 +90,16 @@ def _f_diag_rows(l_max: int, p: FristedtParams):
                Fraction(c**i, d**i))
 
 
-def f_kernel_matrix(l_max: int, p: FristedtParams) -> TruncatedMatrix:
-    """The kernel on states 0..l_max, by rows over d^binom(a+1,2) (f_kernel()):
-    each numerator is the one above it times h_a."""
+def f_kernel_rows(l_max: int, p: FristedtParams):
+    """Yield row a = 0..l_max of the kernel as its canonical (numerators,
+    denominator), the numerators over d^binom(a+1,2) (f_kernel()): each
+    numerator is the one above it times h_a.  The row is canonical as
+    built, since its first numerator J_a is prime to d."""
     c, d, _ = _ints(p)
-    size = l_max + 1
-    rows = [[]]
-    for a in range(size):
-        rows.append([n * (d**a - c**a) for n in rows[-1]]
-                    + [c**a * d ** (a * (a - 1) // 2)])
-    dens = [d ** (a * (a + 1) // 2) for a in range(size)]
-    return TruncatedMatrix._make(rows[1:], dens)
+    row = ()
+    for a in range(l_max + 1):
+        row = tuple(n * (d**a - c**a) for n in row) + (c**a * d ** (a * (a - 1) // 2),)
+        yield row, d ** (a * (a + 1) // 2)
 
 
 def f_kr_closed(l: int, j: int, r: int, p: FristedtParams) -> Fraction:
@@ -204,9 +192,9 @@ def f_sample_stream(p: FristedtParams, seed: int, count: int, eps=Fraction(1, 2*
 __all__ = [
     "FristedtParams",
     "f_chain_mass",
-    "f_diagonalization",
+    "f_diag_rows",
     "f_kernel",
-    "f_kernel_matrix",
+    "f_kernel_rows",
     "f_kr_closed",
     "f_sample_stream",
     "first_row_unnormalized",

@@ -4,10 +4,13 @@ All Pochhammer symbols here are the descending convention, (x/q)_n =
 (1-x/q)...(1-x/q^n).  The kernel, the diagonalization and the closed-form
 powers take them as integer numerators over closed-form denominators (_ints),
 so a matrix row is built from integer products and exact quotients and
-reduced once.  A term whose index would go negative vanishes, and the
-formulas test that range explicitly (the matrices are built on their lower
-triangle only), except for the single analytic-extension entry noted in
-build_diagonalization.
+reduced once.  A matrix is never held as an object: kernel_rows and
+diag_rows yield it one canonical row at a time, and the readers (the verify
+checks, the matrix dumps, the Bailey step) multiply rows with one integer
+kernel (_times_cols).  A term whose index would go negative vanishes, and
+the formulas test that range explicitly (the matrices are built on their
+lower triangle only), except for the single analytic-extension entry noted
+in diag_rows.
 
 State 0 is absorbing; a trajectory started from the first-column law and
 run until absorption spells out the column heights of a random partition.
@@ -30,7 +33,6 @@ from qchains.qalgebra import (
     poch_inf_lower,
     poch_ints,
 )
-from qchains.record import Frozen, Record, _set
 
 TAIL_BITS = 64  # first-step support cap: certified tail below 2**-TAIL_BITS
 
@@ -39,171 +41,12 @@ _ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# Exact matrices on a truncation
-
-
-class TruncatedMatrix(Frozen):
-    """A lower-triangular matrix of exact rationals on the states 0..size-1.
-
-    Row i is stored as integer numerators rows[i] = (n_i0, ..., n_ii) over
-    one positive denominator dens[i], kept canonical: gcd(dens[i], *rows[i])
-    == 1, so equal matrices have equal rows and dens.  Entries above the
-    diagonal are zero by construction.
-    Products, matrix-vector products and equality run on these ints; the
-    entries appear as Fractions only at the edges: entry(), power_entry(),
-    the mul_vector() result, entry_rows() and the entries view.
-    """
-
-    __slots__ = ("rows", "dens", "size", "_cols", "_entries")
-
-    def __init__(self, entries):
-        """From a square of exact rationals that vanish above the diagonal."""
-        square = [[Fraction(e) for e in row] for row in entries]
-        size = len(square)
-        if any(len(row) != size for row in square):
-            raise ValueError("matrix must be square")
-        if any(row[j] for i, row in enumerate(square) for j in range(i + 1, size)):
-            raise ValueError("matrix must be lower triangular")
-        self._fill(*_int_rows(row[: i + 1] for i, row in enumerate(square)))
-
-    def _fill(self, rows, dens):
-        _set(self, "rows", tuple(rows))
-        _set(self, "dens", tuple(dens))
-        _set(self, "size", len(self.rows))
-        _set(self, "_cols", None)
-        _set(self, "_entries", None)
-
-    @classmethod
-    def _make(cls, rows, dens):
-        """The matrix with entries rows[i][j] / dens[i], dens > 0; each row
-        is reduced to the canonical form."""
-        return cls._canonical(map(_reduced, rows, dens))
-
-    @classmethod
-    def _canonical(cls, pairs):
-        """The matrix of canonical (row, den) pairs, taken as they are."""
-        pairs = list(pairs)
-        self = object.__new__(cls)
-        self._fill([row for row, _ in pairs], [den for _, den in pairs])
-        return self
-
-    def __reduce__(self):
-        return TruncatedMatrix._make, (self.rows, self.dens)
-
-    @classmethod
-    def identity(cls, size):
-        return cls.diagonal([1] * size)
-
-    @classmethod
-    def diagonal(cls, values):
-        """The diagonal matrix of values; a Fraction is already canonical."""
-        return cls._canonical(((0,) * i + (v.numerator,), v.denominator)
-                              for i, v in enumerate(map(Fraction, values)))
-
-    @classmethod
-    def build(cls, size, fn):
-        """The matrix with entries fn(i, j) for 0 <= j <= i < size."""
-        return cls._make(*_int_rows([fn(i, j) for j in range(i + 1)] for i in range(size)))
-
-    def _columns(self):
-        """cols[j] = (n_jj, n_j+1,j, ..., n_size-1,j): the numerators of
-        column j from the diagonal down."""
-        if self._cols is None:
-            rows = self.rows
-            cols = tuple(
-                tuple(rows[k][j] for k in range(j, self.size))
-                for j in range(self.size)
-            )
-            _set(self, "_cols", cols)
-        return self._cols
-
-    def entry(self, i, j) -> Fraction:
-        if not (0 <= i < self.size and 0 <= j < self.size):
-            raise IndexError("entry outside the truncation")
-        if j > i:
-            return _ZERO
-        return Fraction(self.rows[i][j], self.dens[i])
-
-    @property
-    def entries(self):
-        """The full square of entries as Fractions, built on first use."""
-        if self._entries is None:
-            n = self.size
-            square = tuple(
-                tuple(Fraction(c, den) for c in row) + (_ZERO,) * (n - 1 - i)
-                for i, (row, den) in enumerate(zip(self.rows, self.dens))
-            )
-            _set(self, "_entries", square)
-        return self._entries
-
-    def __matmul__(self, other):
-        if not isinstance(other, TruncatedMatrix):
-            return NotImplemented
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        # (AB)(i,j) = sum_{k=j..i} a_ik b_kj / (da_i db_k): over the lcm D_i
-        # of db_0..db_i each term is an integer product
-        cols = other._columns()
-        bdens = other.dens
-        rows, dens = [], []
-        d_i = 1
-        for i, (arow, aden) in enumerate(zip(self.rows, self.dens)):
-            d_i = lcm(d_i, bdens[i])
-            scaled = [a * (d_i // d) if a else 0 for a, d in zip(arow, bdens)]
-            rows.append([sum(map(mul, scaled[j:], cols[j])) for j in range(i + 1)])
-            dens.append(aden * d_i)
-        return TruncatedMatrix._make(rows, dens)
-
-    def mul_vector(self, vec):
-        """self @ vec for a column vector of exact rationals."""
-        if len(vec) != self.size:
-            raise ValueError("size mismatch")
-        nums, den = _common_den(vec)
-        return tuple(
-            Fraction(sum(map(mul, row, nums)), d * den)
-            for row, d in zip(self.rows, self.dens)
-        )
-
-    def power_entry(self, i, j, r) -> Fraction:
-        """Entry (i, j) of self**r (r >= 0), from row i of the power built by
-        r row-vector products on the ints."""
-        if not (0 <= i < self.size and 0 <= j < self.size):
-            raise IndexError("entry outside the truncation")
-        if r < 0:
-            raise ValueError("negative matrix power")
-        if j > i:
-            return _ZERO
-        cols = self._columns()
-        dens = self.dens
-        # row i of the identity, columns 0..i; the vector is not reduced
-        # between steps, since its entries grow to the padding's size anyway
-        vec, vden = [0] * i + [1], 1
-        for _ in range(r):
-            # (v M)(m) = sum_{k=m..i} v_k n_km / d_k, over the lcm of the d_k
-            d = lcm(*(dk for v, dk in zip(vec, dens) if v))
-            scaled = [v * (d // dk) if v else 0 for v, dk in zip(vec, dens)]
-            vec = [sum(map(mul, scaled[m:], cols[m])) for m in range(i + 1)]
-            vden *= d
-        return Fraction(vec[j], vden)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedMatrix)
-            and self.dens == other.dens
-            and self.rows == other.rows
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"TruncatedMatrix(size={self.size})"
-
-    def entry_rows(self):
-        """Yield each row of the full square as its entries' "p/q" strings,
-        converting one row at a time."""
-        n = self.size
-        for i, (row, den) in enumerate(zip(self.rows, self.dens)):
-            yield [str(Fraction(c, den)) for c in row] + ["0"] * (n - 1 - i)
+# Exact lower-triangular matrices, one row at a time
+#
+# A matrix on the states 0..l_max is the list (or generator) of its rows,
+# row i its canonical (numerators, denominator): the integer numerators of
+# entries 0..i over one positive denominator den, with gcd(den, *row) == 1,
+# so equal rows have equal integers.  Entries above the diagonal are zero.
 
 
 def _reduced(row, den):
@@ -212,6 +55,45 @@ def _reduced(row, den):
     if g != 1:
         return tuple(c // g for c in row), den // g
     return tuple(row), den
+
+
+def _columns(rows):
+    """cols[j] = [n_jj, n_j+1,j, ...]: the numerators of column j of rows
+    from the diagonal down."""
+    return [[row[j] for row, _ in rows[j:]] for j in range(len(rows))]
+
+
+def _times_cols(x, scale, cols):
+    """The numerators of the row x, each x_k scaled by scale[k], times the
+    lower-triangular matrix whose column j from the diagonal down is
+    cols[j]: one entry per column given."""
+    xs = [v * s for v, s in zip(x, scale)]
+    return [sum(map(mul, xs[j:], col)) for j, col in enumerate(cols)]
+
+
+def _times(vec, rows, cols):
+    """(nums, d): the integer row vector vec times the matrix of rows, whose
+    _columns are cols, is nums / d on columns 0..len(vec)-1.
+
+    (v M)(j) = sum_k v_k n_kj / d_k, so d is the lcm of the row denominators
+    d_k that vec uses, and each term is an integer product."""
+    dens = [den for _, den in rows[:len(vec)]]
+    d = lcm(*(dk for v, dk in zip(vec, dens) if v))
+    scale = [d // dk if v else 0 for v, dk in zip(vec, dens)]
+    return _times_cols(vec, scale, cols[:len(vec)]), d
+
+
+def _power_entry(rows, i, j, r) -> Fraction:
+    """Entry (i, j), j <= i, of M^r (r >= 0) for the matrix M of rows, from
+    row i of the power built by r row-vector products (_times)."""
+    cols = _columns(rows[:i + 1])
+    # row i of the identity, columns 0..i; the vector is not reduced
+    # between steps, since its entries grow to the padding's size anyway
+    vec, vden = [0] * i + [1], 1
+    for _ in range(r):
+        vec, d = _times(vec, rows, cols)
+        vden *= d
+    return Fraction(vec[j], vden)
 
 
 def _common_den(values):
@@ -230,67 +112,6 @@ def _dot(xs, ys) -> Fraction:
         dens.append(x.denominator * y.denominator)
     den = lcm(*dens)
     return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
-
-
-def _int_rows(rows):
-    """Canonical (rows, dens) of rows of exact rationals: each row over the
-    lcm of its reduced denominators."""
-    pairs = [_common_den(row) for row in rows]
-    return [tuple(nums) for nums, _ in pairs], [den for _, den in pairs]
-
-
-class Diagonalization(Record):
-    """The factorization K = C M C^-1 with M A = A E, on a truncation.
-
-    c and e are diagonal; m, a, a_inv are lower triangular, so truncation
-    commutes with every product appearing in the identities.  Each model
-    yields it one row at a time (glchain._diag_rows, fristedt._f_diag_rows):
-    the record collects those rows for the Bailey lemma and the matrix
-    dumps, while the verify checks read the rows as they come.
-    """
-
-    __slots__ = ("c", "m", "a", "a_inv", "e", "params")
-
-    def __init__(self, c: TruncatedMatrix, m: TruncatedMatrix, a: TruncatedMatrix,
-                 a_inv: TruncatedMatrix, e: TruncatedMatrix, params: MeasureParams):
-        _set(self, "c", c)
-        _set(self, "m", m)
-        _set(self, "a", a)
-        _set(self, "a_inv", a_inv)
-        _set(self, "e", e)
-        _set(self, "params", params)
-
-    @classmethod
-    def _collect(cls, rows, params):
-        """The record of a model's rows (M_i, A_i, A^-1_i, C(i,i), E(i,i)),
-        the matrix rows already canonical."""
-        m, a, a_inv, c, e = zip(*rows)
-        return cls(c=TruncatedMatrix.diagonal(c), m=TruncatedMatrix._canonical(m),
-                   a=TruncatedMatrix._canonical(a),
-                   a_inv=TruncatedMatrix._canonical(a_inv),
-                   e=TruncatedMatrix.diagonal(e), params=params)
-
-    @property
-    def size(self):
-        return self.c.size
-
-    def kernel_matrix(self) -> TruncatedMatrix:
-        """K = C M C^-1: M(i,j) C(i,i)/C(j,j) = M(i,j) rho_{j+1} ... rho_i with
-        rho_k = C(k,k)/C(k-1,k-1), so row i of M times integers over its
-        denominator times pre[i], the denominators of rho_1 .. rho_i."""
-        c = [self.c.entry(k, k) for k in range(self.size)]
-        rho = [None] + [ck / c[k - 1] for k, ck in enumerate(c) if k]
-        pre = list(accumulate((r.denominator for r in rho[1:]), mul, initial=1))
-        rows = []
-        for i, row in enumerate(self.m.rows):
-            nums, up = [0] * (i + 1), 1  # up: the numerators of rho_{j+1} .. rho_i
-            for j in range(i, -1, -1):
-                nums[j] = row[j] * up * pre[j]
-                if j:
-                    up *= rho[j].numerator
-            rows.append(nums)
-        dens = [d * pre[i] for i, d in enumerate(self.m.dens)]
-        return TruncatedMatrix._make(rows, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +167,10 @@ def first_col_law(a: int, p: MeasureParams, eps) -> Interval:
     return poch_inf(p.u, p.q, eps).scale(first_col_unnormalized(a, p))
 
 
-def build_diagonalization(l_max: int, p: MeasureParams) -> Diagonalization:
-    """Exact diagonalization data on states 0..l_max, collected from
-    _diag_rows.
+def diag_rows(l_max: int, p: MeasureParams):
+    """Yield row i = 0..l_max of the factorization K = C M C^-1 with
+    M A = A E as (M_i, A_i, A^-1_i, C(i,i), E(i,i)): each matrix row its
+    canonical (numerators, denominator), each diagonal entry a Fraction.
 
     C(i,i) = (1/q)_i (u/q)_i
     M(i,j) = u^j / (q^(j^2) (1/q)_{i-j})
@@ -357,18 +179,11 @@ def build_diagonalization(l_max: int, p: MeasureParams) -> Diagonalization:
                 / (q^binom(i-j,2) (1/q)_{i-j})
     E(j,j) = u^j / q^(j^2)
 
-    Entries above the diagonal vanish: there (1/q)_{i-j} has a negative
-    index.  The (0,0) entry of A^-1 takes (u/q)_{-1} = 1/(1-u) by the
-    analytic extension, so (1-u)(u/q)_{-1} = 1; at u = 1 the same entry is
-    its limit, 1.
-    """
-    return Diagonalization._collect(_diag_rows(l_max, p), p)
-
-
-def _diag_rows(l_max: int, p: MeasureParams):
-    """Yield row i = 0..l_max of build_diagonalization's matrices as
-    (M_i, A_i, A^-1_i, C(i,i), E(i,i)): each matrix row its canonical
-    (numerators, denominator), each diagonal entry a Fraction.
+    C and E are diagonal and M, A, A^-1 lower triangular, so truncation
+    commutes with every product in the identities.  Entries above the
+    diagonal vanish: there (1/q)_{i-j} has a negative index.  The (0,0)
+    entry of A^-1 takes (u/q)_{-1} = 1/(1-u) by the analytic extension, so
+    (1-u)(u/q)_{-1} = 1; at u = 1 the same entry is its limit, 1.
 
     Row i of M is over ud^i c^(i^2) I_i, of A over I_i U_{2i} and of A^-1
     over ud^(2i) c^(2i^2 + i) I_i, with numerators from P_j = I_i / I_{i-j}
@@ -404,21 +219,22 @@ def _diag_rows(l_max: int, p: MeasureParams):
                Fraction(un**i * d ** (i * i), ud**i * c ** (i * i)))
 
 
-def kernel_matrix(l_max: int, p: MeasureParams) -> TruncatedMatrix:
-    """The kernel on states 0..l_max, by rows over ud^a c^(a^2) (kernel()):
-    from row a-1 to row a, [a; b] gains f_a / f_(a-b), G(b+1..a) gains g_a
-    and c^binom(a-b,2) gains c^(a-b-1), so each numerator is the one above
-    it times small integers, an exact division."""
+def kernel_rows(l_max: int, p: MeasureParams):
+    """Yield row a = 0..l_max of the kernel as its canonical (numerators,
+    denominator), from the numerators over ud^a c^(a^2) (kernel()): from row
+    a-1 to row a, [a; b] gains f_a / f_(a-b), G(b+1..a) gains g_a and
+    c^binom(a-b,2) gains c^(a-b-1), so each numerator is the one above it
+    times small integers, an exact division.  Only the unreduced row above
+    is kept."""
     un, ud, c, d, _, _ = _ints(p)
-    size = l_max + 1
-    cs = [c**k for k in range(size)]
+    cs = [c**k for k in range(l_max + 1)]
     f = [ck - d**k for k, ck in enumerate(cs)]
-    rows = [[]]
-    for a in range(size):
+    row = []
+    for a in range(l_max + 1):
         step = f[a] * (ud * cs[a] - un * d**a)
-        rows.append([n * (step * cs[a - b - 1]) // f[a - b]
-                     for b, n in enumerate(rows[-1])] + [un**a * d ** (a * a)])
-    return TruncatedMatrix._make(rows[1:], [ud**a * c ** (a * a) for a in range(size)])
+        row = ([n * (step * cs[a - b - 1]) // f[a - b] for b, n in enumerate(row)]
+               + [un**a * d ** (a * a)])
+        yield _reduced(row, ud**a * c ** (a * a))
 
 
 def kr_closed(l: int, j: int, r: int, p: MeasureParams) -> Fraction:
@@ -708,14 +524,12 @@ def sample_stream(p: MeasureParams, seed: int, count: int, eps=Fraction(1, 2**20
 
 __all__ = [
     "ChainSample",
-    "Diagonalization",
-    "TruncatedMatrix",
-    "build_diagonalization",
     "chain_mass",
+    "diag_rows",
     "first_col_law",
     "first_col_unnormalized",
     "kernel",
-    "kernel_matrix",
+    "kernel_rows",
     "kr_closed",
     "sample_stream",
 ]

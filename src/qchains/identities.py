@@ -20,9 +20,9 @@ multiplied once per order.
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from operator import add
+from operator import add, mul
 
-from qchains.glchain import Diagonalization, build_diagonalization
+from qchains.glchain import _common_den, diag_rows
 from qchains.partitions import MeasureParams
 from qchains.qalgebra import QSeries, conv_trunc, geom_inv_mul, geom_inv_prod
 from qchains.record import Record, _set
@@ -206,32 +206,39 @@ class BaileyPair(Record):
 
 
 @lru_cache(maxsize=4)
-def _diagonalization(p: MeasureParams, l_max: int) -> Diagonalization:
-    """A, M, E and A^-1 for the pairs of length l_max + 1 at p; cached here,
-    not in build_diagonalization, so no other check's matrices stay alive."""
-    return build_diagonalization(l_max, p)
+def _diagonalization(p: MeasureParams, l_max: int) -> tuple:
+    """The rows of M, A, A^-1, C and E (glchain.diag_rows) for the pairs of
+    length l_max + 1 at p; cached here, so no other check's rows stay alive."""
+    return tuple(diag_rows(l_max, p))
+
+
+def _mul_vector(rows, vec) -> tuple:
+    """The lower-triangular matrix of canonical rows times the column vector
+    vec of exact rationals, first put over one denominator."""
+    nums, den = _common_den(vec)
+    return tuple(Fraction(sum(map(mul, row, nums)), d * den) for row, d in rows)
 
 
 def bailey_pair_from_alpha(alpha, p: MeasureParams) -> BaileyPair:
     """The unique Bailey pair with the given alpha: beta = A alpha."""
     alpha = tuple(Fraction(a) for a in alpha)
-    beta = _diagonalization(p, len(alpha) - 1).a.mul_vector(alpha)
-    return BaileyPair(alpha=alpha, beta=beta, params=p)
+    a = [row[1] for row in _diagonalization(p, len(alpha) - 1)]
+    return BaileyPair(alpha=alpha, beta=_mul_vector(a, alpha), params=p)
 
 
 def unit_bailey_pair(p: MeasureParams, l_max: int) -> BaileyPair:
     """The pair with beta = (1, 0, 0, ...); alpha is column 0 of the inverse
     eigenvector matrix."""
-    a_inv = _diagonalization(p, l_max).a_inv
-    alpha = tuple(a_inv.entry(r, 0) for r in range(l_max + 1))
+    alpha = tuple(Fraction(a_inv[0], den)
+                  for _, _, (a_inv, den), _, _ in _diagonalization(p, l_max))
     beta = (Fraction(1),) + (Fraction(0),) * l_max
     return BaileyPair(alpha=alpha, beta=beta, params=p)
 
 
 def bailey_check(pair: BaileyPair) -> bool:
     """True iff beta = A alpha holds exactly for every L <= l_max."""
-    a = _diagonalization(pair.params, pair.l_max).a
-    return pair.beta == a.mul_vector(pair.alpha)
+    a = [row[1] for row in _diagonalization(pair.params, pair.l_max)]
+    return pair.beta == _mul_vector(a, pair.alpha)
 
 
 def bailey_step(pair: BaileyPair) -> BaileyPair:
@@ -250,8 +257,9 @@ def bailey_step(pair: BaileyPair) -> BaileyPair:
 
 def _bailey_step(pair: BaileyPair) -> BaileyPair:
     """bailey_step without its input check, for a pair already checked."""
-    d = _diagonalization(pair.params, pair.l_max)
-    alpha, beta = d.e.mul_vector(pair.alpha), d.m.mul_vector(pair.beta)
+    rows = _diagonalization(pair.params, pair.l_max)
+    alpha = tuple(row[4] * a for row, a in zip(rows, pair.alpha))
+    beta = _mul_vector([row[0] for row in rows], pair.beta)
     return BaileyPair(alpha, beta, pair.params)
 
 

@@ -4,9 +4,8 @@ Frozen refuses assignment and deletion with an AttributeError and has no
 slots of its own.  A value class lists its fields in __slots__ and sets
 them, and any lazy cache it keeps, with _set (object.__setattr__, since
 assignment is refused).  Frozen says nothing about equality, hashing or
-pickling: QSeries and TruncatedMatrix derive from it directly, compare by
-value (a series only up to the common order), are unhashable, and pickle
-through their private _make.
+pickling: QSeries derives from it directly, compares by value up to the
+common order, is unhashable, and pickles through its private _make.
 
 Record is Frozen with what a frozen dataclass has.  A record's fields are
 its class's __slots__, in order, and its __init__ takes them in that order,

@@ -16,13 +16,7 @@ from hypothesis import strategies as st
 
 from qchains import cli, fristedt, glchain, identities
 from qchains.cli import main
-from qchains.glchain import (
-    ChainSample,
-    Diagonalization,
-    TruncatedMatrix,
-    build_diagonalization,
-    kernel,
-)
+from qchains.glchain import ChainSample, diag_rows, kernel
 from qchains.fristedt import FristedtParams
 from qchains.partitions import MeasureParams, Partition
 from qchains.quiver import PartitionTuple
@@ -245,13 +239,19 @@ def test_power_checks_report_the_first_mismatch(monkeypatch):
 
 
 def test_diag_case_checks_k_against_the_entry_formula(monkeypatch):
-    entry = cli.kernel
+    """The diag and fristedt cases each check K = C M C^-1 against their
+    chain's kernel entry."""
+    def off_at_one(entry):
+        return lambda a, b, p: entry(a, b, p) + ((a, b) == (4, 2))
 
-    def off_at_one(a, b, p):
-        return entry(a, b, p) + ((a, b) == (4, 2))
-
-    monkeypatch.setattr(cli, "kernel", off_at_one)
+    monkeypatch.setattr(cli, "kernel", off_at_one(cli.kernel))
     report = cli._case_diag("1/2", "2", 6)
+    assert report["status"] == "fail"
+    assert report["failures"] == ["K=CMC^-1"]
+
+    assert cli._case_fristedt("1/2", 6, 4, 0)["status"] == "pass"
+    monkeypatch.setattr(cli, "f_kernel", off_at_one(cli.f_kernel))
+    report = cli._case_fristedt("1/2", 6, 4, 0)
     assert report["status"] == "fail"
     assert report["failures"] == ["K=CMC^-1"]
 
@@ -279,10 +279,10 @@ def _rows_one_entry_off(rows_of, slot):
     ids=["a-inverse-entry", "eigenvalue"],
 )
 def test_eigen_checks_see_a_wrong_row_entry(monkeypatch, slot, gl_label, fristedt_label):
-    monkeypatch.setattr(cli, "_diag_rows", _rows_one_entry_off(cli._diag_rows, slot))
+    monkeypatch.setattr(cli, "diag_rows", _rows_one_entry_off(cli.diag_rows, slot))
     report = cli._case_diag("1/2", "2", 6)
     assert (report["status"], report["failures"]) == ("fail", [gl_label])
-    monkeypatch.setattr(cli, "_f_diag_rows", _rows_one_entry_off(cli._f_diag_rows, slot))
+    monkeypatch.setattr(cli, "f_diag_rows", _rows_one_entry_off(cli.f_diag_rows, slot))
     report = cli._case_fristedt("1/2", 6, 4, 0)
     assert (report["status"], report["failures"]) == ("fail", [fristedt_label])
 
@@ -531,10 +531,9 @@ def test_power_l_above_the_bound_exits_2_at_once(capsys, monkeypatch, argv, flag
     def unreachable(*args):
         raise AssertionError("built a matrix past the size bound")
 
-    for name in ("kernel_matrix", "f_kernel_matrix", "kr_closed", "f_kr_closed",
-                 "build_diagonalization", "f_diagonalization", "_diag_rows",
-                 "_f_diag_rows", "unit_bailey_pair", "load_quiver", "quiver_sample",
-                 "q_binomial_check"):
+    for name in ("kernel_rows", "f_kernel_rows", "kr_closed", "f_kr_closed",
+                 "diag_rows", "f_diag_rows", "unit_bailey_pair", "load_quiver",
+                 "quiver_sample", "q_binomial_check"):
         monkeypatch.setattr(cli, name, unreachable)
     bound = cli._INT_FLAG_MAX[flag]
     code, out, err = run(capsys, argv + [str(bound + 1)])
@@ -588,7 +587,7 @@ def test_bailey_alpha_longer_than_the_lmax_bound_exits_2_at_once(capsys, monkeyp
         raise AssertionError("built a pair past the size bound")
 
     monkeypatch.setattr(cli, "bailey_pair_from_alpha", unreachable)
-    monkeypatch.setattr(identities, "build_diagonalization", unreachable)
+    monkeypatch.setattr(identities, "diag_rows", unreachable)
     most = cli._INT_FLAG_MAX["lmax"] + 1
     code, out, err = run(capsys, ["bailey", "--alpha", ",".join(["1"] * (most + 1))])
     assert (code, out) == (2, "")
@@ -755,14 +754,15 @@ def test_bailey_iteration(capsys):
 
 
 def _one_entry_wrong(name):
-    """The Bailey pairs' diagonalization with matrix `name` off by one at
-    entry (3, 0)."""
+    """The Bailey pairs' diagonalization rows with matrix `name` ("m" or
+    "a") off by one at entry (3, 0)."""
+    slot = "ma".index(name)  # its place in a diag_rows row
+
     def diagonalization(p, l_max):
-        d = build_diagonalization(l_max, p)
-        square = [list(row) for row in getattr(d, name).entries]
-        square[3][0] += 1
-        fields = {field: getattr(d, field) for field in Diagonalization.__slots__}
-        return Diagonalization(**{**fields, name: TruncatedMatrix(square)})
+        rows = [list(row) for row in diag_rows(l_max, p)]
+        nums, den = rows[3][slot]
+        rows[3][slot] = ((nums[0] + den,) + nums[1:], den)
+        return tuple(map(tuple, rows))
 
     return diagonalization
 

@@ -7,19 +7,20 @@ from fractions import Fraction as F
 import pytest
 
 from qchains import fristedt
+from qchains.cli import _eigen_failures
 from qchains.fristedt import (
     FristedtParams,
     f_chain_mass,
-    f_diagonalization,
+    f_diag_rows,
     f_kernel,
-    f_kernel_matrix,
+    f_kernel_rows,
     f_kr_closed,
     f_sample_stream,
     first_row_unnormalized,
     row_law_limit,
     weight_normalizer,
 )
-from qchains.glchain import TruncatedMatrix
+from qchains.glchain import _power_entry
 from qchains.partitions import enumerate_partitions
 from qchains.qalgebra import QSeries, poch_table
 
@@ -72,22 +73,24 @@ def test_kernel_values_and_rows():
 
 
 def test_diagonalization_hand_expansions():
-    d = f_diagonalization(5, Q12)
+    rows = list(f_diag_rows(5, Q12))
+    m, a, a_inv = ([[F(n, den) for n in nums] for nums, den in (row[k] for row in rows)]
+                   for k in range(3))
+    d = [row[4] for row in rows]
     q = Q12.q
-    assert d.a.entry(1, 0) == -1 / (1 - 1 / q)
-    assert d.a_inv.entry(1, 0) == 1 / (1 - 1 / q)
-    assert (d.a @ d.a_inv).entry(1, 0) == 0
-    assert (d.m @ d.a).entry(1, 0) == (d.a @ d.e).entry(1, 0) == -1 / (1 - 1 / q)
-    assert tuple(d.e.entry(j, j) for j in range(6)) == tuple(q**j for j in range(6))
+    assert a[1][0] == -1 / (1 - 1 / q)
+    assert a_inv[1][0] == 1 / (1 - 1 / q)
+    assert a[1][0] * a_inv[0][0] + a[1][1] * a_inv[1][0] == 0  # (A A^-1)(1, 0)
+    # (M A)(1, 0) and (A D)(1, 0)
+    assert m[1][0] * a[0][0] + m[1][1] * a[1][0] == a[1][0] * d[0] == -1 / (1 - 1 / q)
+    assert tuple(d) == tuple(q**j for j in range(6))
 
 
 @pytest.mark.parametrize("p", [Q12, Q13], ids=["q=1/2", "q=1/3"])
 def test_diagonalization_identities(p):
-    size = 13
-    d = f_diagonalization(size - 1, p)
-    assert d.a @ d.a_inv == TruncatedMatrix.identity(size)
-    assert d.m @ d.a == d.a @ d.e
-    assert d.kernel_matrix() == f_kernel_matrix(size - 1, p)
+    # A A^-1 = I, M A = A D and K = C M C^-1 against f_kernel()
+    rows = f_diag_rows(12, p)
+    assert _eigen_failures(rows, "D", lambda a, b: f_kernel(a, b, p)) == []
 
 
 def test_kr_closed_reduces_to_kernel():
@@ -110,13 +113,12 @@ def test_kr_closed_absorbing():
 @pytest.mark.parametrize("p", [Q12, Q13], ids=["q=1/2", "q=1/3"])
 def test_kr_closed_matches_matrix_powers(p):
     l_max, r_max = 10, 5
-    mat = f_kernel_matrix(l_max, p)
-    power = TruncatedMatrix.identity(l_max + 1)
+    rows = list(f_kernel_rows(l_max, p))
     for r in range(1, r_max + 1):
-        power = power @ mat
         for ll in range(l_max + 1):
             for j in range(ll + 1):
-                assert f_kr_closed(ll, j, r, p) == power.entry(ll, j), (ll, j, r)
+                power = _power_entry(rows, ll, j, r)
+                assert f_kr_closed(ll, j, r, p) == power, (ll, j, r)
 
 
 def test_row_law_edge_case():

@@ -14,14 +14,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchains import fristedt, glchain
+from qchains.cli import _eigen_failures
 from qchains.glchain import (
-    TruncatedMatrix,
-    build_diagonalization,
+    _columns,
+    _power_entry,
+    _reduced,
+    _times,
     chain_mass,
+    diag_rows,
     first_col_law,
     first_col_unnormalized,
     kernel,
-    kernel_matrix,
+    kernel_rows,
     kr_closed,
     sample_stream,
 )
@@ -93,46 +97,49 @@ def test_second_proof_recursion():
 
 
 def test_diagonalization_entries_and_eigenvalues():
-    d = build_diagonalization(6, P12)
-    assert d.a_inv.entry(0, 0) == 1
+    rows = list(diag_rows(6, P12))
+    assert rows[0][2] == ((1,), 1)  # A^-1(0, 0)
     u, q = P12.u, P12.q
-    eigenvalues = tuple(d.e.entry(j, j) for j in range(7))
+    eigenvalues = tuple(row[4] for row in rows)
     assert eigenvalues == tuple(u**j / q ** (j * j) for j in range(7))
     assert eigenvalues[0] == 1  # absorbing eigenvalue
-    for mat in (d.m, d.a, d.a_inv):
-        assert all(mat.entry(i, j) == 0 for i in range(7) for j in range(i + 1, 7))
-    for mat in (d.c, d.e):
-        assert all(mat.entry(i, j) == 0 for i in range(7) for j in range(7) if i != j)
+    # M, A and A^-1 are lower triangular: row i holds entries 0..i only
+    for i, row in enumerate(rows):
+        assert [len(nums) for nums, _ in row[:3]] == [i + 1] * 3
 
 
 @pytest.mark.parametrize("p", [P12, P13], ids=["u=1/2,q=2", "u=1/3,q=3"])
 def test_diagonalization_identities(p):
-    size = 15
-    d = build_diagonalization(size - 1, p)
-    assert d.a @ d.a_inv == TruncatedMatrix.identity(size)
-    assert d.m @ d.a == d.a @ d.e
-    assert d.kernel_matrix() == kernel_matrix(size - 1, p)
+    # A A^-1 = I, M A = A E and K = C M C^-1 against kernel()
+    rows = diag_rows(14, p)
+    assert _eigen_failures(rows, "E", lambda a, b: kernel(a, b, p)) == []
 
 
 def test_diagonalization_at_u_equal_one():
     p = MeasureParams(u=F(1), q=F(2))
-    d = build_diagonalization(8, p)
-    assert d.a_inv.entry(0, 0) == 1  # limit value
-    assert d.a @ d.a_inv == TruncatedMatrix.identity(9)
-    assert d.m @ d.a == d.a @ d.e
+    rows = list(diag_rows(8, p))
+    assert rows[0][2] == ((1,), 1)  # limit value
+    assert _eigen_failures(rows, "E") == []
+
+
+def _m_times_a(l_max, p):
+    """The canonical rows of M A on 0..l_max."""
+    rows = list(diag_rows(l_max, p))
+    a = [row[1] for row in rows]
+    cols = _columns(a)
+    product = []
+    for (m, m_den), *_ in rows:
+        nums, d = _times(m, a, cols)
+        product.append(_reduced(nums, m_den * d))
+    return product
 
 
 def test_truncation_commutes_with_products():
     # lower-triangular truncations multiply like the infinite matrices: the
-    # top-left block of a bigger product equals the smaller product
+    # top rows of a bigger product equal the smaller product
     small, big = 8, 14
-    d_small = build_diagonalization(small, P12)
-    d_big = build_diagonalization(big, P12)
-    prod_small = d_small.m @ d_small.a
-    prod_big = d_big.m @ d_big.a
-    for i in range(small + 1):
-        for j in range(small + 1):
-            assert prod_small.entry(i, j) == prod_big.entry(i, j)
+    assert list(diag_rows(small, P12)) == list(diag_rows(big, P12))[:small + 1]
+    assert _m_times_a(small, P12) == _m_times_a(big, P12)[:small + 1]
 
 
 def test_kr_closed_absorbing_state():
@@ -156,13 +163,12 @@ def test_kr_closed_past_the_recursion_limit():
 
 def test_kr_closed_matches_matrix_powers():
     l_max, r_max = 12, 5
-    mat = kernel_matrix(l_max, P12)
-    power = TruncatedMatrix.identity(l_max + 1)
+    rows = list(kernel_rows(l_max, P12))
     for r in range(1, r_max + 1):
-        power = power @ mat
         for ll in range(l_max + 1):
             for j in range(ll + 1):
-                assert kr_closed(ll, j, r, P12) == power.entry(ll, j), (ll, j, r)
+                power = _power_entry(rows, ll, j, r)
+                assert kr_closed(ll, j, r, P12) == power, (ll, j, r)
 
 
 def test_kr_closed_rows_and_absorption_monotone():

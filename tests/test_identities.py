@@ -9,7 +9,7 @@ from math import isqrt
 import pytest
 
 from qchains import identities
-from qchains.glchain import build_diagonalization
+from qchains.glchain import _columns, _reduced, _times, diag_rows
 from qchains.identities import (
     AGSpec,
     BaileyPair,
@@ -233,11 +233,17 @@ def test_unit_pair_is_bailey():
     assert pair.beta[0] == 1 and all(b == 0 for b in pair.beta[1:])
 
 
+def _times_vector(rows, vec):
+    """The matrix of canonical rows times a column vector, in Fractions."""
+    return tuple(sum((F(n, den) * v for n, v in zip(nums, vec)), F(0))
+                 for nums, den in rows)
+
+
 def test_standard_vector_pairs():
-    d = build_diagonalization(9, P12)
+    a = [row[1] for row in diag_rows(9, P12)]
     for j in range(10):
         alpha = tuple(F(1) if r == j else F(0) for r in range(10))
-        beta = tuple(d.a.entry(ll, j) for ll in range(10))
+        beta = tuple(F(nums[j], den) if j < len(nums) else F(0) for nums, den in a)
         assert bailey_check(BaileyPair(alpha=alpha, beta=beta, params=P12))
 
 
@@ -263,18 +269,23 @@ def test_step_preserves_pair_and_fixes_alpha0():
 
 def test_step_twice_is_squared_matrices():
     l_max = 10
-    d = build_diagonalization(l_max, P12)
+    rows = list(diag_rows(l_max, P12))
+    m = [row[0] for row in rows]
+    cols = _columns(m)
+    m2 = []  # the rows of M M, each by a row-vector product
+    for row, den in m:
+        nums, d = _times(row, m, cols)
+        m2.append(_reduced(nums, den * d))
     pair = unit_bailey_pair(P12, l_max)
     twice = bailey_step(bailey_step(pair))
-    e2 = d.e @ d.e
-    m2 = d.m @ d.m
-    assert twice.alpha == e2.mul_vector(pair.alpha)
-    assert twice.beta == m2.mul_vector(pair.beta)
+    assert twice.alpha == tuple(row[4] ** 2 * a for row, a in zip(rows, pair.alpha))
+    assert twice.beta == _times_vector(m2, pair.beta)
 
 
 def test_step_random_pairs_and_eigenvector_identity():
     l_max = 15
-    d = build_diagonalization(l_max, P12)
+    rows = list(diag_rows(l_max, P12))
+    m, a = [row[0] for row in rows], [row[1] for row in rows]
     rng = random.Random(20240901)
     for _ in range(50):
         alpha = [F(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(l_max + 1)]
@@ -283,8 +294,8 @@ def test_step_random_pairs_and_eigenvector_identity():
         stepped = bailey_step(pair)
         assert bailey_check(stepped)
         # beta' = M beta = A alpha' entrywise
-        assert stepped.beta == d.m.mul_vector(pair.beta)
-        assert stepped.beta == d.a.mul_vector(stepped.alpha)
+        assert stepped.beta == _times_vector(m, pair.beta)
+        assert stepped.beta == _times_vector(a, stepped.alpha)
         # and against the defining sums, which share no code with the matrices
         beta, alpha_next, beta_next = defining_sums(pair)
         assert pair.beta == beta

@@ -8,18 +8,19 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qchains.cli import _eigen_failures
 from qchains.fristedt import (
     FristedtParams,
-    f_diagonalization,
+    f_diag_rows,
     f_kernel,
-    f_kernel_matrix,
+    f_kernel_rows,
     f_kr_closed,
 )
 from qchains.glchain import (
-    build_diagonalization,
+    diag_rows,
     first_col_unnormalized,
     kernel,
-    kernel_matrix,
+    kernel_rows,
     kr_closed,
 )
 from qchains.partitions import MeasureParams
@@ -98,6 +99,26 @@ def _square(size, entry):
     return tuple(tuple(entry(i, j) for j in range(size)) for i in range(size))
 
 
+def _entries(rows):
+    """The square of entries of lower-triangular canonical rows."""
+    rows = list(rows)
+    return tuple(tuple(F(n, den) for n in nums) + (F(0),) * (len(rows) - len(nums))
+                 for nums, den in rows)
+
+
+def _check_diag_rows(rows, o, e_name):
+    """The rows of M, A, A^-1, C and E (or D) against the oracle's entries,
+    and K = C M C^-1 against its kernel."""
+    rows = list(rows)
+    size = len(rows)
+    for k, name in enumerate(("m", "a", "a_inv")):
+        square = _square(size, lambda i, j: o.diag(name, i, j))
+        assert _entries(row[k] for row in rows) == square, name
+    for k, name in ((3, "c"), (4, "e")):
+        assert [row[k] for row in rows] == [o.diag(name, i, i) for i in range(size)], name
+    assert _eigen_failures(rows, e_name, o.kernel) == []
+
+
 # q > 1 with small numerators and denominators; u in (0, 1]
 _Q = st.fractions(min_value=F(8, 7), max_value=5, max_denominator=7)
 _U = st.one_of(st.just(F(1)), st.fractions(min_value=0, max_value=1,
@@ -128,12 +149,8 @@ def test_gl_entries_equal_the_fraction_formulas(p):
         assert first_col_unnormalized(a, p) == o.first_col(a), a
         for b in range(-1, a + 2):
             assert kernel(a, b, p) == o.kernel(a, b), (a, b)
-    assert kernel_matrix(size - 1, p).entries == _square(size, o.kernel)
-    d = build_diagonalization(size - 1, p)
-    for name in ("c", "m", "a", "a_inv", "e"):
-        square = _square(size, lambda i, j: o.diag(name, i, j))
-        assert getattr(d, name).entries == square, name
-    assert d.kernel_matrix().entries == _square(size, o.kernel)
+    assert _entries(kernel_rows(size - 1, p)) == _square(size, o.kernel)
+    _check_diag_rows(diag_rows(size - 1, p), o, "E")
 
 
 @settings(max_examples=25, deadline=None)
@@ -189,12 +206,8 @@ def test_fristedt_equals_the_fraction_formulas(q, l, r):
     for a in range(size):
         for b in range(-1, a + 2):
             assert f_kernel(a, b, p) == o.kernel(a, b), (a, b)
-    assert f_kernel_matrix(size - 1, p).entries == _square(size, o.kernel)
-    d = f_diagonalization(size - 1, p)
-    for name in ("c", "m", "a", "a_inv", "e"):
-        square = _square(size, lambda i, j: o.diag(name, i, j))
-        assert getattr(d, name).entries == square, name
-    assert d.kernel_matrix().entries == _square(size, o.kernel)
+    assert _entries(f_kernel_rows(size - 1, p)) == _square(size, o.kernel)
+    _check_diag_rows(f_diag_rows(size - 1, p), o, "D")
     for j in range(l + 1):
         assert f_kr_closed(l, j, r, p) == o.power(l, j, r), j
 

@@ -1,7 +1,9 @@
-"""The integer lower-triangular matrix layer against plain-Fraction oracles,
-and the factored matrix builds and closed forms against their entry formulas."""
+"""The row-wise integer matrix layer (canonical rows, row-vector products,
+powers) against plain-Fraction oracles, and the row generators and closed
+forms against their entry formulas."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,15 +11,19 @@ from hypothesis import strategies as st
 
 from qchains.fristedt import (
     FristedtParams,
-    f_diagonalization,
+    f_diag_rows,
     f_kernel,
-    f_kernel_matrix,
+    f_kernel_rows,
 )
 from qchains.glchain import (
-    TruncatedMatrix,
-    build_diagonalization,
+    _columns,
+    _common_den,
+    _power_entry,
+    _reduced,
+    _times,
+    diag_rows,
     kernel,
-    kernel_matrix,
+    kernel_rows,
     kr_closed,
 )
 from qchains.partitions import MeasureParams
@@ -59,6 +65,16 @@ def _oracle_matmul(a, b):
             for i in range(n)]
 
 
+def _rows(square):
+    """The canonical rows of a lower-triangular square of Fractions."""
+    return [_reduced(*_common_den(row[:i + 1])) for i, row in enumerate(square)]
+
+
+def _build(size, fn):
+    """The canonical rows of the matrix with entries fn(i, j), j <= i < size."""
+    return _rows([[fn(i, j) for j in range(i + 1)] for i in range(size)])
+
+
 _SIZE_ONE = ([[F(-3, 4)]], [[F(0)]], [F(5, 6)])
 _SIZE_TWO = (
     [[F(1, 2), F(0)], [F(-2, 3), F(0)]],
@@ -74,24 +90,27 @@ _SIZE_TWO = (
 def test_layer_matches_the_fraction_oracle(case):
     a, b, vec = case
     n = len(a)
-    ma, mb = TruncatedMatrix(a), TruncatedMatrix(b)
-    assert ma.size == n
-    assert ma.entries == tuple(tuple(row) for row in a)
-    assert all(ma.entry(i, j) == a[i][j] for i in range(n) for j in range(n))
-    assert list(ma.entry_rows()) == [[str(e) for e in row] for row in a]
-    assert ma == TruncatedMatrix.build(n, lambda i, j: a[i][j])
+    ra, rb = _rows(a), _rows(b)
+    assert [[F(c, den) for c in row] + [F(0)] * (n - len(row))
+            for row, den in ra] == a
+    assert (ra == rb) == (a == b)
+    halves = _rows([[x / 2 for x in row] for row in a])
+    assert (halves == ra) == (not any(map(any, a)))
 
-    product = ma @ mb
+    # row i of A B is row i of A times B, over row i's denominator
+    cols = _columns(rb)
     oracle = _oracle_matmul(a, b)
-    assert product.entries == tuple(tuple(row) for row in oracle)
-    assert product == TruncatedMatrix(oracle)
+    for i, (row, den) in enumerate(ra):
+        nums, d = _times(row, rb, cols)
+        assert [F(c, den * d) for c in nums] == oracle[i][:i + 1]
+        assert _reduced(nums, den * d) == _rows(oracle)[i]
 
-    assert ma.mul_vector(vec) == tuple(
-        sum((a[i][k] * vec[k] for k in range(n)), F(0)) for i in range(n)
-    )
-    assert (ma == mb) == (a == b)
-    halves = TruncatedMatrix([[x / 2 for x in row] for row in a])
-    assert (halves == ma) == (not any(map(any, a)))
+    # a row vector of exact rationals, over one denominator, times B
+    nums, den = _common_den(vec)
+    prod, d = _times(nums, rb, cols)
+    assert [F(c, den * d) for c in prod] == [
+        sum((vec[k] * b[k][j] for k in range(n)), F(0)) for j in range(n)
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,34 +122,34 @@ def test_power_entry_matches_the_fraction_oracle(case, r):
     power = [[F(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(r):
         power = _oracle_matmul(power, a)
-    mat = TruncatedMatrix(a)
+    rows = _rows(a)
     for i in range(n):
-        for j in range(n):
-            assert mat.power_entry(i, j, r) == power[i][j], (i, j)
+        for j in range(i + 1):
+            assert _power_entry(rows, i, j, r) == power[i][j], (i, j)
 
 
 def test_rows_are_canonical():
-    # equal matrices built from different spellings have equal ints
-    mat = TruncatedMatrix([[F(2, 4), 0], [F(3, 9), F(-6, 3)]])
-    assert mat.rows == ((1,), (1, -6)) and mat.dens == (2, 3)
-    assert TruncatedMatrix([[0, 0], [0, 0]]).dens == (1, 1)
-
-
-def test_shape_errors():
-    with pytest.raises(ValueError, match="square"):
-        TruncatedMatrix([[1, 0], [1]])
-    with pytest.raises(ValueError, match="lower triangular"):
-        TruncatedMatrix([[1, F(1, 2)], [0, 1]])
-    with pytest.raises(ValueError, match="size mismatch"):
-        TruncatedMatrix.identity(2) @ TruncatedMatrix.identity(3)
-    with pytest.raises(ValueError, match="size mismatch"):
-        TruncatedMatrix.identity(2).mul_vector([1])
-    with pytest.raises(IndexError):
-        TruncatedMatrix.identity(2).entry(2, 0)
+    # equal rows from different spellings have equal ints
+    assert _reduced([3, -18], 6) == ((1, -6), 2)
+    assert _reduced([0, 0], 5) == ((0, 0), 1)
+    # every generator row: gcd(den, *row) == 1 and den > 0
+    rows = []
+    # at u = 2/3, q = 2 row a of the kernel has a common factor 2^a
+    for p in (MeasureParams(F(1, 2), F(2)), MeasureParams(F(2, 5), F(5, 2)),
+              MeasureParams(F(2, 3), F(2))):
+        rows += kernel_rows(12, p)
+        rows += (pair for row in diag_rows(12, p) for pair in row[:3])
+    for q in (F(1, 2), F(2, 5)):
+        p = FristedtParams(q=q)
+        rows += f_kernel_rows(12, p)
+        rows += (pair for row in f_diag_rows(12, p) for pair in row[:3])
+    assert len(rows) == 5 * 4 * 13
+    for nums, den in rows:
+        assert den > 0 and gcd(den, *nums) == 1, (nums, den)
 
 
 # ---------------------------------------------------------------------------
-# Factored builds against the entry formulas
+# Row generators against the entry formulas
 
 _GL_PARAMS = [
     MeasureParams(u=F(1, 2), q=F(2)),
@@ -160,17 +179,13 @@ def test_gl_builds_match_the_entry_formulas(p):
         return (sign * (1 - u / q ** (2 * i)) * uq(i + j - 1)
                 / (q ** (d * (d - 1) // 2) * iq(d)))
 
-    assert kernel_matrix(size - 1, p) == TruncatedMatrix.build(
-        size, lambda i, j: kernel(i, j, p)
-    )
-    d = build_diagonalization(size - 1, p)
-    assert d.c == TruncatedMatrix.diagonal(iq(i) * uq(i) for i in range(size))
-    assert d.e == TruncatedMatrix.diagonal(u**j / q ** (j * j) for j in range(size))
-    assert d.m == TruncatedMatrix.build(
-        size, lambda i, j: u**j / (q ** (j * j) * iq(i - j))
-    )
-    assert d.a == TruncatedMatrix.build(size, lambda i, j: 1 / (iq(i - j) * uq(i + j)))
-    assert d.a_inv == TruncatedMatrix.build(size, a_inv)
+    assert list(kernel_rows(size - 1, p)) == _build(size, lambda i, j: kernel(i, j, p))
+    m, a, inv, c, e = zip(*diag_rows(size - 1, p))
+    assert c == tuple(iq(i) * uq(i) for i in range(size))
+    assert e == tuple(u**j / q ** (j * j) for j in range(size))
+    assert list(m) == _build(size, lambda i, j: u**j / (q ** (j * j) * iq(i - j)))
+    assert list(a) == _build(size, lambda i, j: 1 / (iq(i - j) * uq(i + j)))
+    assert list(inv) == _build(size, a_inv)
 
 
 @pytest.mark.parametrize("q", [F(1, 2), F(1, 3), F(2, 5)], ids=str)
@@ -184,18 +199,18 @@ def test_fristedt_builds_match_the_entry_formulas(q):
     def qs(n):
         return poch_table(q, 1 / q)[n]
 
-    assert f_kernel_matrix(size - 1, p) == TruncatedMatrix.build(
+    assert list(f_kernel_rows(size - 1, p)) == _build(
         size, lambda i, j: f_kernel(i, j, p)
     )
-    d = f_diagonalization(size - 1, p)
-    assert d.c == TruncatedMatrix.diagonal(qs(i) / q**i for i in range(size))
-    assert d.e == TruncatedMatrix.diagonal(q**i for i in range(size))
-    assert d.m == TruncatedMatrix.build(size, lambda i, j: q**i)
-    assert d.a == TruncatedMatrix.build(
+    m, a, inv, c, e = zip(*f_diag_rows(size - 1, p))
+    assert c == tuple(qs(i) / q**i for i in range(size))
+    assert e == tuple(q**i for i in range(size))
+    assert list(m) == _build(size, lambda i, j: q**i)
+    assert list(a) == _build(
         size,
         lambda i, j: (-1) ** (i - j) / (q ** ((i - j) * (i - j - 1) // 2) * iqs(i - j)),
     )
-    assert d.a_inv == TruncatedMatrix.build(size, lambda i, j: 1 / iqs(i - j))
+    assert list(inv) == _build(size, lambda i, j: 1 / iqs(i - j))
 
 
 # ---------------------------------------------------------------------------
