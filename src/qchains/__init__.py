@@ -67,7 +67,7 @@ from qchains.quiver import (
     quiver_chain_mass,
     quiver_first_cols,
     quiver_kernel,
-    quiver_sample,
+    quiver_sample_stream,
     tuple_weight,
 )
 

@@ -1,5 +1,7 @@
 """Command-line harness: verification batteries, samplers, closed-form vs
 matrix-power cross-checks, matrix dumps, Bailey iteration, and series dumps.
+The chain modules own the matrix powers, eigen checks and sample streams
+that it runs and prints.
 
 All rationals cross this boundary as "p/q" strings.  Reports are JSON lines
 on stdout; diagnostics go to stderr.  Exit codes: 0 all checks pass, 1 a
@@ -12,9 +14,8 @@ import itertools
 import json
 import re
 import sys
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
-from math import lcm
 from time import perf_counter
 
 from qchains.fristedt import (
@@ -29,15 +30,13 @@ from qchains.fristedt import (
 from qchains.glchain import (
     _columns,
     _common_den,
-    _power_entry,
-    _reduced,
-    _times,
-    _times_cols,
     chain_mass,
     diag_rows,
+    eigen_failures,
     kernel,
     kernel_rows,
     kr_closed,
+    power_rows,
     sample_stream,
 )
 from qchains.identities import (
@@ -68,7 +67,7 @@ from qchains.quiver import (
     load_quiver,
     quiver_chain_mass,
     quiver_kernel,
-    quiver_sample,
+    quiver_sample_stream,
     tuple_weight,
 )
 
@@ -245,14 +244,22 @@ _LINE_MEMO = 1024  # distinct chain paths whose line _sample_lines keeps
 
 
 def _sample_lines(samples, model, mode="json"):
-    """Yield, for each ChainSample, the line that _emit(s.to_json(model),
-    mode) prints, formatted directly.
+    """Yield, for each ChainSample, the line that _emit prints for it,
+    formatted directly: _emit(s.to_json(model), mode) for a row-length chain,
+    and _emit({"model": "quiver", "seed": s.seed, "partitions":
+    s.partition.to_json()}, mode) for the quiver.
 
     For one model and seed the line depends only on the chain states, so
     the lines of the first _LINE_MEMO distinct states of a seed are kept
     and written again when those states recur; others are formatted anew.
     """
-    if mode == "json":
+    if model == "quiver":
+        template = ('{{"model": "quiver", "partitions": {}, "seed": {}}}\n'
+                    if mode == "json" else "model=quiver partitions={} seed={}\n")
+
+        def line(s):
+            return template.format(s.partition.to_json(), s.seed)
+    elif mode == "json":
         name = json.dumps(model)
 
         def line(s):
@@ -274,85 +281,24 @@ def _sample_lines(samples, model, mode="json"):
         yield text
 
 
-def _quiver_lines(draws, mode="json"):
-    """Yield, for each (seed, PartitionTuple), the line that
-    _emit({"model": "quiver", "seed": seed, "partitions": t.to_json()}, mode)
-    prints, formatted directly."""
-    if mode == "json":
-        line = '{{"model": "quiver", "partitions": {}, "seed": {}}}\n'
-    else:
-        line = "model=quiver partitions={} seed={}\n"
-    for seed, t in draws:
-        yield line.format(t.to_json(), seed)
-
-
 # ---------------------------------------------------------------------------
 # Verification cases (top-level functions so a worker pool can pickle them)
 
 
 def _power_mismatches(m, l_max, r_max):
     """Yield each (l, j, r), r = 1..r_max, where the r-th power of model m's
-    kernel matrix on 0..l_max differs from its closed form.  The power is
-    kept as its canonical rows, row l of K^r the row-vector product of row
-    l of K^(r-1) and K (glchain._times), reduced once."""
+    kernel matrix on 0..l_max differs from its closed form: row l of K^r
+    comes from one power_rows generator per l, all advanced together."""
     rows = list(m.rows(l_max, m.p))
     cols = _columns(rows)
-    power = [((0,) * ll + (1,), 1) for ll in range(l_max + 1)]
+    powers = [power_rows(rows, cols, ll, r_max) for ll in range(l_max + 1)]
     for r in range(1, r_max + 1):
-        for ll, (row, den) in enumerate(power):
-            nums, d = _times(row, rows, cols)
-            row, den = _reduced(nums, den * d)
-            power[ll] = row, den
+        for ll, power in enumerate(powers):
+            row, den = next(power)
             for j in range(ll + 1):
                 closed = m.closed(ll, j, r, m.p)  # against row[j] / den
                 if closed.numerator * den != row[j] * closed.denominator:
                     yield ll, j, r
-
-
-def _eigen_failures(rows, e_name, kernel=None):
-    """Labels of the failed checks of a diagonalization read row by row from
-    rows, a model's row generator (glchain.diag_rows), with E written as
-    e_name; with the entry oracle kernel(a, b), K = C M C^-1 is checked too.
-
-    Only A is held, by columns.  Row i of X A, for X = M and A^-1, is its
-    numerators over X's row denominator times the lcm of A's first i + 1
-    row denominators, and each identity is compared on cross-multiplied
-    integers, so no product is built or reduced:
-    - A^-1 A = I, which on a square triangular truncation is A A^-1 = I;
-    - M A = A E, where A E is row i of A scaled by the diagonal of E;
-    - K(i,j) = M(i,j) C(i,i) / C(j,j) against kernel(i, j).
-    A label's check stops at its first failed row.
-    """
-    eigen = f"M*A=A*{e_name}"
-    labels = ["A*Ainv", eigen] + (["K=CMC^-1"] if kernel else [])
-    failed = set()
-    cols, dens, cs, es, a_lcm = [], [], [], [], 1
-    for i, ((m, m_den), (a, a_den), (a_inv, inv_den), ci, ei) in enumerate(rows):
-        for col, v in zip(cols, a):
-            col.append(v)
-        cols.append([a[i]])
-        dens.append(a_den)
-        cs.append(ci)
-        es.append(ei)
-        a_lcm = lcm(a_lcm, a_den)
-        scale = [a_lcm // d for d in dens]
-        if ("A*Ainv" not in failed
-                and _times_cols(a_inv, scale, cols) != [0] * i + [inv_den * a_lcm]):
-            failed.add("A*Ainv")
-        if eigen not in failed:
-            den = m_den * a_lcm
-            if any(n * a_den * ej.denominator != aj * ej.numerator * den
-                   for n, aj, ej in zip(_times_cols(m, scale, cols), a, es)):
-                failed.add(eigen)
-        if kernel and "K=CMC^-1" not in failed:
-            den = m_den * ci.denominator
-            for j, (mj, cj) in enumerate(zip(m, cs)):
-                kij = kernel(i, j)
-                if (mj * ci.numerator * cj.denominator * kij.denominator
-                        != kij.numerator * den * cj.numerator):
-                    failed.add("K=CMC^-1")
-                    break
-    return [label for label in labels if label in failed]
 
 
 def _case_ag(k, i, order, inject=False):
@@ -427,8 +373,8 @@ def _case_diag(u, q, l_max):
     p = MeasureParams(u=Fraction(u), q=Fraction(q))
     # K against the chain's entry formula, not the factor lists C and M
     # are built from
-    failures = _eigen_failures(diag_rows(l_max, p), "E",
-                               lambda a, b: kernel(a, b, p))
+    failures = eigen_failures(diag_rows(l_max, p), "E",
+                              lambda a, b: kernel(a, b, p))
     return {
         "suite": "diag",
         "u": u,
@@ -535,8 +481,8 @@ def _case_fristedt(q, l_max, r_max, size):
     m = _model("fristedt", None, q)
     mismatches = _power_mismatches(m, l_max, r_max)
     failures = [f"power({ll},{j},{r})" for ll, j, r in mismatches]
-    failures += _eigen_failures(m.diag_rows(l_max, m.p), "D",
-                                lambda a, b: m.kernel(a, b, m.p))
+    failures += eigen_failures(m.diag_rows(l_max, m.p), "D",
+                               lambda a, b: m.kernel(a, b, m.p))
     for n in range(size + 1):
         for lam in enumerate_partitions(n):
             if f_chain_mass(lam, m.p) != m.p.q**n:
@@ -745,7 +691,16 @@ def cmd_sample(args) -> int:
     eps = Fraction(args.eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if args.model != "quiver":
+    if args.model == "quiver":
+        if args.quiver is None:
+            raise ValueError("quiver model requires --quiver FILE")
+        try:
+            g, qp = load_quiver(args.quiver)
+        except (OSError, KeyError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad quiver file: {exc}") from exc
+        size_cap = 20 if args.size_cap is None else args.size_cap
+        samples = quiver_sample_stream(g, qp, args.seed, args.count, size_cap, eps)
+    else:
         m = _model(args.model, args.u, args.q)
         if args.model == "fristedt" and m.p.q > _FRISTEDT_SAMPLE_Q_MAX:
             raise ValueError(f"--q must be <= {_FRISTEDT_SAMPLE_Q_MAX} "
@@ -753,18 +708,7 @@ def cmd_sample(args) -> int:
         if args.model == "gl" and m.p.q < _GL_SAMPLE_Q_MIN:
             raise ValueError(f"--q must be >= {_GL_SAMPLE_Q_MIN} for --model gl")
         samples = m.stream(m.p, args.seed, args.count, eps)
-        sys.stdout.writelines(_sample_lines(samples, args.model, args.format))
-        return 0
-    if args.quiver is None:
-        raise ValueError("quiver model requires --quiver FILE")
-    try:
-        g, qp = load_quiver(args.quiver)
-    except (OSError, KeyError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad quiver file: {exc}") from exc
-    size_cap = 20 if args.size_cap is None else args.size_cap
-    seeds = range(args.seed, args.seed + args.count)
-    draws = ((s, quiver_sample(g, qp, s, size_cap, eps)) for s in seeds)
-    sys.stdout.writelines(_quiver_lines(draws, args.format))
+    sys.stdout.writelines(_sample_lines(samples, args.model, args.format))
     return 0
 
 
@@ -774,7 +718,10 @@ def cmd_power(args) -> int:
         raise ValueError("need 0 <= j <= L")
     m = _model(args.model, args.u, args.q)
     closed = m.closed(ll, j, r, m.p)
-    power = _power_entry(list(m.rows(ll, m.p)), ll, j, r)
+    rows = list(m.rows(ll, m.p))
+    # row L of K^r is the last row that power_rows yields
+    (row, den), = deque(power_rows(rows, _columns(rows), ll, r), maxlen=1)
+    power = Fraction(row[j], den)
     equal = closed == power
     _emit(
         {

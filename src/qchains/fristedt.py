@@ -15,13 +15,12 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from qchains.glchain import _PARAMS, _reduced, row_chain
+from qchains.glchain import _PARAMS, _path_mass, _reduced, row_chain
 from qchains.partitions import Partition
 from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_ints, poch_table
 from qchains.record import Record, _set
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class FristedtParams(Record):
@@ -144,13 +143,8 @@ def f_chain_mass(lam: Partition, p: FristedtParams) -> Fraction:
 
     Telescopes to q^|lam| exactly, which is the conditional-uniformity fact.
     """
-    rows = lam.parts
-    if not rows:
-        return _ONE
-    mass = first_row_unnormalized(rows[0], p)
-    for prev, nxt in zip(rows, rows[1:] + (0,)):
-        mass *= f_kernel(prev, nxt, p)
-    return mass
+    return _path_mass(lam.parts, lambda a: first_row_unnormalized(a, p),
+                      lambda a, b: f_kernel(a, b, p), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ All Pochhammer symbols here are the descending convention, (x/q)_n =
 powers take them as integer numerators over closed-form denominators (_ints),
 so a matrix row is built from integer products and exact quotients and
 reduced once.  A matrix is never held as an object: kernel_rows and
-diag_rows yield it one canonical row at a time, and the readers (the verify
-checks, the matrix dumps, the Bailey step) multiply rows with one integer
-kernel (_times_cols).  A term whose index would go negative vanishes, and
-the formulas test that range explicitly (the matrices are built on their
-lower triangle only), except for the single analytic-extension entry noted
-in diag_rows.
+diag_rows yield it one canonical row at a time.  The rows of K^r
+(power_rows) and of the products that the eigen checks compare
+(eigen_failures) are each one row-vector product, _times.  A term whose
+index would go negative vanishes, and the formulas test that range
+explicitly (the matrices are built on their lower triangle only), except
+for the single analytic-extension entry noted in diag_rows.
 
 State 0 is absorbing; a trajectory started from the first-column law and
 run until absorption spells out the column heights of a random partition.
@@ -37,7 +37,6 @@ from qchains.qalgebra import (
 TAIL_BITS = 64  # first-step support cap: certified tail below 2**-TAIL_BITS
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -63,37 +62,75 @@ def _columns(rows):
     return [[row[j] for row, _ in rows[j:]] for j in range(len(rows))]
 
 
-def _times_cols(x, scale, cols):
-    """The numerators of the row x, each x_k scaled by scale[k], times the
-    lower-triangular matrix whose column j from the diagonal down is
-    cols[j]: one entry per column given."""
-    xs = [v * s for v, s in zip(x, scale)]
-    return [sum(map(mul, xs[j:], col)) for j, col in enumerate(cols)]
-
-
 def _times(vec, rows, cols):
     """(nums, d): the integer row vector vec times the matrix of rows, whose
     _columns are cols, is nums / d on columns 0..len(vec)-1.
 
     (v M)(j) = sum_k v_k n_kj / d_k, so d is the lcm of the row denominators
-    d_k that vec uses, and each term is an integer product."""
+    d_k that vec uses, and each term is an integer product of v_k d / d_k
+    and an entry of column j, which cols holds from the diagonal down."""
     dens = [den for _, den in rows[:len(vec)]]
     d = lcm(*(dk for v, dk in zip(vec, dens) if v))
-    scale = [d // dk if v else 0 for v, dk in zip(vec, dens)]
-    return _times_cols(vec, scale, cols[:len(vec)]), d
+    xs = [v * (d // dk) if v else 0 for v, dk in zip(vec, dens)]
+    return [sum(map(mul, xs[j:], col)) for j, col in enumerate(cols[:len(vec)])], d
 
 
-def _power_entry(rows, i, j, r) -> Fraction:
-    """Entry (i, j), j <= i, of M^r (r >= 0) for the matrix M of rows, from
-    row i of the power built by r row-vector products (_times)."""
-    cols = _columns(rows[:i + 1])
-    # row i of the identity, columns 0..i; the vector is not reduced
-    # between steps, since its entries grow to the padding's size anyway
-    vec, vden = [0] * i + [1], 1
-    for _ in range(r):
+def power_rows(rows, cols, i, r_max):
+    """Yield row i of M^r as (numerators, denominator) for r = 1..r_max, M
+    the lower-triangular matrix of rows and cols its _columns: each row is
+    the one before times M (_times).  The rows are not reduced, since their
+    entries grow to the padding's size anyway."""
+    vec, vden = [0] * i + [1], 1  # row i of the identity, columns 0..i
+    for _ in range(r_max):
         vec, d = _times(vec, rows, cols)
         vden *= d
-    return Fraction(vec[j], vden)
+        yield vec, vden
+
+
+def eigen_failures(rows, e_name, kernel=None):
+    """Labels of the failed checks of a diagonalization read row by row from
+    rows, a model's row generator (diag_rows), with E written as e_name;
+    with the entry oracle kernel(a, b), K = C M C^-1 is checked too.
+
+    Only A is held, as its rows and by columns.  Row i of X A, for X = M and
+    A^-1, is the row-vector product of row i of X and A (_times), and each
+    identity is compared on cross-multiplied integers, so no product is
+    reduced:
+    - A^-1 A = I, which on a square triangular truncation is A A^-1 = I;
+    - M A = A E, where A E is row i of A scaled by the diagonal of E;
+    - K(i,j) = M(i,j) C(i,i) / C(j,j) against kernel(i, j).
+    A label's check stops at its first failed row.
+    """
+    eigen = f"M*A=A*{e_name}"
+    labels = ["A*Ainv", eigen] + (["K=CMC^-1"] if kernel else [])
+    failed = set()
+    a_rows, cols, cs, es = [], [], [], []
+    for i, ((m, m_den), (a, a_den), (a_inv, inv_den), ci, ei) in enumerate(rows):
+        a_rows.append((a, a_den))
+        for col, v in zip(cols, a):
+            col.append(v)
+        cols.append([a[i]])
+        cs.append(ci)
+        es.append(ei)
+        if "A*Ainv" not in failed:
+            nums, d = _times(a_inv, a_rows, cols)
+            if nums != [0] * i + [inv_den * d]:
+                failed.add("A*Ainv")
+        if eigen not in failed:
+            nums, d = _times(m, a_rows, cols)
+            den = m_den * d
+            if any(n * a_den * ej.denominator != aj * ej.numerator * den
+                   for n, aj, ej in zip(nums, a, es)):
+                failed.add(eigen)
+        if kernel and "K=CMC^-1" not in failed:
+            den = m_den * ci.denominator
+            for j, (mj, cj) in enumerate(zip(m, cs)):
+                kij = kernel(i, j)
+                if (mj * ci.numerator * cj.denominator * kij.denominator
+                        != kij.numerator * den * cj.numerator):
+                    failed.add("K=CMC^-1")
+                    break
+    return [label for label in labels if label in failed]
 
 
 def _common_den(values):
@@ -276,18 +313,23 @@ def kr_closed(l: int, j: int, r: int, p: MeasureParams) -> Fraction:
     return Fraction(num + den if j == 0 else num, den)
 
 
+def _path_mass(states, first, step, absorbing) -> Fraction:
+    """first(s_1) step(s_1, s_2) ... step(s_n, absorbing) for the path
+    states s_1..s_n (a tuple), without the normalizer; the empty path's
+    mass is first(absorbing)."""
+    mass = first(states[0] if states else absorbing)
+    for prev, nxt in zip(states, states[1:] + (absorbing,)):
+        mass *= step(prev, nxt)
+    return mass
+
+
 def chain_mass(lam: Partition, p: MeasureParams) -> Fraction:
     """Chain probability of spelling out lam, without the (u/q)_inf prefactor:
 
         P(lam'_1) K(lam'_1, lam'_2) ... K(lam'_len, 0)
     """
-    cols = lam.conjugate().parts
-    if not cols:
-        return _ONE  # unnormalized P(0)
-    mass = first_col_unnormalized(cols[0], p)
-    for prev, nxt in zip(cols, cols[1:] + (0,)):
-        mass *= kernel(prev, nxt, p)
-    return mass
+    return _path_mass(lam.conjugate().parts, lambda a: first_col_unnormalized(a, p),
+                      lambda a, b: kernel(a, b, p), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +341,8 @@ class ChainSample(namedtuple("ChainSample", "seed columns partition")):
     states and the partition.
 
     For this chain the states are column heights; the Fristedt chain stores
-    row lengths in the same slot.
+    row lengths in the same slot, and the quiver chain its part-count
+    vectors, with a PartitionTuple as the partition.
     """
 
     __slots__ = ()
@@ -368,12 +411,6 @@ def _cut_points(weights) -> list:
             if cuts[i] is None:
                 cuts[i] = _cut(acc, 0, total, 0)
     return cuts
-
-
-def _cuts(nums) -> list:
-    """The cut points (_cut_points) of a list of integers proportional to
-    the weights, at any common scale."""
-    return _cut_points(lambda: nums)
 
 
 def _ratio_cuts(top: int, ratio) -> list:
@@ -526,10 +563,12 @@ __all__ = [
     "ChainSample",
     "chain_mass",
     "diag_rows",
+    "eigen_failures",
     "first_col_law",
     "first_col_unnormalized",
     "kernel",
     "kernel_rows",
     "kr_closed",
+    "power_rows",
     "sample_stream",
 ]

@@ -10,7 +10,8 @@ with <lam,mu> the inner product of conjugate parts and b_lam the product of
 (1/q)_{m_i}.  The first-column masses are exact: kernel rows sum to 1, which
 is a triangular recursion for them.  Only the normalizer, a sum over all
 first columns, has no closed form here; it is truncated by total part count
-with a Cauchy stopping rule and is explicitly *not* certified.
+with a Cauchy stopping rule and is explicitly *not* certified.  The chain's
+sample stream (quiver_sample_stream) runs on the glchain.ChainSampler driver.
 """
 
 import json
@@ -19,10 +20,19 @@ import threading
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, zip_longest
 from itertools import product as iter_product
+from math import prod
 
-from qchains.glchain import _SAMPLERS, ChainSampler, _common_den, _cuts, _dot
+from qchains.glchain import (
+    _SAMPLERS,
+    ChainSample,
+    ChainSampler,
+    _common_den,
+    _cut_points,
+    _dot,
+    _path_mass,
+)
 from qchains.partitions import Partition, _conjugate_parts, _partition
 from qchains.qalgebra import as_fraction, poch_table
 from qchains.record import Record, _set
@@ -351,16 +361,11 @@ def quiver_chain_mass(
     The mass ratios telescope to P(0) = 1, leaving the product of the M
     entries along the columns.
     """
-    cols = [c.conjugate().parts for c in t.components]
-    depth = max((len(c) for c in cols), default=0)
-
-    def level(k):
-        return tuple(c[k] if k < len(c) else 0 for c in cols)
-
-    mass = quiver_first_cols(level(0), g, p, size_cap)
-    for k in range(depth):
-        mass *= quiver_kernel(level(k), level(k + 1), g, p, size_cap)
-    return mass
+    # level k is the vector of the components' k-th columns, 0 past their ends
+    cols = (c.conjugate().parts for c in t.components)
+    levels = tuple(zip_longest(*cols, fillvalue=0))
+    return _path_mass(levels, lambda a: quiver_first_cols(a, g, p, size_cap),
+                      lambda a, b: quiver_kernel(a, b, g, p, size_cap), (0,) * g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +375,10 @@ def quiver_chain_mass(
 @lru_cache(maxsize=_SAMPLERS)
 def _sampler(g: Quiver, p: QuiverParams, size_cap: int, eps) -> ChainSampler:
     """The componentwise chain, its first step on the exact first-column
-    masses of the support |a| <= size_cap; each kernel row sums to 1.
+    masses of the support |a| <= size_cap.  Row a weights b <= a by the
+    mass-table terms P(b) prod_i t(a_i - b_i), t(d) = 1/(1/q)_d: the kernel
+    M(a, b) = m(a) P(b) prod_i t(a_i - b_i) / P(a) without the factor
+    m(a) / P(a) common to the row, so the cut points are the kernel's.
 
     The normalizer's Cauchy check at eps runs once, when the sampler is
     built; a failed check caches nothing, so it raises again on every call.
@@ -378,30 +386,34 @@ def _sampler(g: Quiver, p: QuiverParams, size_cap: int, eps) -> ChainSampler:
     normalizer(g, p, size_cap, eps)  # surfaces non-convergence early
     mass = _masses(g, p).grow(size_cap).mass
     keys = sorted(a for a in mass if sum(a) <= size_cap)
+    iq = poch_table(1 / p.q, p.q)
 
     def row(a):
         support = tuple(iter_product(*(range(v + 1) for v in a)))
-        weights = [quiver_kernel(a, b, g, p, size_cap) for b in support]
-        return support, _cuts(_common_den(weights)[0])
+        nums = _common_den(mass[b] / prod(iq[x - y] for x, y in zip(a, b))
+                           for b in support)[0]
+        return support, _cut_points(lambda: nums)
 
-    return ChainSampler(keys, _cuts(_common_den(mass[k] for k in keys)[0]), row,
-                        (0,) * g.n)
+    first = _common_den(mass[k] for k in keys)[0]
+    return ChainSampler(keys, _cut_points(lambda: first), row, (0,) * g.n)
 
 
-def quiver_sample(
-    g: Quiver,
-    p: QuiverParams,
-    seed: int,
-    size_cap: int = 20,
-    eps=Fraction(1, 10**8),
-) -> PartitionTuple:
-    """Draw one n-tuple: first-column vector from the masses on |a| <=
-    size_cap, then kernel steps until the all-zero vector; seeded."""
-    path = _sampler(g, p, size_cap, eps).path(random.Random(seed))
-    # component i of the path is the column sequence of partition i: it
-    # decreases, and the zeros it reaches add nothing to the conjugate
-    cols = zip(*path) if path else ((),) * g.n
-    return PartitionTuple(tuple(_partition(_conjugate_parts(c)) for c in cols))
+def quiver_sample_stream(g: Quiver, p: QuiverParams, seed: int, count: int,
+                         size_cap: int = 20, eps=Fraction(1, 10**8)):
+    """Yield count ChainSamples (seed + i, path, PartitionTuple), draw i =
+    0..count-1 by random.Random(seed + i): the first-column vector from the
+    masses on |a| <= size_cap, then kernel steps until the all-zero vector.
+    The sampler is looked up once per stream."""
+    if count <= 0:
+        return  # no draw, so no normalizer to check
+    sampler = _sampler(g, p, size_cap, eps)
+    for s in range(seed, seed + count):
+        path = sampler.path(random.Random(s))
+        # component i of the path is the column sequence of partition i: it
+        # decreases, and the zeros it reaches add nothing to the conjugate
+        cols = zip(*path) if path else ((),) * g.n
+        t = PartitionTuple(tuple(_partition(_conjugate_parts(c)) for c in cols))
+        yield ChainSample(s, path, t)
 
 
 __all__ = [
@@ -417,6 +429,6 @@ __all__ = [
     "quiver_first_cols",
     "quiver_kernel",
     "quiver_m_entry",
-    "quiver_sample",
+    "quiver_sample_stream",
     "tuple_weight",
 ]

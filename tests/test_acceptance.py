@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from qchains.cli import _eigen_failures
 from qchains.fristedt import (
     FristedtParams,
     f_chain_mass,
@@ -27,6 +26,7 @@ from qchains.glchain import (
     _times,
     chain_mass,
     diag_rows,
+    eigen_failures,
     first_col_unnormalized,
     kernel,
     kernel_rows,
@@ -148,7 +148,7 @@ def test_c04_diagonalization_identities():
         for u, q in ((F(1, 2), F(2)), (F(1, 3), F(3)), (F(2, 5), F(5, 2))):
             p = MeasureParams(u=u, q=q)
             rows = diag_rows(30, p)
-            failures = _eigen_failures(rows, "E", lambda a, b: kernel(a, b, p))
+            failures = eigen_failures(rows, "E", lambda a, b: kernel(a, b, p))
             assert failures == [], (u, q)
         assert time.monotonic() - t0 < 10
 

@@ -432,6 +432,43 @@ def test_sample_quiver_divergent_mass_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "a = (1,)" in err
 
 
+_QUIVERS = {
+    "jordan": {"n": 1, "edges": [[1, 1, 1]], "U": ["1/4"], "q": "2"},
+    "a3": {"n": 3, "edges": [[1, 2, 1], [2, 3, 1]], "U": ["1/4", "1/4", "1/4"], "q": "2"},
+    # M(a, a) = q^(2 a^2) U^a is 18/5 at a = 1
+    "divergent": {"n": 1, "edges": [[1, 1, 3]], "U": ["9/10"], "q": "2"},
+}
+
+
+def _quiver_sample(tmp_path, capsys, name, *flags):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_QUIVERS[name]))
+    return run(capsys, ["sample", "--model", "quiver", "--quiver", str(path), *flags])
+
+
+@pytest.mark.parametrize(
+    "name, count, digest",
+    [("jordan", 300, "0f4bc06dee7aea45ccc029d03c721721b808a52dbc581a7accba95025dc47e85"),
+     ("a3", 100, "2fa40216b3ca369916be72638f61aee05261d1f2a29afb48598aa1b0059a2db3")],
+)
+def test_quiver_streams_pinned(tmp_path, capsys, name, count, digest):
+    """sha256 of the stream at --size-cap 24 and seed 0: draw i has its own
+    Random(i), and each row's cut points are those of the kernel row."""
+    code, out, _ = _quiver_sample(tmp_path, capsys, name, "--size-cap", "24",
+                                  "--count", str(count))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_quiver_stream_checks_the_masses_at_its_first_draw(tmp_path, capsys):
+    """No draw builds no sampler, so a divergent quiver exits 0 at --count 0;
+    the first draw builds it and meets the divergent mass."""
+    assert _quiver_sample(tmp_path, capsys, "divergent", "--count", "0") == (0, "", "")
+    code, out, err = _quiver_sample(tmp_path, capsys, "divergent", "--count", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: M(a, a) = 18/5 >= 1 at a = (1,): P(a) diverges\n"
+
+
 def test_sample_quiver_bad_file_exits_2(capsys):
     code, _, err = run(
         capsys, ["sample", "--model", "quiver", "--quiver", "/nonexistent.json"]
@@ -533,7 +570,7 @@ def test_power_l_above_the_bound_exits_2_at_once(capsys, monkeypatch, argv, flag
 
     for name in ("kernel_rows", "f_kernel_rows", "kr_closed", "f_kr_closed",
                  "diag_rows", "f_diag_rows", "unit_bailey_pair", "load_quiver",
-                 "quiver_sample", "q_binomial_check"):
+                 "quiver_sample_stream", "q_binomial_check"):
         monkeypatch.setattr(cli, name, unreachable)
     bound = cli._INT_FLAG_MAX[flag]
     code, out, err = run(capsys, argv + [str(bound + 1)])
@@ -984,7 +1021,7 @@ def test_line_memo_starts_again_for_another_seed():
 )
 def test_quiver_line_is_the_emitted_line(seed, comps, mode):
     t = PartitionTuple(tuple(comps))
-    (line,) = cli._quiver_lines([(seed, t)], mode)
+    (line,) = cli._sample_lines([ChainSample(seed, (), t)], "quiver", mode)
     report = {"model": "quiver", "seed": seed, "partitions": t.to_json()}
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -7,7 +7,6 @@ from fractions import Fraction as F
 import pytest
 
 from qchains import fristedt
-from qchains.cli import _eigen_failures
 from qchains.fristedt import (
     FristedtParams,
     f_chain_mass,
@@ -20,7 +19,7 @@ from qchains.fristedt import (
     row_law_limit,
     weight_normalizer,
 )
-from qchains.glchain import _power_entry
+from qchains.glchain import _columns, eigen_failures, power_rows
 from qchains.partitions import enumerate_partitions
 from qchains.qalgebra import QSeries, poch_table
 
@@ -90,7 +89,7 @@ def test_diagonalization_hand_expansions():
 def test_diagonalization_identities(p):
     # A A^-1 = I, M A = A D and K = C M C^-1 against f_kernel()
     rows = f_diag_rows(12, p)
-    assert _eigen_failures(rows, "D", lambda a, b: f_kernel(a, b, p)) == []
+    assert eigen_failures(rows, "D", lambda a, b: f_kernel(a, b, p)) == []
 
 
 def test_kr_closed_reduces_to_kernel():
@@ -114,11 +113,11 @@ def test_kr_closed_absorbing():
 def test_kr_closed_matches_matrix_powers(p):
     l_max, r_max = 10, 5
     rows = list(f_kernel_rows(l_max, p))
-    for r in range(1, r_max + 1):
-        for ll in range(l_max + 1):
+    cols = _columns(rows)
+    for ll in range(l_max + 1):
+        for r, (row, den) in enumerate(power_rows(rows, cols, ll, r_max), 1):
             for j in range(ll + 1):
-                power = _power_entry(rows, ll, j, r)
-                assert f_kr_closed(ll, j, r, p) == power, (ll, j, r)
+                assert f_kr_closed(ll, j, r, p) == F(row[j], den), (ll, j, r)
 
 
 def test_row_law_edge_case():

@@ -14,19 +14,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchains import fristedt, glchain
-from qchains.cli import _eigen_failures
 from qchains.glchain import (
     _columns,
-    _power_entry,
     _reduced,
     _times,
     chain_mass,
     diag_rows,
+    eigen_failures,
     first_col_law,
     first_col_unnormalized,
     kernel,
     kernel_rows,
     kr_closed,
+    power_rows,
     sample_stream,
 )
 from qchains.partitions import (
@@ -112,14 +112,14 @@ def test_diagonalization_entries_and_eigenvalues():
 def test_diagonalization_identities(p):
     # A A^-1 = I, M A = A E and K = C M C^-1 against kernel()
     rows = diag_rows(14, p)
-    assert _eigen_failures(rows, "E", lambda a, b: kernel(a, b, p)) == []
+    assert eigen_failures(rows, "E", lambda a, b: kernel(a, b, p)) == []
 
 
 def test_diagonalization_at_u_equal_one():
     p = MeasureParams(u=F(1), q=F(2))
     rows = list(diag_rows(8, p))
     assert rows[0][2] == ((1,), 1)  # limit value
-    assert _eigen_failures(rows, "E") == []
+    assert eigen_failures(rows, "E") == []
 
 
 def _m_times_a(l_max, p):
@@ -164,11 +164,11 @@ def test_kr_closed_past_the_recursion_limit():
 def test_kr_closed_matches_matrix_powers():
     l_max, r_max = 12, 5
     rows = list(kernel_rows(l_max, P12))
-    for r in range(1, r_max + 1):
-        for ll in range(l_max + 1):
+    cols = _columns(rows)
+    for ll in range(l_max + 1):
+        for r, (row, den) in enumerate(power_rows(rows, cols, ll, r_max), 1):
             for j in range(ll + 1):
-                power = _power_entry(rows, ll, j, r)
-                assert kr_closed(ll, j, r, P12) == power, (ll, j, r)
+                assert kr_closed(ll, j, r, P12) == F(row[j], den), (ll, j, r)
 
 
 def test_kr_closed_rows_and_absorption_monotone():
@@ -281,6 +281,11 @@ _WEIGHTS = st.lists(
 ).filter(any)
 
 
+def _cuts(nums):
+    """The cut points of a list of integers proportional to the weights."""
+    return glchain._cut_points(lambda: nums)
+
+
 @settings(max_examples=120, deadline=None)
 @given(weights=_WEIGHTS, data=st.data())
 @example(weights=[F(1), F(1), F(2)], data=None)  # thresholds 1/4, 1/2, 1
@@ -291,7 +296,7 @@ def test_cdf_pick_matches_fraction_definition(weights, data):
     at any common scale of the integers."""
     nums = glchain._common_den(weights)[0]
     scales = (1, 3**40 + 1, 3**150 + 1)  # the last takes the leading-bits route
-    cdfs = [glchain._cuts([w * scale for w in nums]) for scale in scales]
+    cdfs = [_cuts([w * scale for w in nums]) for scale in scales]
     total = sum(weights, F(0))
     candidates = {0, 2**128 - 1}
     acc = F(0)
@@ -313,7 +318,7 @@ def test_cuts_next_to_an_integer_take_the_full_division(offset):
     only bound it to within 2^-63, so the cut must come from the full
     division: 3 on the integer or just below it, 4 just above."""
     first = 3 * 2**172 + offset
-    cuts = glchain._cuts([first, 2**300 - first])
+    cuts = _cuts([first, 2**300 - first])
     assert cuts == [4 if offset > 0 else 3, 2**128]
     assert [bisect_right(cuts, v) for v in (2, 3, 4)] == [0, 1 if offset <= 0 else 0, 1]
 
@@ -345,14 +350,14 @@ def test_ratio_cuts_next_to_an_integer_take_the_exact_pass(monkeypatch, offset):
 def test_cuts_are_the_ceilings_of_the_scaled_prefix_sums(nums):
     total = sum(nums)
     want = [-(-(acc << 128) // total) for acc in accumulate(nums)]
-    assert glchain._cuts(list(nums)) == want
+    assert _cuts(list(nums)) == want
 
 
 def test_cdf_exact_thresholds():
-    cuts = glchain._cuts([1, 1, 2])
+    cuts = _cuts([1, 1, 2])
     values = (0, 2**126 - 1, 2**126, 2**127, 2**128 - 1)
     assert [bisect_right(cuts, v) for v in values] == [0, 0, 1, 2, 2]
-    cuts = glchain._cuts([0, 1, 0, 2])
+    cuts = _cuts([0, 1, 0, 2])
     assert [bisect_right(cuts, v) for v in (0, 2**128 // 3, 2**128 // 3 + 1)] == [1, 1, 3]
 
 

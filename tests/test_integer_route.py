@@ -8,7 +8,6 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qchains.cli import _eigen_failures
 from qchains.fristedt import (
     FristedtParams,
     f_diag_rows,
@@ -18,6 +17,7 @@ from qchains.fristedt import (
 )
 from qchains.glchain import (
     diag_rows,
+    eigen_failures,
     first_col_unnormalized,
     kernel,
     kernel_rows,
@@ -116,7 +116,7 @@ def _check_diag_rows(rows, o, e_name):
         assert _entries(row[k] for row in rows) == square, name
     for k, name in ((3, "c"), (4, "e")):
         assert [row[k] for row in rows] == [o.diag(name, i, i) for i in range(size)], name
-    assert _eigen_failures(rows, e_name, o.kernel) == []
+    assert eigen_failures(rows, e_name, o.kernel) == []
 
 
 # q > 1 with small numerators and denominators; u in (0, 1]

@@ -18,13 +18,13 @@ from qchains.fristedt import (
 from qchains.glchain import (
     _columns,
     _common_den,
-    _power_entry,
     _reduced,
     _times,
     diag_rows,
     kernel,
     kernel_rows,
     kr_closed,
+    power_rows,
 )
 from qchains.partitions import MeasureParams
 from qchains.qalgebra import poch_table
@@ -119,13 +119,14 @@ def test_layer_matches_the_fraction_oracle(case):
 def test_power_entry_matches_the_fraction_oracle(case, r):
     a, _, _ = case
     n = len(a)
-    power = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    powers = [[[F(int(i == j)) for j in range(n)] for i in range(n)]]
     for _ in range(r):
-        power = _oracle_matmul(power, a)
+        powers.append(_oracle_matmul(powers[-1], a))
     rows = _rows(a)
+    cols = _columns(rows)
     for i in range(n):
-        for j in range(i + 1):
-            assert _power_entry(rows, i, j, r) == power[i][j], (i, j)
+        got = [[F(c, den) for c in row] for row, den in power_rows(rows, cols, i, r)]
+        assert got == [power[i][:i + 1] for power in powers[1:]], i
 
 
 def test_rows_are_canonical():

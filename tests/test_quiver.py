@@ -32,7 +32,7 @@ from qchains.quiver import (
     quiver_first_cols,
     quiver_kernel,
     quiver_m_entry,
-    quiver_sample,
+    quiver_sample_stream,
     tuple_weight,
 )
 from qchains.quiver import _masses, _MassTable, _sampler
@@ -211,7 +211,10 @@ def test_divergent_mass_raises_convergence_error():
         normalizer(DIVERGENT, DIVERGENT_PARAMS, size_cap=4, eps=F(1, 2))
     for seed in (0, 1):  # a failed check is not cached: every call raises
         with pytest.raises(ConvergenceError, match=r"a = \(1,\)"):
-            quiver_sample(DIVERGENT, DIVERGENT_PARAMS, seed, size_cap=4, eps=F(1, 2))
+            next(quiver_sample_stream(DIVERGENT, DIVERGENT_PARAMS, seed, 1, size_cap=4,
+                                      eps=F(1, 2)))
+    # no draw, so no sampler and no check
+    assert list(quiver_sample_stream(DIVERGENT, DIVERGENT_PARAMS, 0, 0, 4, F(1, 2))) == []
     assert quiver_first_cols((0,), DIVERGENT, DIVERGENT_PARAMS, 4) == 1
 
 
@@ -351,16 +354,23 @@ def test_chain_mass_cross_ratios_exact(g, p):
 
 
 def test_sample_determinism_and_columns():
-    t1 = quiver_sample(A2, A2_PARAMS, seed=5, size_cap=16)
-    t2 = quiver_sample(A2, A2_PARAMS, seed=5, size_cap=16)
-    assert t1.components == t2.components
-    assert len(t1) == 2
+    s1, s2 = (next(quiver_sample_stream(A2, A2_PARAMS, 5, 1, size_cap=16))
+              for _ in range(2))
+    assert s1 == s2
+    assert len(s1.partition) == 2
+    # draw i of a stream is the one-draw stream at seed + i, with its path
+    stream = list(quiver_sample_stream(A2, A2_PARAMS, 3, 4, size_cap=16))
+    assert [s.seed for s in stream] == [3, 4, 5, 6]
+    assert stream[2] == s1
+    sampler = _sampler(A2, A2_PARAMS, 16, F(1, 10**8))
+    assert [s.columns for s in stream] == [
+        sampler.path(random.Random(seed)) for seed in range(3, 7)]
 
 
 def test_sample_surfaces_nonconvergence():
     for _ in range(2):
         with pytest.raises(ConvergenceError):
-            quiver_sample(A2, A2_PARAMS, seed=5, size_cap=8, eps=F(1, 10**30))
+            next(quiver_sample_stream(A2, A2_PARAMS, 5, 1, size_cap=8, eps=F(1, 10**30)))
 
 
 GL_PARAMS = MeasureParams(u=F(1, 2), q=F(2))
@@ -380,7 +390,7 @@ def test_draws_equal_the_validating_builds(seed, q):
     path = _sampler(A2, A2_PARAMS, 20, eps).path(random.Random(seed))
     old = tuple(Partition([state[i] for state in path if state[i] > 0]).conjugate()
                 for i in range(A2.n))
-    got = quiver_sample(A2, A2_PARAMS, seed, 20, eps).components
+    got = next(quiver_sample_stream(A2, A2_PARAMS, seed, 1, 20, eps)).partition.components
     assert got == old
     assert all(Partition(c.parts) == c for c in got)
 
@@ -391,12 +401,11 @@ def test_a2_stream_pinned():
     g, p = load_quiver({"n": 2, "edges": [[1, 2, 1]], "U": ["1/4", "1/4"], "q": "2"})
     lines = "".join(
         json.dumps(
-            {"model": "quiver", "seed": seed,
-             "partitions": quiver_sample(g, p, seed, 20).to_json()},
+            {"model": "quiver", "seed": s.seed, "partitions": s.partition.to_json()},
             sort_keys=True,
         )
         + "\n"
-        for seed in range(200)
+        for s in quiver_sample_stream(g, p, 0, 200, 20)
     )
     assert hashlib.sha256(lines.encode()).hexdigest() == (
         "11f5634ed16df46e60f98874730f6bf90edfaa71560407b8c0832a723c2a6e2b"
@@ -409,9 +418,8 @@ def test_sample_single_point_matches_gl_statistics():
     mp = MeasureParams(u=F(1, 2), q=F(2))
     runs = 4000
     quiver_counts = {}
-    for i in range(runs):
-        t = quiver_sample(POINT, POINT_PARAMS, seed=10_000 + i, size_cap=20)
-        lam = t.components[0]
+    for s in quiver_sample_stream(POINT, POINT_PARAMS, 10_000, runs, size_cap=20):
+        lam = s.partition.components[0]
         a = len(lam)
         quiver_counts[a] = quiver_counts.get(a, 0) + 1
     gl_counts = {}
