@@ -249,17 +249,18 @@ def _sample_lines(samples, model, mode="json"):
     and _emit({"model": "quiver", "seed": s.seed, "partitions":
     s.partition.to_json()}, mode) for the quiver.
 
-    For one model and seed the line depends only on the chain states, so
-    the lines of the first _LINE_MEMO distinct states of a seed are kept
-    and written again when those states recur; others are formatted anew.
+    For one model and seed a row chain's line depends only on the chain
+    states, so the lines of a seed's first _LINE_MEMO distinct states are
+    kept and written again when they recur.  Each quiver draw has a seed of
+    its own, so its line never recurs and is formatted with no memo.
     """
     if model == "quiver":
         template = ('{{"model": "quiver", "partitions": {}, "seed": {}}}\n'
                     if mode == "json" else "model=quiver partitions={} seed={}\n")
-
-        def line(s):
-            return template.format(s.partition.to_json(), s.seed)
-    elif mode == "json":
+        for s in samples:
+            yield template.format(s.partition.to_json(), s.seed)
+        return
+    if mode == "json":
         name = json.dumps(model)
 
         def line(s):

@@ -12,12 +12,12 @@ measure on partitions of that size.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import mul
 
 from qchains.glchain import _PARAMS, _path_mass, _reduced, row_chain
 from qchains.partitions import Partition
-from qchains.qalgebra import Interval, as_fraction, poch_inf, poch_ints, poch_table
+from qchains.qalgebra import Interval, PochTable, as_fraction, poch_inf, poch_table
 from qchains.record import Record, _set
 
 _ZERO = Fraction(0)
@@ -39,8 +39,10 @@ class FristedtParams(Record):
 def _ints(p: FristedtParams):
     """(c, d, J) for q = c/d in lowest terms, with (q)_n = J_n / d^(n(n+1)/2)
     and (1/q)_n = (-1)^n J_n / c^(n(n+1)/2): J_n = h_1 ... h_n, h_k = d^k - c^k.
-    Keyed by the record, whose hash is kept."""
-    return p.q.numerator, p.q.denominator, poch_ints(1, 1 / p.q)
+    Keyed by the record, whose hash is kept.  J is a PochTable read lazily,
+    and lives as long as this entry."""
+    c, d = p.q.numerator, p.q.denominator
+    return c, d, PochTable(accumulate((d**k - c**k for k in count(1)), mul, initial=1))
 
 
 def weight_normalizer(p: FristedtParams, eps) -> Interval:

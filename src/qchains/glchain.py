@@ -21,17 +21,17 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import accumulate
+from itertools import accumulate, count
 from math import gcd, lcm, prod
 from operator import mul
 
 from qchains.partitions import MeasureParams, Partition, _conjugate_parts, _partition
 from qchains.qalgebra import (
     Interval,
+    PochTable,
     as_fraction,
     poch_inf,
     poch_inf_lower,
-    poch_ints,
 )
 
 TAIL_BITS = 64  # first-step support cap: certified tail below 2**-TAIL_BITS
@@ -87,10 +87,10 @@ def power_rows(rows, cols, i, r_max):
         yield vec, vden
 
 
-def eigen_failures(rows, e_name, kernel=None):
+def eigen_failures(rows, e_name, kernel):
     """Labels of the failed checks of a diagonalization read row by row from
-    rows, a model's row generator (diag_rows), with E written as e_name;
-    with the entry oracle kernel(a, b), K = C M C^-1 is checked too.
+    rows, a model's row generator (diag_rows), with E written as e_name,
+    against the entry oracle kernel(a, b).
 
     Only A is held, as its rows and by columns.  Row i of X A, for X = M and
     A^-1, is the row-vector product of row i of X and A (_times), and each
@@ -102,7 +102,7 @@ def eigen_failures(rows, e_name, kernel=None):
     A label's check stops at its first failed row.
     """
     eigen = f"M*A=A*{e_name}"
-    labels = ["A*Ainv", eigen] + (["K=CMC^-1"] if kernel else [])
+    labels = ["A*Ainv", eigen, "K=CMC^-1"]
     failed = set()
     a_rows, cols, cs, es = [], [], [], []
     for i, ((m, m_den), (a, a_den), (a_inv, inv_den), ci, ei) in enumerate(rows):
@@ -122,7 +122,7 @@ def eigen_failures(rows, e_name, kernel=None):
             if any(n * a_den * ej.denominator != aj * ej.numerator * den
                    for n, aj, ej in zip(nums, a, es)):
                 failed.add(eigen)
-        if kernel and "K=CMC^-1" not in failed:
+        if "K=CMC^-1" not in failed:
             den = m_den * ci.denominator
             for j, (mj, cj) in enumerate(zip(m, cs)):
                 kij = kernel(i, j)
@@ -163,10 +163,13 @@ def _ints(p: MeasureParams):
     """(un, ud, c, d, I, U) for u = un/ud, q = c/d: (1/q)_n = I_n / c^(n(n+1)/2)
     and (u/q)_n = U_n / (ud^n c^(n(n+1)/2)), with I_n = f_1 ... f_n, f_k =
     c^k - d^k and U_n = g_1 ... g_n, g_k = ud c^k - un d^k.  Keyed by the
-    record, whose hash is kept, so a lookup hashes no Fraction."""
-    u, q = p.u, p.q
-    return (u.numerator, u.denominator, q.numerator, q.denominator,
-            poch_ints(1, q), poch_ints(u, q))
+    record, whose hash is kept, so a lookup hashes no Fraction.  I and U are
+    PochTables read lazily, and live as long as this entry."""
+    un, ud, c, d = p.u.numerator, p.u.denominator, p.q.numerator, p.q.denominator
+    f = (c**k - d**k for k in count(1))
+    g = (ud * c**k - un * d**k for k in count(1))
+    return (un, ud, c, d, PochTable(accumulate(f, mul, initial=1)),
+            PochTable(accumulate(g, mul, initial=1)))
 
 
 def kernel(a: int, b: int, p: MeasureParams) -> Fraction:

@@ -2,12 +2,12 @@
 
 Every Pochhammer value is a read of one append-only table per parameter pair:
 ``poch_table(x, q)[n]`` = (1-x)(1-x/q)...(1-x/q^(n-1)).  The ascending symbol
-(1-x)(1-x^2)...(1-x^n) is the same table at (x, 1/x).  ``poch_ints(x, q)``
-is the same kind of table on integers: the numerators of
-(1-x/q)...(1-x/q^n), whose denominators have a closed form; only
-q_binomial_check forms its own, since it takes q = 0.  A negative index is
-an error, and callers whose formulas let an index go negative test the
-range themselves.  As series, a factor (1 - v^e) is one slice subtraction
+(1-x)(1-x^2)...(1-x^n) is the same table at (x, 1/x).  A PochTable reads
+any endless stream of values lazily, so the chain modules keep their
+integer numerators in PochTables of their own factors; only
+q_binomial_check forms its own list, since it takes q = 0.  A negative
+index is an error, and callers whose formulas let an index go negative test
+the range themselves.  As series, a factor (1 - v^e) is one slice subtraction
 (``QSeries.mul_one_minus_pow``), a factor 1/(1 - v^r) one pass of
 out[n] = a[n] + out[n - r] (``geom_inv_mul``), a product of such factors
 over distinct strides a few shift-adds per factor on one packed integer
@@ -28,7 +28,7 @@ import threading
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, count, repeat
+from itertools import accumulate, islice, repeat
 from math import isqrt
 from operator import add, mul, sub
 
@@ -78,42 +78,30 @@ class Interval(Record):
 # Pochhammer symbols
 
 
-_POCH_TABLES = 64  # parameter pairs whose tables are kept, of each kind
+_POCH_TABLES = 64  # parameter pairs whose poch_table is kept
 
 
 class PochTable:
-    """Descending q-Pochhammer values t[n] = prod_{r<n} (1 - x/q^r), n >= 0,
-    for one pair (x, q); with ints, the integers t[n] = prod_{k=1..n}
-    (b c^k - a d^k) for x = a/b and q = c/d in lowest terms, which are the
-    numerators of the table at (x/q, q) over b^n c^(n(n+1)/2).
-
-    The table is append-only: a read past its end extends it iteratively up
-    to that index, under a lock since tables are shared.  The ascending
-    (1-x)...(1-x^n) is the table at (x, 1/x).
+    """The values t[0], t[1], ... of one endless stream (an iterator), read
+    lazily: a read past the table's end takes the stream up to that index,
+    under a lock since tables are shared.  Each reader passes its own
+    stream of prefix products, such as poch_table's or the chain modules'
+    integer numerators.
     """
 
-    __slots__ = ("_vals", "_factors", "_lock")
+    __slots__ = ("_vals", "_values", "_lock")
 
-    def __init__(self, x, q, ints=False):
-        x, q = as_fraction(x), as_fraction(q)
-        if q == 0:
-            raise ValueError("q must be nonzero")
-        a, b, c, d = x.numerator, x.denominator, q.numerator, q.denominator
-        self._vals = [1 if ints else _ONE]
-        self._factors = ((b * c**k - a * d**k for k in count(1)) if ints else
-                         (1 - t for t in accumulate(repeat(1 / q), mul, initial=x)))
+    def __init__(self, values):
+        self._vals = []
+        self._values = values
         self._lock = threading.Lock()
 
     def __getitem__(self, n: int):
         vals = self._vals
         if n >= len(vals):
             with self._lock:
-                value, factors = vals[-1], self._factors
-                new = []
-                for _ in range(len(vals), n + 1):
-                    value *= next(factors)
-                    new.append(value)
-                vals.extend(new)
+                # another thread may have extended the table since the check
+                vals.extend(islice(self._values, max(0, n + 1 - len(vals))))
         elif n < 0:
             raise ValueError("Pochhammer index must be >= 0")
         return vals[n]
@@ -122,17 +110,12 @@ class PochTable:
 @lru_cache(maxsize=_POCH_TABLES)
 def poch_table(x, q) -> PochTable:
     """The shared table of (1-x)(1-x/q)...(1-x/q^(n-1)) over n for (x, q)."""
-    return PochTable(x, q)
-
-
-@lru_cache(maxsize=_POCH_TABLES)
-def poch_ints(x, q) -> PochTable:
-    """The shared integer table of (1-x/q)(1-x/q^2)...(1-x/q^n): with
-    x = a/b and q = c/d, the numerators prod_{k=1..n} (b c^k - a d^k) over
-    b^n c^(n(n+1)/2).  So (1/q)_n has the numerator poch_ints(1, q)[n], and
-    N_n / N_m (m <= n), and for x = 1 also N_n / (N_m N_(n-m)), is an integer.
-    """
-    return PochTable(x, q, ints=True)
+    x, q = as_fraction(x), as_fraction(q)
+    if q == 0:
+        raise ValueError("q must be nonzero")
+    # t[0] stays the Fraction 1, so 1 / t[0] is a Fraction too
+    factors = (1 - t for t in accumulate(repeat(1 / q), mul, initial=x))
+    return PochTable(accumulate(factors, mul, initial=_ONE))
 
 
 def _poch_inf_cutoff(x, q, eps):
@@ -630,7 +613,6 @@ __all__ = [
     "jacobi_product",
     "one_minus_product",
     "poch_inf",
-    "poch_ints",
     "poch_table",
     "q_binomial_check",
     "theta_sum",

@@ -119,7 +119,7 @@ def test_diagonalization_at_u_equal_one():
     p = MeasureParams(u=F(1), q=F(2))
     rows = list(diag_rows(8, p))
     assert rows[0][2] == ((1,), 1)  # limit value
-    assert eigen_failures(rows, "E") == []
+    assert eigen_failures(rows, "E", lambda a, b: kernel(a, b, p)) == []
 
 
 def _m_times_a(l_max, p):

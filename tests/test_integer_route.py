@@ -8,6 +8,7 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qchains import fristedt, glchain
 from qchains.fristedt import (
     FristedtParams,
     f_diag_rows,
@@ -24,7 +25,6 @@ from qchains.glchain import (
     kr_closed,
 )
 from qchains.partitions import MeasureParams
-from qchains.qalgebra import poch_ints
 
 
 def _desc(x, q, top):
@@ -219,10 +219,12 @@ def test_fristedt_equals_the_fraction_formulas(q, l, r):
 @example(x=F(1), q=F(10, 9), a=25, b=0)
 def test_integer_numerators_and_their_exact_quotients(x, q, a, b):
     b = min(a, b)
-    n, ones = poch_ints(x, q), poch_ints(1, q)
+    *_, ones, n = glchain._ints(MeasureParams(x, q))  # the tables I and U
     values = _desc(x, q, a)
     for k in (0, b, a):  # over the closed-form denominator x_d^k c^(k(k+1)/2)
         den = x.denominator**k * q.numerator ** (k * (k + 1) // 2)
         assert F(n[k], den) == values[k], k
     assert n[a] % n[b] == 0  # G(b+1..a)
     assert ones[a] % (ones[b] * ones[a - b]) == 0  # [a; b]
+    # Fristedt's J at 1/q is gl's I at q
+    assert fristedt._ints(FristedtParams(1 / q))[2][a] == ones[a]

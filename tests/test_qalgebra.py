@@ -4,6 +4,7 @@ theta sums, the triple product, and the q-binomial identity."""
 import sys
 import threading
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -79,9 +80,17 @@ def test_poch_tables_past_the_recursion_limit():
     assert (desc.numerator, desc.denominator) == expected
 
 
+def _desc_products(x, q):
+    """The endless stream of prod_{r<n} (1 - x/q^r), n = 0, 1, ..."""
+    value = F(1)
+    for r in count():
+        yield value
+        value *= 1 - x / q**r
+
+
 def test_poch_table_extended_from_many_threads():
     x, q = F(1, 3), F(2)
-    table = PochTable(x, q)
+    table = PochTable(_desc_products(x, q))
     expected = [F(1)]
     for r in range(400):
         expected.append(expected[-1] * (1 - x / q**r))
@@ -89,7 +98,10 @@ def test_poch_table_extended_from_many_threads():
     wrong = []
 
     def reader(k):
-        wrong.extend(n for n in range(k, 401, 8) if table[n] != expected[n])
+        try:
+            wrong.extend(n for n in range(k, 401, 8) if table[n] != expected[n])
+        except ValueError as exc:  # a raced read: stream entered twice, or slice < 0
+            wrong.append(exc)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -104,6 +116,15 @@ def test_poch_table_extended_from_many_threads():
         sys.setswitchinterval(old)
     assert wrong == []
     assert [table[n] for n in range(401)] == expected
+
+
+def test_poch_table_reads_its_stream_lazily():
+    stream = count()
+    table = PochTable(stream)
+    assert table[5] == 5
+    assert next(stream) == 6  # t[5] took exactly t[0..5] from the stream
+    assert [table[n] for n in (3, 0, 5)] == [3, 0, 5]
+    assert next(stream) == 7  # lower indices took nothing more
 
 
 # ---------------------------------------------------------------------------
