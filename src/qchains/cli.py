@@ -28,7 +28,6 @@ from qchains.fristedt import (
     f_sample_stream,
 )
 from qchains.glchain import (
-    _columns,
     _common_den,
     chain_mass,
     diag_rows,
@@ -291,8 +290,7 @@ def _power_mismatches(m, l_max, r_max):
     kernel matrix on 0..l_max differs from its closed form: row l of K^r
     comes from one power_rows generator per l, all advanced together."""
     rows = list(m.rows(l_max, m.p))
-    cols = _columns(rows)
-    powers = [power_rows(rows, cols, ll, r_max) for ll in range(l_max + 1)]
+    powers = [power_rows(rows, ll, r_max) for ll in range(l_max + 1)]
     for r in range(1, r_max + 1):
         for ll, power in enumerate(powers):
             row, den = next(power)
@@ -509,6 +507,8 @@ def _case_quiver(name, size_cap, a_budget):
         size_cap = 24 if size_cap is None else size_cap  # loop decays slower than A2
     else:
         raise ValueError(f"unknown built-in quiver {name!r}")
+    if size_cap < a_budget:  # the checks below visit every |a| <= a_budget
+        raise ValueError("state mass vanished at this truncation; raise size_cap")
     failures = []
     vectors = [
         a
@@ -519,14 +519,14 @@ def _case_quiver(name, size_cap, a_budget):
         if sum(a) == 0:
             continue
         support = itertools.product(*(range(v + 1) for v in a))
-        if sum(quiver_kernel(a, b, g, p, size_cap) for b in support) != 1:
+        if sum(quiver_kernel(a, b, g, p) for b in support) != 1:
             failures.append(f"rowsum{a}")
     # the chain generates the tuple measure: each tuple whose component sizes
     # are one of the vectors has chain mass equal to its weight
     for sizes in vectors:
         for comps in itertools.product(*map(enumerate_partitions, sizes)):
             t = PartitionTuple(comps)
-            if quiver_chain_mass(t, g, p, size_cap) != tuple_weight(t, g, p):
+            if quiver_chain_mass(t, g, p) != tuple_weight(t, g, p):
                 failures.append(f"chain-measure{t.to_json()}")
     return {
         "suite": "quiver",
@@ -721,7 +721,7 @@ def cmd_power(args) -> int:
     closed = m.closed(ll, j, r, m.p)
     rows = list(m.rows(ll, m.p))
     # row L of K^r is the last row that power_rows yields
-    (row, den), = deque(power_rows(rows, _columns(rows), ll, r), maxlen=1)
+    (row, den), = deque(power_rows(rows, ll, r), maxlen=1)
     power = Fraction(row[j], den)
     equal = closed == power
     _emit(

@@ -75,11 +75,12 @@ def _times(vec, rows, cols):
     return [sum(map(mul, xs[j:], col)) for j, col in enumerate(cols[:len(vec)])], d
 
 
-def power_rows(rows, cols, i, r_max):
+def power_rows(rows, i, r_max):
     """Yield row i of M^r as (numerators, denominator) for r = 1..r_max, M
-    the lower-triangular matrix of rows and cols its _columns: each row is
-    the one before times M (_times).  The rows are not reduced, since their
-    entries grow to the padding's size anyway."""
+    the lower-triangular matrix of rows: each row is the one before times M
+    (_times), which reads rows 0..i and their _columns.  The rows are not
+    reduced, since their entries grow to the padding's size anyway."""
+    cols = _columns(rows[:i + 1])
     vec, vden = [0] * i + [1], 1  # row i of the identity, columns 0..i
     for _ in range(r_max):
         vec, d = _times(vec, rows, cols)

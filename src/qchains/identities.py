@@ -19,6 +19,7 @@ multiplied once per order.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import isqrt
 from operator import add, mul
 
@@ -139,29 +140,28 @@ def absorption_limit_series(r: int, delta: int, order: int) -> QSeries:
 
     with the n = 0 term equal to 1: for delta = 1 the defining expression
     evaluates to 1 directly, for delta = 0 it is the u -> 1 limit.
+
+    The Euler inverses 1/prod_{s<=n}(1-x^s) are ag_sum's rows
+    (_inverse_rows): row n reaches order - n^2, past term n's order - expo.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if delta not in (0, 1):
         raise ValueError("delta must be 0 or 1")
     acc = QSeries.one(order)
-    inv = QSeries.one(order)  # 1/prod_{s<=n}(1-x^s)
     num = QSeries.one(order)  # prod_{s<=n-1}(1-x^(delta+s))
-    n = 1
-    while True:
+    for n, inv in enumerate(islice(_inverse_rows(order), 1, None), 1):
         expo = r * n * n + delta * r * n + n * (n - 1) // 2
         if expo > order:
             break
-        inv = inv.mul_geom_inv(n)
         if n >= 2:
             num = num.mul_one_minus_pow(delta + n - 1)
         reduced = order - expo
-        term = num.truncate(reduced) * inv
+        term = QSeries._make(conv_trunc(num.coeffs, inv, reduced), reduced, "x")
         term = term.mul_one_minus_pow(delta + 2 * n)
         if n % 2:
             term = -term
         acc = acc + term.shift(expo)
-        n += 1
     return acc
 
 

@@ -7,11 +7,12 @@ The weight of an n-tuple of partitions is
         / (prod_i q^(<lam(i),lam(i)>) b_{lam(i)})
 
 with <lam,mu> the inner product of conjugate parts and b_lam the product of
-(1/q)_{m_i}.  The first-column masses are exact: kernel rows sum to 1, which
-is a triangular recursion for them.  Only the normalizer, a sum over all
-first columns, has no closed form here; it is truncated by total part count
-with a Cauchy stopping rule and is explicitly *not* certified.  The chain's
-sample stream (quiver_sample_stream) runs on the glchain.ChainSampler driver.
+(1/q)_{m_i}.  The first-column masses, the kernel and the chain mass are
+exact at every state: kernel rows sum to 1, a triangular recursion for the
+masses.  Only the normalizer, a sum over all first columns, is truncated by
+total part count, with a Cauchy stopping rule, and is explicitly *not*
+certified; the sampler's first step (quiver_sample_stream, on the
+glchain.ChainSampler driver) has the same truncated support.
 """
 
 import json
@@ -210,7 +211,9 @@ class _MassTable:
 
     Kernel rows sum to 1 and M(a, b) = m(a) / prod_i (1/q)_{a_i-b_i} for b <= a,
     m(a) = M(a, a).  So P(0) = 1 and P(a) = m(a) S(a) / (1 - m(a)), where
-    S(a) = sum_{b <= a, b != a} P(b) / prod_i (1/q)_{a_i-b_i}.
+    S(a) = sum_{b <= a, b != a} P(b) / prod_i (1/q)_{a_i-b_i}.  Every P(a) > 0:
+    m(a) lies in (0, 1), or the level raises ConvergenceError naming a, and
+    S(a) >= P(0) / prod_i (1/q)_{a_i} >= 1, since (1/q)_d <= 1 for q > 1.
 
     The kernel is one factor t(d) = 1/(1/q)_d per axis, so S takes n one-axis
     passes instead of a sum over the box.  With G_0 = P and G_j(a) the sum of
@@ -307,15 +310,15 @@ def normalizer(g: Quiver, p: QuiverParams, size_cap: int = 20, eps=Fraction(1, 1
     )
 
 
-def quiver_first_cols(a, g: Quiver, p: QuiverParams, size_cap: int = 20) -> Fraction:
-    """Exact unnormalized mass of tuples whose components have exactly
-    a_1, ..., a_n parts; 0 outside the support |a| <= size_cap."""
+def quiver_first_cols(a, g: Quiver, p: QuiverParams) -> Fraction:
+    """Exact unnormalized mass P(a) of tuples whose components have exactly
+    a_1, ..., a_n parts, at every a: the mass table grows to level |a|."""
     a = tuple(int(v) for v in a)
     if len(a) != g.n:
         raise ValueError("vector length must match the number of vertices")
     if any(v < 0 for v in a):
         raise ValueError("part counts must be >= 0")
-    return _masses(g, p).grow(sum(a)).mass[a] if sum(a) <= size_cap else _ZERO
+    return _masses(g, p).grow(sum(a)).mass[a]
 
 
 def quiver_m_entry(a, b, g: Quiver, p: QuiverParams) -> Fraction:
@@ -338,24 +341,18 @@ def quiver_m_entry(a, b, g: Quiver, p: QuiverParams) -> Fraction:
     return w
 
 
-def quiver_kernel(a, b, g: Quiver, p: QuiverParams, size_cap: int = 20) -> Fraction:
+def quiver_kernel(a, b, g: Quiver, p: QuiverParams) -> Fraction:
     """One-step transition probability M(a, b) P(b) / P(a) between
-    part-count vectors; exact, and defined on the support |a| <= size_cap."""
+    part-count vectors; exact at every state, where P(a) > 0 (_MassTable)."""
     a = tuple(int(v) for v in a)
     b = tuple(int(v) for v in b)
     m = quiver_m_entry(a, b, g, p)
     if m == 0:
         return _ZERO
-    pa = quiver_first_cols(a, g, p, size_cap)
-    pb = quiver_first_cols(b, g, p, size_cap)
-    if pa == 0:
-        raise ValueError("state mass vanished at this truncation; raise size_cap")
-    return m * pb / pa
+    return m * quiver_first_cols(b, g, p) / quiver_first_cols(a, g, p)
 
 
-def quiver_chain_mass(
-    t: PartitionTuple, g: Quiver, p: QuiverParams, size_cap: int = 20
-) -> Fraction:
+def quiver_chain_mass(t: PartitionTuple, g: Quiver, p: QuiverParams) -> Fraction:
     """First-column mass times kernel steps down the columns of the tuple.
 
     The mass ratios telescope to P(0) = 1, leaving the product of the M
@@ -364,8 +361,8 @@ def quiver_chain_mass(
     # level k is the vector of the components' k-th columns, 0 past their ends
     cols = (c.conjugate().parts for c in t.components)
     levels = tuple(zip_longest(*cols, fillvalue=0))
-    return _path_mass(levels, lambda a: quiver_first_cols(a, g, p, size_cap),
-                      lambda a, b: quiver_kernel(a, b, g, p, size_cap), (0,) * g.n)
+    return _path_mass(levels, lambda a: quiver_first_cols(a, g, p),
+                      lambda a, b: quiver_kernel(a, b, g, p), (0,) * g.n)
 
 
 # ---------------------------------------------------------------------------

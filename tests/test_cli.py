@@ -87,6 +87,7 @@ def test_verify_bad_config_exits_2(capsys):
         ["series", "--which", "ag-sum", "--k", "0"],
         ["verify", "--suite", "quiver", "--size-cap", "-1"],
         ["verify", "--suite", "quiver", "--size-cap", "0"],
+        ["verify", "--suite", "quiver", "--size-cap", "2"],
         ["bailey", "--steps", "-1"],
         ["sample", "--seed", "-1"],
         ["verify", "--suite", "bailey", "--seed", "-1"],
@@ -97,9 +98,9 @@ def test_verify_bad_config_exits_2(capsys):
     ],
     ids=["verify-order", "verify-lmax", "series-order", "sample-count", "bailey-count",
          "jobs-zero", "jobs-negative", "qbinomial-n", "verify-k-zero",
-         "series-k-zero", "size-cap-negative", "size-cap-zero", "bailey-steps",
-         "sample-seed", "verify-seed", "verify-order-above", "series-order-above",
-         "fristedt-q-above", "fristedt-q-near-one"],
+         "series-k-zero", "size-cap-negative", "size-cap-zero", "size-cap-two",
+         "bailey-steps", "sample-seed", "verify-seed", "verify-order-above",
+         "series-order-above", "fristedt-q-above", "fristedt-q-near-one"],
 )
 def test_negative_order_or_lmax_exits_2(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -334,9 +335,9 @@ def test_quiver_case_checks_the_chain_measure(monkeypatch):
 def test_quiver_case_checks_row_sums_exactly(monkeypatch):
     kernel_entry = cli.quiver_kernel
 
-    def shifted(a, b, g, p, size_cap):
+    def shifted(a, b, g, p):
         off = Fraction(1, 10**9) if (a, b) == ((1, 1), (0, 1)) else 0
-        return kernel_entry(a, b, g, p, size_cap) + off
+        return kernel_entry(a, b, g, p) + off
 
     monkeypatch.setattr(cli, "quiver_kernel", shifted)
     report = cli._case_quiver("a2", None, 3)

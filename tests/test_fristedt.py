@@ -19,7 +19,7 @@ from qchains.fristedt import (
     row_law_limit,
     weight_normalizer,
 )
-from qchains.glchain import _columns, eigen_failures, power_rows
+from qchains.glchain import eigen_failures, power_rows
 from qchains.partitions import enumerate_partitions
 from qchains.qalgebra import QSeries, poch_table
 
@@ -113,9 +113,8 @@ def test_kr_closed_absorbing():
 def test_kr_closed_matches_matrix_powers(p):
     l_max, r_max = 10, 5
     rows = list(f_kernel_rows(l_max, p))
-    cols = _columns(rows)
     for ll in range(l_max + 1):
-        for r, (row, den) in enumerate(power_rows(rows, cols, ll, r_max), 1):
+        for r, (row, den) in enumerate(power_rows(rows, ll, r_max), 1):
             for j in range(ll + 1):
                 assert f_kr_closed(ll, j, r, p) == F(row[j], den), (ll, j, r)
 

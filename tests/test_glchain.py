@@ -164,9 +164,8 @@ def test_kr_closed_past_the_recursion_limit():
 def test_kr_closed_matches_matrix_powers():
     l_max, r_max = 12, 5
     rows = list(kernel_rows(l_max, P12))
-    cols = _columns(rows)
     for ll in range(l_max + 1):
-        for r, (row, den) in enumerate(power_rows(rows, cols, ll, r_max), 1):
+        for r, (row, den) in enumerate(power_rows(rows, ll, r_max), 1):
             for j in range(ll + 1):
                 assert kr_closed(ll, j, r, P12) == F(row[j], den), (ll, j, r)
 

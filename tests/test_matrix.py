@@ -123,9 +123,8 @@ def test_power_entry_matches_the_fraction_oracle(case, r):
     for _ in range(r):
         powers.append(_oracle_matmul(powers[-1], a))
     rows = _rows(a)
-    cols = _columns(rows)
     for i in range(n):
-        got = [[F(c, den) for c in row] for row, den in power_rows(rows, cols, i, r)]
+        got = [[F(c, den) for c in row] for row, den in power_rows(rows, i, r)]
         assert got == [power[i][:i + 1] for power in powers[1:]], i
 
 

@@ -129,24 +129,22 @@ def test_normalizer_a2_cauchy_by_size_20():
 
 
 def test_first_cols_empty_state():
-    assert quiver_first_cols((0,), POINT, POINT_PARAMS, size_cap=10) == 1
-    assert quiver_first_cols((0, 0), A2, A2_PARAMS, size_cap=10) == 1
+    assert quiver_first_cols((0,), POINT, POINT_PARAMS) == 1
+    assert quiver_first_cols((0, 0), A2, A2_PARAMS) == 1
 
 
 def test_first_cols_single_point_matches_chain_law():
-    cap = 26
     mp = MeasureParams(u=F(1, 2), q=F(2))
-    p0 = quiver_first_cols((0,), POINT, POINT_PARAMS, cap)
+    p0 = quiver_first_cols((0,), POINT, POINT_PARAMS)
     for a in range(1, 5):
-        got = quiver_first_cols((a,), POINT, POINT_PARAMS, cap) / p0
+        got = quiver_first_cols((a,), POINT, POINT_PARAMS) / p0
         expect = first_col_unnormalized(a, mp) / first_col_unnormalized(0, mp)
         assert abs(got - expect) < F(1, 10**6), a
 
 
 def test_first_cols_jordan_geometric():
-    cap = 40
-    got = quiver_first_cols((1,), JORDAN, JORDAN_PARAMS, cap) / quiver_first_cols(
-        (0,), JORDAN, JORDAN_PARAMS, cap
+    got = quiver_first_cols((1,), JORDAN, JORDAN_PARAMS) / quiver_first_cols(
+        (0,), JORDAN, JORDAN_PARAMS
     )
     u = JORDAN_PARAMS.u[0]
     expect = u / ((1 - u) * (1 - F(1, 2)))
@@ -182,21 +180,20 @@ def test_first_cols_bound_the_truncated_tuple_sums(g, p):
             brute[a] = brute.get(a, F(0)) + tuple_weight(t, g, p)
     assert set(brute) == {a for a in itertools.product(range(cap + 1), repeat=g.n)
                           if sum(a) <= cap}
-    assert brute.pop((0,) * g.n) == quiver_first_cols((0,) * g.n, g, p, cap) == 1
+    assert brute.pop((0,) * g.n) == quiver_first_cols((0,) * g.n, g, p) == 1
     for a, partial in brute.items():
-        assert 0 < partial < quiver_first_cols(a, g, p, cap), a
+        assert 0 < partial < quiver_first_cols(a, g, p), a
 
 
 def test_normalizer_sums_the_first_column_masses():
     cap = 12
     res = normalizer(A2, A2_PARAMS, size_cap=cap, eps=F(1, 10**6))
     masses = [
-        quiver_first_cols(a, A2, A2_PARAMS, cap)
+        quiver_first_cols(a, A2, A2_PARAMS)
         for a in itertools.product(range(cap + 1), repeat=2)
         if sum(a) <= cap
     ]
     assert res.value == sum(masses)
-    assert quiver_first_cols((cap + 1, 0), A2, A2_PARAMS, cap) == 0
 
 
 # one loop of multiplicity 2: M(a, a) = q^(a^2) U^a reaches 1 at a = 1
@@ -206,7 +203,7 @@ DIVERGENT_PARAMS = QuiverParams(q=F(2), u=(F(1, 2),))
 
 def test_divergent_mass_raises_convergence_error():
     with pytest.raises(ConvergenceError, match=r"a = \(1,\)"):
-        quiver_first_cols((1,), DIVERGENT, DIVERGENT_PARAMS, 4)
+        quiver_first_cols((1,), DIVERGENT, DIVERGENT_PARAMS)
     with pytest.raises(ConvergenceError, match=r"a = \(1,\)"):
         normalizer(DIVERGENT, DIVERGENT_PARAMS, size_cap=4, eps=F(1, 2))
     for seed in (0, 1):  # a failed check is not cached: every call raises
@@ -215,7 +212,7 @@ def test_divergent_mass_raises_convergence_error():
                                       eps=F(1, 2)))
     # no draw, so no sampler and no check
     assert list(quiver_sample_stream(DIVERGENT, DIVERGENT_PARAMS, 0, 0, 4, F(1, 2))) == []
-    assert quiver_first_cols((0,), DIVERGENT, DIVERGENT_PARAMS, 4) == 1
+    assert quiver_first_cols((0,), DIVERGENT, DIVERGENT_PARAMS) == 1
 
 
 def box_sum_masses(g, p, cap):
@@ -295,26 +292,23 @@ def test_mass_table_grown_from_many_threads():
 
 
 def test_kernel_absorbing_and_support():
-    assert quiver_kernel((0, 0), (0, 0), A2, A2_PARAMS, 10) == 1
-    assert quiver_kernel((1, 1), (2, 0), A2, A2_PARAMS, 10) == 0
+    assert quiver_kernel((0, 0), (0, 0), A2, A2_PARAMS) == 1
+    assert quiver_kernel((1, 1), (2, 0), A2, A2_PARAMS) == 0
     assert quiver_m_entry((1,), (2,), POINT, POINT_PARAMS) == 0
 
 
 def test_kernel_single_point_matches_glchain():
-    cap = 26
     mp = MeasureParams(u=F(1, 2), q=F(2))
     for a in range(6):
         for b in range(a + 1):
-            got = quiver_kernel((a,), (b,), POINT, POINT_PARAMS, cap)
+            got = quiver_kernel((a,), (b,), POINT, POINT_PARAMS)
             assert abs(got - kernel(a, b, mp)) < F(1, 10**6), (a, b)
 
 
 @pytest.mark.parametrize(
-    "g,p,cap",
-    [(A2, A2_PARAMS, 20), (JORDAN, JORDAN_PARAMS, 24)],
-    ids=["a2", "jordan"],
+    "g,p", [(A2, A2_PARAMS), (JORDAN, JORDAN_PARAMS)], ids=["a2", "jordan"]
 )
-def test_kernel_rows_near_stochastic(g, p, cap):
+def test_kernel_rows_near_stochastic(g, p):
     vectors = [
         a
         for a in itertools.product(range(5), repeat=g.n)
@@ -322,20 +316,20 @@ def test_kernel_rows_near_stochastic(g, p, cap):
     ]
     for a in vectors:
         support = itertools.product(*(range(v + 1) for v in a))
-        total = sum(quiver_kernel(a, b, g, p, cap) for b in support)
+        total = sum(quiver_kernel(a, b, g, p) for b in support)
         assert abs(total - 1) < F(1, 10**6), a
 
 
 @pytest.mark.parametrize(
-    "g,p,cap",
-    [(A2, A2_PARAMS, 20), (JORDAN, JORDAN_PARAMS, 24), (THREE, THREE_PARAMS, 4)],
+    "g,p",
+    [(A2, A2_PARAMS), (JORDAN, JORDAN_PARAMS), (THREE, THREE_PARAMS)],
     ids=["a2", "jordan", "three"],
 )
-def test_kernel_rows_exactly_stochastic(g, p, cap):
+def test_kernel_rows_exactly_stochastic(g, p):
     for a in itertools.product(range(5), repeat=g.n):
         if 0 < sum(a) <= 4:
             support = itertools.product(*(range(v + 1) for v in a))
-            assert sum(quiver_kernel(a, b, g, p, cap) for b in support) == 1, a
+            assert sum(quiver_kernel(a, b, g, p) for b in support) == 1, a
 
 
 @pytest.mark.parametrize(
@@ -344,13 +338,25 @@ def test_kernel_rows_exactly_stochastic(g, p, cap):
     ids=["a2", "jordan", "three"],
 )
 def test_chain_mass_cross_ratios_exact(g, p):
-    cap = 16
     tuples = [t for s in range(7) for t in all_tuples(g.n, s)]
     base = tuples[0]
-    cb = quiver_chain_mass(base, g, p, cap)
+    cb = quiver_chain_mass(base, g, p)
     wb = tuple_weight(base, g, p)
     for t in tuples:
-        assert quiver_chain_mass(t, g, p, cap) * wb == tuple_weight(t, g, p) * cb, t
+        assert quiver_chain_mass(t, g, p) * wb == tuple_weight(t, g, p) * cb, t
+
+
+def test_exact_past_the_default_size_cap():
+    """The masses, the kernel and the chain mass take no cap: past the
+    sampler's default first-step support |a| <= 20 each is the exact value."""
+    mass = quiver_first_cols((21, 0), A2, A2_PARAMS)
+    assert mass > 0
+    assert mass == _masses(A2, A2_PARAMS).grow(21).mass[(21, 0)]
+    support = itertools.product(range(12), range(12))
+    assert sum(quiver_kernel((11, 11), b, A2, A2_PARAMS) for b in support) == 1
+    t, base = PartitionTuple(([1] * 21, [])), PartitionTuple(([1], []))
+    assert (quiver_chain_mass(t, A2, A2_PARAMS) * tuple_weight(base, A2, A2_PARAMS)
+            == tuple_weight(t, A2, A2_PARAMS) * quiver_chain_mass(base, A2, A2_PARAMS))
 
 
 def test_sample_determinism_and_columns():
