@@ -18,6 +18,7 @@ from collections import deque, namedtuple
 from fractions import Fraction
 from time import perf_counter
 
+from qchains import glchain
 from qchains.fristedt import (
     FristedtParams,
     f_chain_mass,
@@ -177,7 +178,8 @@ _Model = namedtuple("_Model", "p params kernel rows diag_rows closed stream")
 
 
 # the options each model reads (the quiver file sets the quiver's U and q)
-_MODEL_OPTIONS = {"gl": {"u", "q"}, "fristedt": {"q"}, "quiver": {"quiver", "size_cap"}}
+_MODEL_OPTIONS = {"gl": {"u", "q"}, "fristedt": {"q"},
+                  "quiver": {"quiver", "size_cap", "eps"}}
 
 
 def _check_model_flags(args):
@@ -239,9 +241,6 @@ def _emit_list(obj, key, chunks, mode="json"):
     out.write(line[cut:] + "\n")
 
 
-_LINE_MEMO = 1024  # distinct chain paths whose line _sample_lines keeps
-
-
 def _sample_lines(samples, model, mode="json"):
     """Yield, for each ChainSample, the line that _emit prints for it,
     formatted directly: _emit(s.to_json(model), mode) for a row-length chain,
@@ -249,9 +248,10 @@ def _sample_lines(samples, model, mode="json"):
     s.partition.to_json()}, mode) for the quiver.
 
     For one model and seed a row chain's line depends only on the chain
-    states, so the lines of a seed's first _LINE_MEMO distinct states are
-    kept and written again when they recur.  Each quiver draw has a seed of
-    its own, so its line never recurs and is formatted with no memo.
+    states, so the lines of a seed's first glchain._STREAM_MEMO distinct
+    states (the paths whose sample the stream keeps) are kept and written
+    again when they recur.  Each quiver draw has a seed of its own, so its
+    line never recurs and is formatted with no memo.
     """
     if model == "quiver":
         template = ('{{"model": "quiver", "partitions": {}, "seed": {}}}\n'
@@ -276,7 +276,7 @@ def _sample_lines(samples, model, mode="json"):
         text = memo.get(s.columns)
         if text is None:
             text = line(s)
-            if len(memo) < _LINE_MEMO:
+            if len(memo) < glchain._STREAM_MEMO:
                 memo[s.columns] = text
         yield text
 
@@ -496,24 +496,24 @@ def _case_fristedt(q, l_max, r_max, size):
     }
 
 
-def _case_quiver(name, size_cap, a_budget):
+def _case_quiver(name):
+    # no check reads the reported size_cap: masses and kernel are exact at every state
     if name == "a2":
         g = Quiver.from_edges(2, [(1, 2, 1)])
         p = QuiverParams(q=Fraction(2), u=(Fraction(1, 4), Fraction(1, 4)))
-        size_cap = 16 if size_cap is None else size_cap
+        size_cap = 16
     elif name == "jordan":
         g = Quiver.from_edges(1, [(1, 1, 1)])
         p = QuiverParams(q=Fraction(2), u=(Fraction(1, 4),))
-        size_cap = 24 if size_cap is None else size_cap  # loop decays slower than A2
+        size_cap = 24  # loop decays slower than A2
     else:
         raise ValueError(f"unknown built-in quiver {name!r}")
-    if size_cap < a_budget:  # the checks below visit every |a| <= a_budget
-        raise ValueError("state mass vanished at this truncation; raise size_cap")
+    budget = 3  # the checks visit every state of total part count <= budget
     failures = []
     vectors = [
         a
-        for a in itertools.product(range(a_budget + 1), repeat=g.n)
-        if sum(a) <= a_budget
+        for a in itertools.product(range(budget + 1), repeat=g.n)
+        if sum(a) <= budget
     ]
     for a in vectors:
         if sum(a) == 0:
@@ -624,8 +624,7 @@ def _fristedt_cases(args):
 
 
 def _quiver_cases(args):
-    return [(_case_quiver, {"name": name, "size_cap": args.size_cap, "a_budget": 3})
-            for name in ("a2", "jordan")]
+    return [(_case_quiver, {"name": name}) for name in ("a2", "jordan")]
 
 
 # suite: (case maker, the options it reads, those of them it reads only when
@@ -645,7 +644,7 @@ _SUITES = {
     "chain-measure": (_chain_measure_cases, {"u", "q"}, set()),
     "bailey": (_bailey_cases, {"lmax", "u", "q", "count"}, set()),
     "fristedt": (_fristedt_cases, {"q"}, {"q"}),
-    "quiver": (_quiver_cases, {"size_cap"}, set()),
+    "quiver": (_quiver_cases, set(), set()),
 }
 _SUITE_OPTIONS = set().union(*(reads for _, reads, _ in _SUITES.values()))
 
@@ -689,10 +688,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    eps = Fraction(args.eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if args.model == "quiver":
+        eps = Fraction("1/1048576" if args.eps is None else args.eps)
+        if eps <= 0:
+            raise ValueError("eps must be positive")
         if args.quiver is None:
             raise ValueError("quiver model requires --quiver FILE")
         try:
@@ -708,7 +707,7 @@ def cmd_sample(args) -> int:
                              "for --model fristedt")
         if args.model == "gl" and m.p.q < _GL_SAMPLE_Q_MIN:
             raise ValueError(f"--q must be >= {_GL_SAMPLE_Q_MIN} for --model gl")
-        samples = m.stream(m.p, args.seed, args.count, eps)
+        samples = m.stream(m.p, args.seed, args.count)
     sys.stdout.writelines(_sample_lines(samples, args.model, args.format))
     return 0
 
@@ -835,7 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--i", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--count", type=int)
-    sp.add_argument("--size-cap", dest="size_cap", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--inject-fault", dest="inject_fault", action="store_true")
@@ -846,8 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", choices=("gl", "fristedt", "quiver"), default="gl")
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--eps", default="1/1048576",
-                    help="certification width for intervals")
+    sp.add_argument("--eps", help="normalizer's Cauchy-check threshold "
+                    "(quiver model; default 1/1048576)")
     sp.add_argument("--quiver", help="quiver JSON file (quiver model)")
     sp.add_argument("--size-cap", dest="size_cap", type=int,
                     help="first-column part cap (quiver model; default 20)")

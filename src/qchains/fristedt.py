@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import accumulate, count
 from operator import mul
 
-from qchains.glchain import _PARAMS, _path_mass, _reduced, row_chain
+from qchains.glchain import _BOUND_EPS, _PARAMS, _path_mass, _reduced, row_chain
 from qchains.partitions import Partition
 from qchains.qalgebra import Interval, PochTable, as_fraction, poch_inf, poch_table
 from qchains.record import Record, _set
@@ -154,7 +154,7 @@ def f_chain_mass(lam: Partition, p: FristedtParams) -> Fraction:
 
 
 @row_chain
-def _sampler(p: FristedtParams, eps: Fraction):
+def _sampler(p: FristedtParams):
     """The row chain, with first(b) = first_row_unnormalized(b) = q^b/(q)_b.
 
     Row s is step(s, b) = f_kernel(s, b) = (q)_s first(b), so it has the
@@ -162,9 +162,7 @@ def _sampler(p: FristedtParams, eps: Fraction):
     0..s divided by their common factor.
     """
     q = p.q
-    z = weight_normalizer(p, eps)
-    if z.lo <= 0:
-        raise ValueError("eps too large to certify the support cap")
+    z = weight_normalizer(p, _BOUND_EPS)  # z.lo > 0: each 1 - q^r > 0, tail < 2**-20
 
     def ratio(b):
         return (1 - q**b) / q
@@ -177,12 +175,12 @@ def _sampler(p: FristedtParams, eps: Fraction):
     )
 
 
-def f_sample_stream(p: FristedtParams, seed: int, count: int, eps=Fraction(1, 2**20)):
+def f_sample_stream(p: FristedtParams, seed: int, count: int):
     """Yield count samples from a single seeded stream; the chain states are
     row lengths, and each sampled partition is the state sequence itself."""
     if count <= 0:
         return  # no draw, so no support cap to certify
-    yield from _sampler(p, eps).stream(seed, count, tuple)
+    yield from _sampler(p).stream(seed, count, tuple)
 
 
 __all__ = [

@@ -35,6 +35,7 @@ from qchains.qalgebra import (
 )
 
 TAIL_BITS = 64  # first-step support cap: certified tail below 2**-TAIL_BITS
+_BOUND_EPS = Fraction(1, 2**20)  # precision of the products a tail bound divides by
 
 _ZERO = Fraction(0)
 
@@ -500,8 +501,8 @@ _SAMPLERS = 16  # per-parameter samplers kept by each model
 
 
 def row_chain(describe):
-    """Decorator: describe(p, eps) -> (ratio, step_ratio, tail) becomes a
-    bounded cache of ChainSamplers keyed by (p, eps).
+    """Decorator: describe(p) -> (ratio, step_ratio, tail) becomes a bounded
+    cache of ChainSamplers keyed by p.
 
     The chain on row (or column) lengths starts at b with weight first(b),
     steps from s to b <= s with probability step(s, b) and is absorbed at 0;
@@ -516,8 +517,8 @@ def row_chain(describe):
 
     @lru_cache(maxsize=_SAMPLERS)
     @wraps(describe)
-    def sampler(p, eps) -> ChainSampler:
-        ratio, step_ratio, tail = describe(p, eps)
+    def sampler(p) -> ChainSampler:
+        ratio, step_ratio, tail = describe(p)
         bound = Fraction(1, 2**TAIL_BITS)
         top = 0
         while tail(top) >= bound:
@@ -532,15 +533,15 @@ def row_chain(describe):
 
 
 @row_chain
-def _sampler(p: MeasureParams, eps: Fraction):
+def _sampler(p: MeasureParams):
     """The column chain, with first(b) = first_col_unnormalized(b) and
     step(s, b) = kernel(s, b) = first(b) (1/q)_s (u/q)_s / (1/q)_{s-b}."""
     u, q = p.u, p.q
     # a rounded lower bound of (1/q)_inf (u/q)_inf: the exact products need
     # thousands of factors of growing size when u and q are near 1
-    lo = poch_inf_lower(1, q, eps) * poch_inf_lower(u, q, eps)
-    if lo <= 0:
-        raise ValueError("eps too large to certify the support cap")
+    lo = poch_inf_lower(1, q, _BOUND_EPS) * poch_inf_lower(u, q, _BOUND_EPS)
+    if lo <= 0:  # a factor rounded to 0: q (or u/q) within about 2**-64 of 1
+        raise ValueError("q too close to 1 to certify the support cap")
 
     def ratio(b):
         return q ** (2 * b - 1) * (1 - q**-b) * (1 - u * q**-b) / u
@@ -553,14 +554,14 @@ def _sampler(p: MeasureParams, eps: Fraction):
     )
 
 
-def sample_stream(p: MeasureParams, seed: int, count: int, eps=Fraction(1, 2**20)):
+def sample_stream(p: MeasureParams, seed: int, count: int):
     """Yield count samples from a single seeded stream."""
     if p.u >= 1:
         raise ValueError("sampling needs u < 1")
     if count <= 0:
         return  # no draw, so no support cap to certify
     # the path is the column heights; the partition is their conjugate
-    yield from _sampler(p, eps).stream(seed, count, _conjugate_parts)
+    yield from _sampler(p).stream(seed, count, _conjugate_parts)
 
 
 __all__ = [

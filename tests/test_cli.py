@@ -85,9 +85,6 @@ def test_verify_bad_config_exits_2(capsys):
         ["verify", "--suite", "qbinomial", "--n", "-2"],
         ["verify", "--suite", "ag", "--k", "0"],
         ["series", "--which", "ag-sum", "--k", "0"],
-        ["verify", "--suite", "quiver", "--size-cap", "-1"],
-        ["verify", "--suite", "quiver", "--size-cap", "0"],
-        ["verify", "--suite", "quiver", "--size-cap", "2"],
         ["bailey", "--steps", "-1"],
         ["sample", "--seed", "-1"],
         ["verify", "--suite", "bailey", "--seed", "-1"],
@@ -98,9 +95,9 @@ def test_verify_bad_config_exits_2(capsys):
     ],
     ids=["verify-order", "verify-lmax", "series-order", "sample-count", "bailey-count",
          "jobs-zero", "jobs-negative", "qbinomial-n", "verify-k-zero",
-         "series-k-zero", "size-cap-negative", "size-cap-zero", "size-cap-two",
-         "bailey-steps", "sample-seed", "verify-seed", "verify-order-above",
-         "series-order-above", "fristedt-q-above", "fristedt-q-near-one"],
+         "series-k-zero", "bailey-steps", "sample-seed", "verify-seed",
+         "verify-order-above", "series-order-above", "fristedt-q-above",
+         "fristedt-q-near-one"],
 )
 def test_negative_order_or_lmax_exits_2(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -135,9 +132,11 @@ def test_order_at_the_bound_runs(capsys):
 
 
 # flags that each command registered but never read, before each command
-# registered only the flags that it reads
+# registered only the flags that it reads; `verify --size-cap` was read only
+# into the quiver report
 _UNREAD = [
     ("verify", "--eps"),
+    ("verify", "--size-cap"),
     *[("sample", f) for f in ("--order", "--lmax")],
     *[("power", f) for f in ("--order", "--lmax", "--eps", "--seed")],
     *[(c, f) for c in ("kernel", "bailey") for f in ("--order", "--eps", "--seed")],
@@ -193,10 +192,12 @@ def test_flag_the_model_does_not_read_exits_2(capsys, argv, model, extra):
         (["sample", "--model", "gl", "--quiver", "/nonexistent.json",
           "--size-cap", "3"],
          "error: options not used by model 'gl': --quiver, --size-cap\n"),
-        (["verify", "--suite", "rr", "--size-cap", "3"],
-         "error: options not used by suite 'rr': --size-cap\n"),
+        (["sample", "--model", "gl", "--eps", "1/2"],
+         "error: options not used by model 'gl': --eps\n"),
+        (["verify", "--suite", "rr", "--lmax", "3"],
+         "error: options not used by suite 'rr': --lmax\n"),
     ],
-    ids=["sample", "verify"],
+    ids=["sample", "sample-gl-eps", "verify"],
 )
 def test_unread_options_are_named_as_typed(capsys, argv, err):
     assert run(capsys, argv) == (2, "", err)
@@ -327,7 +328,7 @@ def test_quiver_case_checks_the_chain_measure(monkeypatch):
         return weight(t, g, p) + (t.to_json() == [[2], [1]])
 
     monkeypatch.setattr(cli, "tuple_weight", off_on_one)
-    report = cli._case_quiver("a2", None, 3)
+    report = cli._case_quiver("a2")
     assert report["status"] == "fail"
     assert report["failures"] == ["chain-measure[[2], [1]]"]
 
@@ -340,7 +341,7 @@ def test_quiver_case_checks_row_sums_exactly(monkeypatch):
         return kernel_entry(a, b, g, p) + off
 
     monkeypatch.setattr(cli, "quiver_kernel", shifted)
-    report = cli._case_quiver("a2", None, 3)
+    report = cli._case_quiver("a2")
     assert report["status"] == "fail"
     assert report["failures"] == ["rowsum(1, 1)"]
 
@@ -933,7 +934,6 @@ def test_sample_line_is_the_emitted_line(seed, columns, partition, model, mode):
     assert line == out.getvalue()
 
 
-_EPS = Fraction(1, 2**20)
 _STREAMS = [
     ("gl", MeasureParams(u=Fraction(1, 2), q=Fraction(2)), 2000),
     ("fristedt", FristedtParams(q=Fraction(1, 2)), 2000),
@@ -943,14 +943,14 @@ _STREAMS = [
 
 def _stream(model, p, seed, count):
     stream = glchain.sample_stream if model == "gl" else fristedt.f_sample_stream
-    return stream(p, seed, count, _EPS)
+    return stream(p, seed, count)
 
 
 def _oracle_lines(model, p, seed, count, mode):
     """One seed's lines built draw by draw with no memo: each path straight
     from the chain, its partition through the checking Partition(), and the
     line as _emit formats it."""
-    chain = (glchain._sampler if model == "gl" else fristedt._sampler)(p, _EPS)
+    chain = (glchain._sampler if model == "gl" else fristedt._sampler)(p)
     rng = random.Random(seed)
     for _ in range(count):
         path = chain.path(rng)
@@ -965,7 +965,6 @@ def _oracle_lines(model, p, seed, count, mode):
 def test_streams_equal_a_memo_free_oracle(monkeypatch, model, p, count, mode, cap):
     if cap is not None:
         monkeypatch.setattr(glchain, "_STREAM_MEMO", cap)
-        monkeypatch.setattr(cli, "_LINE_MEMO", cap)
     for seed in range(4):
         lines = cli._sample_lines(_stream(model, p, seed, count), model, mode)
         assert "".join(lines) == "".join(_oracle_lines(model, p, seed, count, mode)), seed
@@ -992,7 +991,6 @@ def test_memos_never_exceed_their_caps(monkeypatch, model, p, count, cap):
     """Each memo keeps the first cap distinct paths of a stream, and only
     those: every later path is built anew at each draw."""
     monkeypatch.setattr(glchain, "_STREAM_MEMO", cap)
-    monkeypatch.setattr(cli, "_LINE_MEMO", cap)
     samples = list(_stream(model, p, 0, count))
     lines = list(cli._sample_lines(samples, model, "json"))
     draws = Counter(s.columns for s in samples)
@@ -1049,9 +1047,9 @@ def test_emit_list_is_the_emitted_line(rows, key, mode):
 
 # The CLI contract over a small argparse space.  Integers stay at most 12:
 # `power --L` costs about L^4 memory.  Defaults that take a second or more
-# (--lmax of the diag, power and bailey suites, every quiver --size-cap) are
-# replaced by small values when not drawn, and `--suite all` is left to the
-# pinned-output test.
+# (--lmax of the diag, power and bailey suites, the quiver sampler's
+# --size-cap) are replaced by small values when not drawn, and `--suite all`
+# is left to the pinned-output test.
 _RATIONALS = st.sampled_from(
     ["1/2", "1/3", "2/5", "2", "3", "5/2", "1", "0", "-1", "1/0", "", "junk"]
 )
@@ -1065,7 +1063,7 @@ _COMMANDS = {
     "verify": {
         **_CHAIN,
         **{f: _INTS for f in ("--order", "--lmax", "--seed", "--k", "--i", "--n",
-                              "--count", "--size-cap")},
+                              "--count")},
         "--jobs": st.sampled_from(["-1", "0", "1"]),
         "--inject-fault": st.none(),
     },
@@ -1120,7 +1118,7 @@ def _argvs(draw):
     flags.update(draw(st.fixed_dictionaries(_REQUIRED.get(command, {}))))
     if flags.get("--suite") in ("diag", "power", "bailey"):
         flags.setdefault("--lmax", "6")
-    if flags.get("--suite") == "quiver" or flags.get("--model") == "quiver":
+    if flags.get("--model") == "quiver":
         flags.setdefault("--size-cap", "8")
     return command, flags
 

@@ -229,14 +229,15 @@ def test_sampler_determinism_and_rows():
 @pytest.mark.parametrize("q, most", [("4/5", 300_000), ("9/10", 1_500_000)])
 def test_sampler_build_holds_no_table_of_weights(q, most):
     """A cold sampler build holds the first step's cut points and a few long
-    integers, not the integers behind them: about 200 of up to 50k bits at
-    q = 4/5 and 440 of up to 300k bits at q = 9/10, which peaked at 1.4
+    integers, not the integers behind them: 207 of up to 50k bits at
+    q = 4/5 and 443 of up to 300k bits at q = 9/10, which peaked at 1.4
     and 19 MB."""
     fristedt._sampler.cache_clear()
     tracemalloc.start()
     try:
-        fristedt._sampler(FristedtParams(q=F(q)), F(1, 2**20))
+        chain = fristedt._sampler(FristedtParams(q=F(q)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < most
+    assert chain.first[0][-1] == {"4/5": 206, "9/10": 442}[q]

@@ -369,7 +369,7 @@ def test_cdf_exact_thresholds():
 def test_no_cut_is_wider_than_129_bits(sampler, p):
     """The first step and every row that 200 draws build keep one cut per
     state, the last being 2^128, however long the weights' integers are."""
-    chain = sampler(p, F(1, 2**20))
+    chain = sampler(p)
     rng = random.Random(1)
     for _ in range(200):
         chain.path(rng)
@@ -384,11 +384,13 @@ def test_no_cut_is_wider_than_129_bits(sampler, p):
 def test_near_one_sampler_builds_quickly():
     """u = 99/100, q = 101/100: the support cap's lower bound of
     (1/q)_inf (u/q)_inf is rounded, not an exact product of ~1900 factors
-    of growing size, so three draws take seconds, not minutes."""
+    of growing size, so three draws take seconds, not minutes.  The first
+    step is cut at 191."""
     p = MeasureParams(u=F(99, 100), q=F(101, 100))
     t0 = perf_counter()
     draws = list(sample_stream(p, 0, 3))
     assert perf_counter() - t0 < 10
+    assert glchain._sampler(p).first[0][-1] == 191
     for s in draws:
         assert s.partition == Partition(s.columns).conjugate()
 
@@ -429,29 +431,32 @@ def _proportional(ints, weights, picks):
 
 
 @pytest.mark.parametrize(
-    "sampler, p, first, step",
+    "sampler, p, first, step, cap",
     [
         *[(glchain._sampler, MeasureParams(u=F(u), q=F(q)), first_col_unnormalized,
-           kernel) for u, q in [("1/2", "2"), ("1/3", "3"), ("9/10", "5/4")]],
+           kernel, cap) for u, q, cap in [("1/2", "2", 7), ("1/3", "3", 5),
+                                          ("9/10", "5/4", 15)]],
         *[(fristedt._sampler, fristedt.FristedtParams(q=F(q)),
-           fristedt.first_row_unnormalized, fristedt.f_kernel)
-          for q in ("1/2", "4/5", "9/10")],
+           fristedt.first_row_unnormalized, fristedt.f_kernel, cap)
+          for q, cap in (("1/2", 65), ("4/5", 206), ("9/10", 442))],
     ],
     ids=["gl-1/2-2", "gl-1/3-3", "gl-9/10-5/4", "fristedt-1/2", "fristedt-4/5",
          "fristedt-9/10"],
 )
-def test_ratio_built_integers_are_proportional_to_the_weights(sampler, p, first, step):
-    """The first-step integers are proportional to first(b), and the integers
-    of each row s < 30 to step(s, b), b <= s.  The first step is checked at
-    every b < 30, every 8th b and the top (some 450 states of 300k bits at
-    q = 9/10); the integers are built from the top down, so a wrong ratio
-    shows between two checked states.  The sampler's cut points of the
-    first step and of each of those rows are the full-division ones of
-    these integers."""
-    chain = sampler(p, F(1, 2**20))
-    ratio, step_ratio, _ = inspect.unwrap(sampler)(p, F(1, 2**20))
+def test_ratio_built_integers_are_proportional_to_the_weights(sampler, p, first, step,
+                                                              cap):
+    """The first step is cut at cap, its integers are proportional to
+    first(b), and the integers of each row s < 30 to step(s, b), b <= s.
+    The first step is checked at every b < 30, every 8th b and the top (some
+    450 states of 300k bits at q = 9/10); the integers are built from the
+    top down, so a wrong ratio shows between two checked states.  The
+    sampler's cut points of the first step and of each of those rows are
+    the full-division ones of these integers."""
+    chain = sampler(p)
+    ratio, step_ratio, _ = inspect.unwrap(sampler)(p)
     ints = _law_ints(chain.first[1], ratio)
     top = len(ints) - 1
+    assert top == cap
     picks = sorted({*range(min(30, top + 1)), *range(0, top, 8), top})
     assert _proportional(ints, [first(b, p) for b in range(top + 1)], picks)
     for s in range(30):

@@ -302,22 +302,7 @@ def test_kernel_single_point_matches_glchain():
     for a in range(6):
         for b in range(a + 1):
             got = quiver_kernel((a,), (b,), POINT, POINT_PARAMS)
-            assert abs(got - kernel(a, b, mp)) < F(1, 10**6), (a, b)
-
-
-@pytest.mark.parametrize(
-    "g,p", [(A2, A2_PARAMS), (JORDAN, JORDAN_PARAMS)], ids=["a2", "jordan"]
-)
-def test_kernel_rows_near_stochastic(g, p):
-    vectors = [
-        a
-        for a in itertools.product(range(5), repeat=g.n)
-        if 0 < sum(a) <= 4
-    ]
-    for a in vectors:
-        support = itertools.product(*(range(v + 1) for v in a))
-        total = sum(quiver_kernel(a, b, g, p) for b in support)
-        assert abs(total - 1) < F(1, 10**6), a
+            assert got == kernel(a, b, mp), (a, b)
 
 
 @pytest.mark.parametrize(
